@@ -6,7 +6,8 @@ shape (n_runs, n)) and one randomness contract (every variate addressed by
 
 * independent-set resampling: a scheduler picks a non-adjacent vertex set
   each round and the selected vertices redraw their spins from their
-  single-site conditionals, simultaneously;
+  single-site conditionals, simultaneously; conditionals are built for the
+  scheduled (run, vertex) pairs only;
 * parallel Metropolis: every vertex proposes from its activity vector, every
   edge tosses one shared coin against a three-factor acceptance probability
   on normalized activities, and a vertex commits its proposal only when all
@@ -98,17 +99,17 @@ def _segment_reduce(op, values: np.ndarray, ptr: np.ndarray,
     """Per-segment ufunc reduction along axis 1; empty segments get empty_value.
 
     reduceat misreads zero-length segments (it returns the element at the
-    segment start, or walks off the end), so those positions are patched.
+    segment start, or walks off the end), so it only sees the starts of
+    non-empty segments, each of which then runs to the next non-empty start.
     """
     starts = ptr[:-1]
-    lengths = np.diff(ptr)
-    if values.shape[1] == 0:
-        shape = (values.shape[0], len(starts)) + values.shape[2:]
-        return np.full(shape, empty_value, dtype=values.dtype)
-    safe = np.minimum(starts, values.shape[1] - 1)
-    out = op.reduceat(values, safe, axis=1)
-    if np.any(lengths == 0):
-        out[:, lengths == 0] = empty_value
+    nonempty = np.diff(ptr) > 0
+    if nonempty.all():
+        return op.reduceat(values, starts, axis=1)
+    shape = (values.shape[0], len(starts)) + values.shape[2:]
+    out = np.full(shape, empty_value, dtype=values.dtype)
+    if nonempty.any():
+        out[:, nonempty] = op.reduceat(values, starts[nonempty], axis=1)
     return out
 
 
@@ -181,42 +182,40 @@ def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
     return np.broadcast_to(members, (len(np.atleast_1d(runs)), graph.n)).copy()
 
 
-def _conditional_cdfs(inst: MrfInstance, x: np.ndarray,
-                      need: np.ndarray) -> np.ndarray:
-    """Single-site conditional CDFs for every (run, vertex), shape (R, n, q).
-
-    Rows where the conditional has zero mass are only an error if that
-    vertex is actually scheduled (the `need` mask); elsewhere they are
-    left as all-ones CDFs and never sampled.
-    """
-    g = inst.graph
-    R, n = x.shape
-    if g.nbr_flat.size:
-        gathered = inst.slot_A[np.arange(len(g.nbr_flat))[None, :],
-                               x[:, g.nbr_flat], :]
-        prod = _segment_reduce(np.multiply, gathered, g.nbr_ptr, 1.0)
-    else:
-        prod = np.ones((R, n, inst.q))
-    numer = inst.b[None, :, :] * prod
-    denom = numer.sum(axis=-1)
-    dead = denom <= 0
-    if np.any(dead & need):
-        v = int(np.argmax(np.any(dead & need, axis=0)))
-        raise ZeroMarginal(v)
-    denom[dead] = 1.0
-    cdf = np.cumsum(numer / denom[..., None], axis=-1)
-    cdf[..., -1] = 1.0
-    return cdf
-
-
 def _resample_round(inst: MrfInstance, x: np.ndarray, scheduler: SchedulerSpec,
                     round_: int, tape: RandomTape, runs: np.ndarray,
                     collect: bool):
-    sel = scheduled_set_batch(inst.graph, scheduler, round_, tape, runs)
-    cdf = _conditional_cdfs(inst, x, sel)
+    """One independent-set resampling round.
+
+    Conditionals are built for the scheduled (run, vertex) pairs only: their
+    adjacency slots are expanded from the CSR layout, so the gather holds one
+    q-vector per selected slot rather than one per slot of every run.
+
+    Raises:
+        ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
+            first such (run, vertex) pair in run-major order is named.
+    """
+    g = inst.graph
+    sel = scheduled_set_batch(g, scheduler, round_, tape, runs)
+    ri, vi = np.nonzero(sel)
+    deg = g.degrees[vi]
+    ptr = np.zeros(len(vi) + 1, dtype=np.int64)
+    np.cumsum(deg, out=ptr[1:])
+    # slot k of pair p sits at nbr_ptr[v_p] + k in the adjacency layout
+    slot = np.repeat(g.nbr_ptr[vi] - ptr[:-1], deg) + np.arange(ptr[-1])
+    gathered = inst.slot_A[slot, x[np.repeat(ri, deg), g.nbr_flat[slot]], :]
+    prod = _segment_reduce(np.multiply, gathered[None], ptr, 1.0)[0]
+    numer = inst.b[vi] * prod
+    denom = numer.sum(axis=-1)
+    dead = denom <= 0
+    if dead.any():
+        k = int(np.argmax(dead))
+        raise ZeroMarginal(int(vi[k]), run=int(runs[ri[k]]), round=round_)
+    cdf = np.cumsum(numer / denom[:, None], axis=-1)
+    cdf[:, -1] = 1.0
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
-    drawn = _sample_from_cdf(cdf, u)
-    new_x = np.where(sel, drawn, x)
+    new_x = x.copy()
+    new_x[ri, vi] = _sample_from_cdf(cdf, u[ri, vi])
     if not collect:
         return new_x, None
     trace = {"proposals": new_x.copy(), "luby_selected": sel,

@@ -25,12 +25,19 @@ class ZeroMarginal(ValueError):
     """Conditional update distribution has zero total mass at a vertex.
 
     Raised when every spin at the vertex is excluded by the neighboring
-    assignment, i.e. the single-site update is ill-defined there.
+    assignment, i.e. the single-site update is ill-defined there. A chain
+    round also names the run and round it was executing; both are None
+    when the marginal is asked for outside a chain.
     """
 
-    def __init__(self, vertex: int):
-        super().__init__(f"conditional marginal at vertex {vertex} has zero mass")
+    def __init__(self, vertex: int, run: int | None = None,
+                 round: int | None = None):
+        where = "" if run is None else f" in run {run}, round {round}"
+        super().__init__(
+            f"conditional marginal at vertex {vertex} has zero mass{where}")
         self.vertex = vertex
+        self.run = run
+        self.round = round
 
 
 class DegenerateActivity(ValueError):

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+import localgibbs
 from localgibbs.chains import (SchedulerSpec, local_max_select,
                                local_metropolis, luby_glauber,
                                sequential_glauber)
@@ -225,6 +226,10 @@ def test_criterion_11_thread_count_reproducibility(tmp_path):
         encoding="utf-8")
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("LOCALGIBBS_")}
+    # the CLI subprocess imports the same package this process tested
+    src = os.path.dirname(os.path.dirname(localgibbs.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     outs = []
     for threads in ("1", "8"):
         out = tmp_path / f"t{threads}"

@@ -7,13 +7,15 @@ from localgibbs.chains import (ChainSpec, SchedulerSpec,
                                local_max_select, local_metropolis,
                                local_metropolis_round, luby_glauber,
                                luby_glauber_round, luby_select,
-                               scheduled_set_batch, sequential_glauber,
-                               sequential_glauber_round)
+                               luby_select_batch, scheduled_set_batch,
+                               sequential_glauber, sequential_glauber_round)
+from localgibbs.engine import run_batch
 from localgibbs.graphs import Graph, complete, cycle, path, random_regular
 from localgibbs.models import coloring, hardcore, ising, potts
-from localgibbs.mrf import MrfInstance, ZeroMarginal, is_feasible
+from localgibbs.mrf import MrfInstance, ZeroMarginal, feasible_batch, is_feasible
 from localgibbs.oracle import (Distribution, enumerate_gibbs,
-                               exact_transition_matrix, tv_distance)
+                               exact_transition_matrix, rank_of_config,
+                               tv_distance)
 from localgibbs.randomness import RandomTape
 
 LUBY = SchedulerSpec("luby")
@@ -72,6 +74,39 @@ def test_luby_select_sets_always_independent():
         chosen = np.zeros(g.n, dtype=bool)
         chosen[luby_select(g, t, tape)] = True
         assert not any(chosen[u] and chosen[v] for u, v in pairs)
+
+
+def _trailing_isolated():
+    # the last vertex has no neighbors, so its adjacency segment is empty
+    # and sits at the end of the slot arrays
+    return Graph(4, [(0, 2), (1, 2)])
+
+
+def test_luby_rows_independent_with_trailing_isolated_vertex():
+    g = _trailing_isolated()
+    runs = np.arange(20000, dtype=np.int64)
+    for t in (1, 2, 3):
+        sel = luby_select_batch(g, t, RandomTape(5), runs)
+        assert not np.any(sel[:, g.eu] & sel[:, g.ev])
+        assert sel[:, 3].all()
+
+
+@pytest.mark.parametrize("chain", [luby_glauber(), local_metropolis()],
+                         ids=["luby_glauber", "local_metropolis"])
+def test_one_round_law_with_trailing_isolated_vertex(chain):
+    inst = coloring(_trailing_isolated(), 3)
+    x0 = np.array([0, 1, 2, 0])
+    n_runs = 40000
+    final, _ = run_batch(inst, chain, x0, 1, RandomTape(8),
+                         np.arange(n_runs, dtype=np.int64))
+    assert feasible_batch(inst, final).all()
+    counts = np.bincount(final @ 3 ** np.arange(4), minlength=3 ** 4)
+    row = exact_transition_matrix(chain, inst).rows[rank_of_config(x0, 3)]
+    k = np.count_nonzero(row)
+    # mean TV of an empirical law on k outcomes is at most sqrt(k/N)/2;
+    # McDiarmid adds the deviation term at failure probability 1e-6
+    tol = 0.5 * np.sqrt(k / n_runs) + np.sqrt(np.log(1e6) / (2 * n_runs))
+    assert 0.5 * np.abs(counts / n_runs - row).sum() <= tol
 
 
 def test_tie_rule_larger_id_wins():
@@ -147,8 +182,11 @@ def test_glauber_zero_marginal_propagates():
     for seed in range(30):
         tape = RandomTape(seed)
         try:
-            luby_glauber_round(inst, x, LUBY, 1, tape)
-        except ZeroMarginal:
+            luby_glauber_round(inst, x, LUBY, 1, tape, run=7)
+        except ZeroMarginal as exc:
+            assert (exc.vertex, exc.run, exc.round) == (1, 7, 1)
+            assert "vertex 1" in str(exc)
+            assert "run 7, round 1" in str(exc)
             raised = True
             break
     assert raised
