@@ -14,6 +14,11 @@ shape (n_runs, n)) and one randomness contract (every variate addressed by
   incident edges passed;
 * the sequential baseline: one uniformly random vertex resampled per round.
 
+Every neighbourhood reduction (the local-maximum test, the product of a
+selected vertex's slot matrices, the AND of a vertex's edge passes) walks
+the graph's rank-major slot table: one gather and one elementwise step per
+adjacency rank, each over a prefix of the vertices sorted by degree.
+
 All round functions are pure maps from the previous round's snapshot to the
 next; a vertex's update reads its own streams, its neighbors' previous
 spins, and the shared coins of its incident edges, nothing else.
@@ -94,23 +99,22 @@ def chromatic_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
                  for c in range(int(color.max()) + 1))
 
 
-def _segment_reduce(op, values: np.ndarray, ptr: np.ndarray,
-                    empty_value) -> np.ndarray:
-    """Per-segment ufunc reduction along axis 1; empty segments get empty_value.
+def _rank_reduce(graph: Graph, op, identity, operand, n_rows: int,
+                 dtype) -> np.ndarray:
+    """Per-vertex ufunc reduction over adjacency slots, shape (n_rows, n).
 
-    reduceat misreads zero-length segments (it returns the element at the
-    segment start, or walks off the end), so it only sees the starts of
-    non-empty segments, each of which then runs to the next non-empty start.
+    operand(lo, hi) returns the (n_rows, hi - lo) values of the rank-major
+    slot entries lo:hi; rank k's entries belong to the vertex prefix
+    by_degree[:hi - lo], so each rank is one elementwise step into a prefix
+    of the accumulator. Vertices without slots keep the identity.
     """
-    starts = ptr[:-1]
-    nonempty = np.diff(ptr) > 0
-    if nonempty.all():
-        return op.reduceat(values, starts, axis=1)
-    shape = (values.shape[0], len(starts)) + values.shape[2:]
-    out = np.full(shape, empty_value, dtype=values.dtype)
-    if nonempty.any():
-        out[:, nonempty] = op.reduceat(values, starts[nonempty], axis=1)
-    return out
+    acc = np.full((n_rows, graph.n), identity, dtype=dtype)
+    ptr = graph.rank_ptr
+    for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
+        head = acc[:, :hi - lo]
+        op(head, operand(lo, hi), out=head)
+    # np.take is several times faster than acc[:, idx] on wide batches
+    return np.take(acc, graph.degree_pos, 1)
 
 
 def _sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -127,21 +131,23 @@ def local_max_select(graph: Graph, keys: np.ndarray) -> np.ndarray:
 
     v is selected when its 64-bit score word beats every neighbor's,
     comparing (score, vertex id) lexicographically so exact ties resolve
-    against the smaller id. Each row is an independent set by construction.
+    against the smaller id. Each row is an independent set by construction;
+    an isolated vertex is always selected.
     """
-    n = graph.n
-    if graph.m == 0:
-        return np.ones((len(keys), n), dtype=bool)
-    nk = keys[:, graph.nbr_flat]
-    nbr_max = _segment_reduce(np.maximum, nk, graph.nbr_ptr, np.uint64(0))
+    g, rows = graph, len(keys)
+    nbr_max = _rank_reduce(g, np.maximum, 0,
+                           lambda lo, hi: np.take(keys, g.rank_nbr[lo:hi], 1),
+                           rows, np.uint64)
     sel = keys > nbr_max
-    ties = (keys == nbr_max) & (graph.degrees[None, :] > 0)
+    ties = keys == nbr_max
     if ties.any():
-        ids = np.where(nk == np.repeat(nbr_max, np.diff(graph.nbr_ptr), axis=1),
-                       graph.nbr_flat[None, :], -1)
-        top_id = _segment_reduce(np.maximum, ids, graph.nbr_ptr, -1)
-        sel |= ties & (np.arange(n)[None, :] > top_id)
-    sel[:, graph.degrees == 0] = True
+        def tied_ids(lo, hi):
+            nbr = g.rank_nbr[lo:hi]
+            owner_max = np.take(nbr_max, g.by_degree[:hi - lo], 1)
+            return np.where(np.take(keys, nbr, 1) == owner_max, nbr, -1)
+
+        top_id = _rank_reduce(g, np.maximum, -1, tied_ids, rows, np.int64)
+        sel |= ties & (np.arange(g.n)[None, :] > top_id)
     return sel
 
 
@@ -187,9 +193,11 @@ def _resample_round(inst: MrfInstance, x: np.ndarray, scheduler: SchedulerSpec,
                     collect: bool):
     """One independent-set resampling round.
 
-    Conditionals are built for the scheduled (run, vertex) pairs only: their
-    adjacency slots are expanded from the CSR layout, so the gather holds one
-    q-vector per selected slot rather than one per slot of every run.
+    Conditionals are built for the scheduled (run, vertex) pairs only. The
+    pairs are taken vertex-major over the vertices in by_degree order, so
+    the pairs whose vertex has a k-th adjacency slot form a prefix; the
+    product over slots is then one gather and one multiply per rank, in
+    slot order. Proposal uniforms are hashed for these pairs alone.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
@@ -197,25 +205,29 @@ def _resample_round(inst: MrfInstance, x: np.ndarray, scheduler: SchedulerSpec,
     """
     g = inst.graph
     sel = scheduled_set_batch(g, scheduler, round_, tape, runs)
-    ri, vi = np.nonzero(sel)
-    deg = g.degrees[vi]
-    ptr = np.zeros(len(vi) + 1, dtype=np.int64)
-    np.cumsum(deg, out=ptr[1:])
-    # slot k of pair p sits at nbr_ptr[v_p] + k in the adjacency layout
-    slot = np.repeat(g.nbr_ptr[vi] - ptr[:-1], deg) + np.arange(ptr[-1])
-    gathered = inst.slot_A[slot, x[np.repeat(ri, deg), g.nbr_flat[slot]], :]
-    prod = _segment_reduce(np.multiply, gathered[None], ptr, 1.0)[0]
-    numer = inst.b[vi] * prod
-    denom = numer.sum(axis=-1)
+    pos, ri = np.nonzero(sel[:, g.by_degree].T)
+    vi = g.by_degree[pos]
+    base = g.nbr_ptr[vi]
+    # pairs whose vertex has degree > k: those at a by_degree position
+    # below that rank's vertex count
+    heads = np.searchsorted(pos, np.diff(g.rank_ptr)).tolist()
+    prod = np.ones((len(vi), inst.q))
+    for k, p in enumerate(heads):
+        slot = base[:p] + k
+        prod[:p] *= inst.slot_A[slot, x[ri[:p], g.nbr_flat[slot]]]
+    # in place from here: prod becomes the numerator, then the CDF
+    prod *= np.take(inst.b, vi, 0)
+    denom = prod.sum(axis=-1)
     dead = denom <= 0
     if dead.any():
-        k = int(np.argmax(dead))
+        k = np.flatnonzero(dead)[np.lexsort((vi[dead], ri[dead]))[0]]
         raise ZeroMarginal(int(vi[k]), run=int(runs[ri[k]]), round=round_)
-    cdf = np.cumsum(numer / denom[:, None], axis=-1)
+    prod /= denom[:, None]
+    cdf = np.cumsum(prod, axis=-1, out=prod)
     cdf[:, -1] = 1.0
-    u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
+    u = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vi, round_, runs[ri])
     new_x = x.copy()
-    new_x[ri, vi] = _sample_from_cdf(cdf, u[ri, vi])
+    new_x[ri, vi] = _sample_from_cdf(cdf, u)
     if not collect:
         return new_x, None
     trace = {"proposals": new_x.copy(), "luby_selected": sel,
@@ -241,23 +253,18 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  round_: int, tape: RandomTape,
                                  runs: np.ndarray, collect: bool = False):
     g = inst.graph
-    n, m = inst.n, g.m
-    u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(n), round_, runs)
+    u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
     sigma = _sample_from_cdf(inst.b_cdf[None, :, :], u)
-    if m:
-        e_idx = np.arange(m)
-        # three-factor acceptance on normalized activities: both proposals,
-        # then each proposal against the other endpoint's current spin
-        pe = (inst.A_norm[e_idx, sigma[:, g.eu], sigma[:, g.ev]]
-              * inst.A_norm[e_idx, x[:, g.eu], sigma[:, g.ev]]
-              * inst.A_norm[e_idx, sigma[:, g.eu], x[:, g.ev]])
-        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs)
-        passed = coins < pe
-        acc = _segment_reduce(np.logical_and, passed[:, g.inc_flat],
-                              g.inc_ptr, True)
-    else:
-        passed = np.zeros((len(sigma), 0), dtype=bool)
-        acc = np.ones(sigma.shape, dtype=bool)
+    e_idx = np.arange(g.m)
+    # three-factor acceptance on normalized activities: both proposals,
+    # then each proposal against the other endpoint's current spin
+    pe = (inst.A_norm[e_idx, sigma[:, g.eu], sigma[:, g.ev]]
+          * inst.A_norm[e_idx, x[:, g.eu], sigma[:, g.ev]]
+          * inst.A_norm[e_idx, sigma[:, g.eu], x[:, g.ev]])
+    passed = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs) < pe
+    acc = _rank_reduce(g, np.logical_and, True,
+                       lambda lo, hi: np.take(passed, g.rank_edge[lo:hi], 1),
+                       len(sigma), bool)
     new_x = np.where(acc, sigma, x)
     if not collect:
         return new_x, None

@@ -3,8 +3,8 @@
 Graphs are immutable after construction. Parallel edges are permitted
 everywhere (they carry independent interaction factors and independent
 coins downstream); self-loops are rejected. Besides the plain neighbor
-lists, construction precomputes the flattened adjacency and incidence
-arrays the vectorized round functions index into.
+lists, construction precomputes the flattened adjacency arrays and a
+rank-major slot table the vectorized round functions index into.
 """
 
 from __future__ import annotations
@@ -42,7 +42,16 @@ class Graph:
         nbr_flat, nbr_ptr: concatenated neighbor lists; the neighbors of v
             occupy nbr_flat[nbr_ptr[v]:nbr_ptr[v+1]], and nbr_edge gives the
             edge index of each slot.
-        inc_flat, inc_ptr: same layout for incident edge indices.
+        by_degree: vertices by descending degree, ties by ascending id;
+            degree_pos[v] is v's position in it.
+        rank_ptr, rank_nbr, rank_edge: the adjacency slots in rank-major
+            order. Rank k (0 <= k < max degree) holds entries
+            rank_ptr[k]:rank_ptr[k+1], one per vertex of degree > k; those
+            vertices are by_degree[:rank_ptr[k+1] - rank_ptr[k]], in that
+            order, and each entry gives the neighbor and the edge index at
+            that vertex's k-th slot nbr_ptr[v] + k. A neighborhood reduction
+            is then one elementwise step per rank over a prefix of the
+            by_degree order.
     """
 
     def __init__(self, n: int, edges):
@@ -83,10 +92,25 @@ class Graph:
         self.nbr_ptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.nbr_ptr[1:])
         self.nbr_edge = np.array([e for i in inc for e in i], dtype=np.int64)
-        self.inc_flat = self.nbr_edge
-        self.inc_ptr = self.nbr_ptr
+
+        self.by_degree = np.argsort(-self.degrees, kind="stable")
+        self.degree_pos = np.empty(self.n, dtype=np.int64)
+        self.degree_pos[self.by_degree] = np.arange(self.n)
+        # rank k has one entry per vertex of degree > k
+        at_most = np.cumsum(np.bincount(self.degrees))[:-1]
+        self.rank_ptr = np.zeros(len(at_most) + 1, dtype=np.int64)
+        np.cumsum(self.n - at_most, out=self.rank_ptr[1:])
+        owner = np.repeat(np.arange(self.n), self.degrees)
+        slots = np.arange(len(self.nbr_flat))
+        rank = slots - self.nbr_ptr[owner]
+        rank_slot = np.empty_like(slots)
+        rank_slot[self.rank_ptr[rank] + self.degree_pos[owner]] = slots
+        self.rank_nbr = self.nbr_flat[rank_slot]
+        self.rank_edge = self.nbr_edge[rank_slot]
         for arr in (self.eu, self.ev, self.emult, self.degrees,
-                    self.nbr_flat, self.nbr_ptr, self.nbr_edge):
+                    self.nbr_flat, self.nbr_ptr, self.nbr_edge,
+                    self.by_degree, self.degree_pos, self.rank_ptr,
+                    self.rank_nbr, self.rank_edge):
             arr.setflags(write=False)
 
     def max_degree(self) -> int:

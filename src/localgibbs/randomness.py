@@ -96,19 +96,22 @@ class RandomTape:
         salts[vertex] = U64(salt % (1 << 64))
         return RandomTape(self.master_seed, salts)
 
-    def _node_hash(self, kind, entities, round_, runs):
+    def _node_prefix(self, kind, entities, round_) -> np.ndarray:
+        """Hash state after kind, entity, salt and round; broadcasts like fold."""
         entities = np.asarray(entities, dtype=U64)
-        runs = np.asarray(runs, dtype=U64)
-        h = fold(self._base, kind)
-        h = fold(h, entities[None, :])
+        h = fold(fold(self._base, kind), entities)
         # salt word always folded (0 when unsalted) so salted and unsalted
         # tapes agree everywhere except the re-salted vertex
         if self.node_salts is None:
             h = fold(h, U64(0))
         else:
-            h = fold(h, self.node_salts[entities.astype(np.int64)][None, :])
-        h = fold(h, U64(round_))
-        return fold(h, runs[:, None])
+            h = fold(h, self.node_salts[entities.astype(np.int64)])
+        return fold(h, round_)
+
+    def _node_hash(self, kind, entities, round_, runs):
+        runs = np.asarray(runs, dtype=U64)
+        return fold(self._node_prefix(kind, entities, round_)[None, :],
+                    runs[:, None])
 
     def node_words(self, kind, entities, round_, runs) -> np.ndarray:
         """Raw uint64 hash words, shape (len(runs), len(entities)).
@@ -121,6 +124,15 @@ class RandomTape:
     def node_uniforms(self, kind, entities, round_, runs) -> np.ndarray:
         return uniform_from_bits(self._node_hash(kind, entities, round_, runs))
 
+    def node_uniforms_at(self, kind, entities, round_, runs) -> np.ndarray:
+        """One uniform per (entities[i], runs[i]) pair, shape (len(entities),).
+
+        Entry i equals node_uniforms(kind, [entities[i]], round_,
+        [runs[i]])[0, 0]; only the listed pairs are hashed.
+        """
+        return uniform_from_bits(
+            fold(self._node_prefix(kind, entities, round_), runs))
+
     def node_words_over_rounds(self, kind, entities, rounds, run: int = 0) -> np.ndarray:
         """Hash words for a fixed run across many rounds, shape (len(rounds), n).
 
@@ -129,13 +141,7 @@ class RandomTape:
         """
         entities = np.asarray(entities, dtype=U64)
         rounds = np.asarray(rounds, dtype=U64)
-        h = fold(self._base, kind)
-        h = fold(h, entities[None, :])
-        if self.node_salts is None:
-            h = fold(h, U64(0))
-        else:
-            h = fold(h, self.node_salts[entities.astype(np.int64)][None, :])
-        h = fold(h, rounds[:, None])
+        h = self._node_prefix(kind, entities[None, :], rounds[:, None])
         return fold(h, U64(run))
 
     def edge_uniforms(self, eu, ev, emult, round_, runs) -> np.ndarray:

@@ -66,3 +66,57 @@ def naive_marginal(edges, A_per_edge, b_per_vertex, q, v, x):
 
 def naive_tv(p, r):
     return 0.5 * sum(abs(a - b) for a, b in zip(p, r))
+
+
+def naive_local_max(edges, n, keys):
+    """Local-maximum rule on one row of score words, vertex by vertex.
+
+    v is selected when (keys[v], v) beats (keys[u], u) lexicographically
+    for every neighbor u; a vertex without neighbors is always selected.
+    """
+    selected = [True] * n
+    for a, b in edges:
+        if (keys[a], a) > (keys[b], b):
+            selected[b] = False
+        else:
+            selected[a] = False
+    return selected
+
+
+def naive_all_incident(edges, n, passed):
+    """Per-vertex AND of the passes of its incident edges (True if none)."""
+    out = [True] * n
+    for (a, b), ok in zip(edges, passed):
+        if not ok:
+            out[a] = out[b] = False
+    return out
+
+
+def naive_resample(edges, A_per_edge, b_per_vertex, q, x, selected, u):
+    """One resampling round for one run: each selected vertex redraws its
+    spin from its conditional by inverse CDF with its uniform u[v].
+
+    The conditional multiplies the edge factors in edge-list order, which
+    is the order of the vertex's adjacency slots.
+    """
+    new = list(x)
+    for v in range(len(x)):
+        if not selected[v]:
+            continue
+        prod = [1.0] * q
+        for (a, b), A in zip(edges, A_per_edge):
+            if v in (a, b):
+                other = b if a == v else a
+                for c in range(q):
+                    prod[c] *= A[c][x[other]]
+        numer = [b_per_vertex[v][c] * prod[c] for c in range(q)]
+        total = 0.0
+        for w in numer:
+            total += w
+        cdf, cum = [], 0.0
+        for w in numer:
+            cum += w / total
+            cdf.append(cum)
+        cdf[-1] = 1.0
+        new[v] = sum(1 for c in cdf if c <= u[v])
+    return new

@@ -6,8 +6,9 @@ from localgibbs.chains import (ChainSpec, SchedulerSpec,
                                check_filter_positivity, chromatic_classes,
                                local_max_select, local_metropolis,
                                local_metropolis_round, luby_glauber,
-                               luby_glauber_round, luby_select,
-                               luby_select_batch, scheduled_set_batch,
+                               luby_glauber_round, luby_glauber_round_batch,
+                               luby_select, luby_select_batch,
+                               scheduled_set_batch,
                                sequential_glauber, sequential_glauber_round)
 from localgibbs.engine import run_batch
 from localgibbs.graphs import Graph, complete, cycle, path, random_regular
@@ -190,6 +191,21 @@ def test_glauber_zero_marginal_propagates():
             raised = True
             break
     assert raised
+
+
+def test_zero_marginal_names_first_dead_pair_in_run_major_order():
+    # hub 0 (degree 3) and path centre 5 (degree 2) are resampled together;
+    # run 10 strands vertex 5, run 11 strands the hub. Taken vertex-major
+    # by descending degree, the hub in run 11 would come first.
+    g = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
+    inst = coloring(g, 2)
+    sched = SchedulerSpec("chromatic", ((0, 5), (1, 2, 3, 4, 6)))
+    x = np.array([[0, 1, 1, 1, 0, 0, 1],
+                  [0, 0, 1, 0, 0, 1, 0]])
+    with pytest.raises(ZeroMarginal) as info:
+        luby_glauber_round_batch(inst, x, sched, 2, RandomTape(3),
+                                 np.array([10, 11]))
+    assert (info.value.vertex, info.value.run, info.value.round) == (5, 10, 2)
 
 
 def test_metropolis_round_keeps_feasible_states_feasible():

@@ -1,6 +1,6 @@
 """Pinned digests of sample_many final configurations.
 
-Every chain and scheduler is run on two fixed instances and the sha256 of
+Every chain and scheduler is run on three fixed instances and the sha256 of
 the final (n_runs, n) int64 batch is compared against a recorded value.
 A refactor of the round functions must keep these digests; a change that
 moves one must say in CHANGES.md why the new output is correct.
@@ -36,7 +36,20 @@ def _regular_coloring() -> MrfInstance:
     return coloring(random_regular(24, 3, seed=5), 8)
 
 
-INSTANCES = {"multigraph": _multigraph_instance, "rr24-q8": _regular_coloring}
+def _hub_and_tail_instance() -> MrfInstance:
+    # skewed degrees: hub 1 has degree 8 (the edge (1,8) twice), the path
+    # tail 8-12 hangs off it, and vertices 0 and 13 are isolated
+    g = Graph(14, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8),
+                   (8, 1), (2, 3), (8, 9), (9, 10), (10, 11), (11, 12)])
+    q = 3
+    i, j = np.indices((q, q))
+    edge = [0.2 + ((i + j + e) % 4) * 0.45 for e in range(g.m)]
+    vertex = [0.4 + ((2 * v + np.arange(q)) % 5) * 0.3 for v in range(g.n)]
+    return MrfInstance(g, q, edge, vertex)
+
+
+INSTANCES = {"multigraph": _multigraph_instance, "rr24-q8": _regular_coloring,
+             "hub-tail": _hub_and_tail_instance}
 
 
 def _chain(name, inst):
@@ -74,6 +87,17 @@ PINS = {
         "d28c80e366b61ebf8e335316e8d07bd251d3f02d1c8caa6374c990f1887db6ee",
     ("rr24-q8", "metropolis"):
         "2056bc5733a1601822e5b42fdb394231762ebb272cdc569de6fa3a027ee8fcbe",
+    # recorded before the neighbourhood reductions moved to the slot table
+    ("hub-tail", "luby"):
+        "cd1cd5b1e9047f7ed0b941e7ff7d8f9bb1b47aa1dc883bed3d154aec11dca1e0",
+    ("hub-tail", "chromatic"):
+        "54cc097c37a9dbbb1cf8c962af353480d25eda425b9748b95e2314c263459e45",
+    ("hub-tail", "single-site"):
+        "177b244413a8549d56d3593654729714456c1778665ec6dd78ee5547c30c96a4",
+    ("hub-tail", "sequential"):
+        "177b244413a8549d56d3593654729714456c1778665ec6dd78ee5547c30c96a4",
+    ("hub-tail", "metropolis"):
+        "89690670678ddb177de29056e8bf91c491515f92759e9e6216f83b4a8453492c",
 }
 
 
