@@ -29,8 +29,7 @@ from .graphs import (EndpointOutOfRange, GenerationFailed, Graph, ParseError,
 from .models import EmptyList, coloring, hardcore, ising, list_coloring, potts
 from .mrf import (DegenerateActivity, MrfInstance, ZeroMarginal,
                   feasible_batch, is_feasible, marginal,
-                  normalized_edge_activity, validate_configuration, weight,
-                  weight_batch, weight_log)
+                  validate_configuration, weight, weight_batch)
 from .oracle import (BalanceReport, Distribution, StateSpaceTooLarge,
                      TransitionMatrix, UnsupportedScheduler,
                      ZeroPartitionFunction, ZeroProbabilityCondition,

@@ -256,11 +256,13 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
     sigma = _sample_from_cdf(inst.b_cdf[None, :, :], u)
     e_idx = np.arange(g.m)
+    su, sv = np.take(sigma, g.eu, 1), np.take(sigma, g.ev, 1)
+    xu, xv = np.take(x, g.eu, 1), np.take(x, g.ev, 1)
     # three-factor acceptance on normalized activities: both proposals,
     # then each proposal against the other endpoint's current spin
-    pe = (inst.A_norm[e_idx, sigma[:, g.eu], sigma[:, g.ev]]
-          * inst.A_norm[e_idx, x[:, g.eu], sigma[:, g.ev]]
-          * inst.A_norm[e_idx, sigma[:, g.eu], x[:, g.ev]])
+    pe = (inst.A_norm[e_idx, su, sv]
+          * inst.A_norm[e_idx, xu, sv]
+          * inst.A_norm[e_idx, su, xv])
     passed = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs) < pe
     acc = _rank_reduce(g, np.logical_and, True,
                        lambda lo, hi: np.take(passed, g.rank_edge[lo:hi], 1),

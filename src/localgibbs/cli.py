@@ -89,11 +89,17 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig) -> None:
     })
 
 
-def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
+def _experiment(cfg: ExperimentConfig):
+    """Graph, instance, chain and tape of a config; the instance and chain
+    are None for a command that takes no model or chain keys."""
     graph = build_graph(cfg)
-    inst = build_instance(cfg, graph)
-    chain = build_chain(cfg, graph)
-    tape = RandomTape(cfg["seed"])
+    inst = build_instance(cfg, graph) if "model" in cfg.values else None
+    chain = build_chain(cfg, graph) if "chain" in cfg.values else None
+    return graph, inst, chain, RandomTape(cfg["seed"])
+
+
+def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
+    graph, inst, chain, tape = _experiment(cfg)
     result = sample_many(inst, chain, cfg["rounds"], cfg["n_runs"], tape,
                          initial=cfg["initial"], threads=threads)
 
@@ -119,12 +125,9 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_mix_scan(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    graph = build_graph(cfg)
-    inst = build_instance(cfg, graph)
-    chain = build_chain(cfg, graph)
-    tape = RandomTape(cfg["seed"])
+    _, inst, chain, tape = _experiment(cfg)
     curve = mixing_scan(inst, chain, cfg["rounds_grid"], cfg["n_runs"], tape,
-                        epsilon=cfg["epsilon"])
+                        epsilon=cfg["epsilon"], threads=threads)
 
     rows = [(int(t), float(tv), None)
             for t, tv in zip(curve.rounds, curve.tv)]
@@ -145,9 +148,7 @@ def cmd_mix_scan(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_balance_check(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    graph = build_graph(cfg)
-    inst = build_instance(cfg, graph)
-    chain = build_chain(cfg, graph)
+    _, inst, chain, _ = _experiment(cfg)
     mu, _ = enumerate_gibbs(inst)
     P = exact_transition_matrix(chain, inst)
     report = check_detailed_balance(P, mu)
@@ -168,12 +169,9 @@ def cmd_balance_check(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_coupling(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    graph = build_graph(cfg)
-    inst = build_instance(cfg, graph)
-    chain = build_chain(cfg, graph)
-    tape = RandomTape(cfg["seed"])
-    curve = coupling_decay(inst, chain, tuple(cfg["initial_pair"]),
-                           cfg["rounds"], cfg["n_runs"], tape)
+    _, inst, chain, tape = _experiment(cfg)
+    curve = coupling_decay(inst, chain, cfg["initial_pair"], cfg["rounds"],
+                           cfg["n_runs"], tape, threads=threads)
 
     fitted = curve.fit_rounds is not None and not math.isnan(curve.rate)
     rows = [(int(t), float(phi), float(se))
@@ -197,8 +195,7 @@ def cmd_coupling(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_correlation(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    graph = build_graph(cfg)
-    inst = build_instance(cfg, graph)
+    graph, inst, _, _ = _experiment(cfg)
     u = cfg["u"]
     if u >= graph.n:
         raise ConfigError("u", f"vertex {u} out of range for n={graph.n}")
@@ -229,8 +226,7 @@ def cmd_correlation(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_gamma(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    graph = build_graph(cfg)
-    tape = RandomTape(cfg["seed"])
+    graph, _, _, tape = _experiment(cfg)
     report = luby_gamma_estimate(graph, cfg["rounds"], tape)
 
     rows = [(v, float(f), None) for v, f in enumerate(report.per_vertex)]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ChainSpec, local_max_select, round_function
-from .engine import CHUNK_RUNS, initial_config, run_batch
+from .chains import ChainSpec, local_max_select
+from .engine import run_chunked
 from .graphs import Graph
 from .mrf import MrfInstance
 from .oracle import (ENUM_CAP, Distribution, all_configs, enumerate_gibbs,
@@ -139,46 +139,44 @@ def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> Influenc
     return InfluenceMatrix(rho, float(rho.sum(axis=1).max()) if n else 0.0)
 
 
-def _chunked_snapshots(inst, chain, initial, grid, n_runs, tape):
-    grid = sorted(set(int(t) for t in grid))
-    finals = {t: np.empty((n_runs, inst.n), dtype=np.int64) for t in grid}
-    for lo in range(0, n_runs, CHUNK_RUNS):
-        hi = min(lo + CHUNK_RUNS, n_runs)
-        runs = np.arange(lo, hi, dtype=np.int64)
-        x0 = initial_config(inst, initial, tape, runs)
-        _, snaps = run_batch(inst, chain, x0, max(grid), tape, runs,
-                             snapshot_rounds=grid)
-        for t in grid:
-            finals[t][lo:hi] = snaps[t]
-    return finals
-
-
 DEFAULT_INITIALS = ("zeros", "max", "greedy", "random")
 
 
 def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
                 tape: RandomTape, initials=DEFAULT_INITIALS,
-                epsilon: float = 0.05, cap: int = ENUM_CAP) -> MixingCurve:
+                epsilon: float = 0.05, cap: int = ENUM_CAP,
+                threads: int = 1) -> MixingCurve:
     """Empirical distance to the exact Gibbs distribution along a round grid.
 
     For each initial configuration in the panel, n_runs trajectories are
-    snapshotted at every grid round and the histogram's total variation
-    distance to the enumerated distribution recorded. The curve keeps the
-    worst panel member per round; tau_hat is the first grid round at which
-    that worst distance is <= epsilon (None if never).
+    histogrammed at every grid round (each chunk keeps only its counts) and
+    the histogram's total variation distance to the enumerated distribution
+    recorded. The curve keeps the worst panel member per round; tau_hat is
+    the first grid round at which that worst distance is <= epsilon (None if
+    never).
     """
     mu, _ = enumerate_gibbs(inst, cap)
     grid = sorted(set(int(t) for t in rounds_grid))
     if not grid:
         raise ValueError("rounds grid is empty")
+    pows = inst.q ** np.arange(inst.n, dtype=np.int64)
+
+    # sparse (ranks, counts) per start: a chunk keeps at most min(rows,
+    # q**n) entries per grid round, however large the state space
+    def histogram(runs, x):
+        ranks = (x @ pows).reshape(-1, len(initials))  # column s: start s
+        return [np.unique(r, return_counts=True) for r in ranks.T]
+
+    chunks = run_chunked(inst, chain, grid[-1], n_runs, tape, initials,
+                         histogram, grid, threads)
     per_initial: dict[str, list[float]] = {}
-    for init in initials:
+    for s, init in enumerate(initials):
         name = init if isinstance(init, str) else "explicit"
-        finals = _chunked_snapshots(inst, chain, init, grid, n_runs, tape)
         tvs = []
         for t in grid:
-            counts = np.bincount(finals[t] @ (inst.q ** np.arange(inst.n, dtype=np.int64)),
-                                 minlength=len(mu.probs))
+            counts = np.zeros(len(mu.probs), dtype=np.int64)
+            for c in chunks:
+                np.add.at(counts, *c[t][s])
             tvs.append(tv_distance(Distribution(counts / counts.sum()), mu))
         per_initial[name] = tvs
     worst = [max(per_initial[k][i] for k in per_initial) for i in range(len(grid))]
@@ -189,7 +187,8 @@ def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
 
 def coupling_decay(inst: MrfInstance, chain: ChainSpec, initial_pair,
                    rounds: int, n_runs: int, tape: RandomTape,
-                   coupling: str = "identical-tape") -> DecayCurve:
+                   coupling: str = "identical-tape",
+                   threads: int = 1) -> DecayCurve:
     """Paired evolution under shared randomness; tracks expected disagreement.
 
     Both runs read the same tape, so proposals, scores, and edge coins are
@@ -200,22 +199,16 @@ def coupling_decay(inst: MrfInstance, chain: ChainSpec, initial_pair,
     """
     if coupling != "identical-tape":
         raise ValueError("only the identical-tape coupling is implemented")
-    xa, xb = initial_pair
-    runs = np.arange(n_runs, dtype=np.int64)
-    X = initial_config(inst, xa, tape, runs)
-    Y = initial_config(inst, xb, tape, runs)
-    if X.ndim == 1:
-        X = np.broadcast_to(X, (n_runs, inst.n)).copy()
-    if Y.ndim == 1:
-        Y = np.broadcast_to(Y, (n_runs, inst.n)).copy()
     deg = inst.graph.degrees.astype(np.float64)
-    fn = round_function(chain)
-    phi = np.empty((rounds + 1, n_runs))
-    phi[0] = (X != Y) @ deg
-    for t in range(1, rounds + 1):
-        X, _ = fn(inst, X, t, tape, runs)
-        Y, _ = fn(inst, Y, t, tape, runs)
-        phi[t] = (X != Y) @ deg
+
+    def disagreement(runs, x):
+        return (x[0::2] != x[1::2]) @ deg
+
+    chunks = run_chunked(inst, chain, rounds, n_runs, tape,
+                         tuple(initial_pair), disagreement,
+                         range(rounds + 1), threads)
+    phi = np.array([np.concatenate([c[t] for c in chunks])
+                    for t in range(rounds + 1)])
     mean = phi.mean(axis=1)
     stderr = phi.std(axis=1, ddof=1) / math.sqrt(n_runs) if n_runs > 1 \
         else np.zeros(rounds + 1)

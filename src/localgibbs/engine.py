@@ -5,8 +5,9 @@ chain's round function. Rounds are hard barriers: the round function maps
 the complete round-(t-1) snapshot to the round-t state, so no update can
 observe a neighbor's same-round value. Because every variate is addressed
 by (kind, entity, round, run), a run's trajectory is a pure function of
-the master seed and its run index; batch composition, chunking, and thread
-count cannot change any result.
+the master seed, its run index and its start; batch composition, chunking
+(run_chunked, which every run-many job goes through), and thread count
+cannot change any result.
 """
 
 from __future__ import annotations
@@ -90,12 +91,12 @@ def initial_config(inst: MrfInstance, initial, tape: RandomTape | None = None,
 
 
 def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
-              tape: RandomTape, runs: np.ndarray,
-              snapshot_rounds=None) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+              tape: RandomTape, runs: np.ndarray, snapshot_rounds=None,
+              snapshot=np.copy) -> tuple[np.ndarray, dict]:
     """Advance a (n_runs, n) batch T rounds; optionally snapshot named rounds.
 
-    Returns the final batch and {t: copy of the batch after round t} for each
-    requested t (0 means the initial batch).
+    Returns the final batch and {t: snapshot(batch after round t)} for each
+    requested t (0 means the initial batch); the default snapshot is a copy.
     """
     if rounds < 0:
         raise ValueError("round count must be >= 0")
@@ -107,11 +108,11 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     wanted = set() if snapshot_rounds is None else set(int(t) for t in snapshot_rounds)
     snaps: dict[int, np.ndarray] = {}
     if 0 in wanted:
-        snaps[0] = x.copy()
+        snaps[0] = snapshot(x)
     for t in range(1, rounds + 1):
         x, _ = fn(inst, x, t, tape, runs)
         if t in wanted:
-            snaps[t] = x.copy()
+            snaps[t] = snapshot(x)
     return x, snaps
 
 
@@ -202,37 +203,76 @@ class SampleResult:
         return out
 
 
-# chunk size is fixed so that chunking (and hence threading) can never
-# change which runs execute together; counter-based streams make results
-# independent of the split anyway, this just keeps the layout canonical
-CHUNK_RUNS = 4096
+# Per-thread byte budget of one chunk: a round holds about (n + 2m) * q
+# float64 values per row (per-pair conditionals and slot products, per-edge
+# filter factors). Sites per chunk are capped as well: past about 2**17
+# sites a chunk's (rows, n) arrays fall out of cache and time per site
+# grows. The counter-based tape makes outputs independent of the split, so
+# both bounds move only memory and speed.
+CHUNK_BYTES = 64 << 20
+CHUNK_SITES = 1 << 17
+
+
+def chunk_runs(inst: MrfInstance, n_runs: int, n_starts: int = 1,
+               threads: int = 1) -> int:
+    """Runs per chunk: their rows fit CHUNK_BYTES and CHUNK_SITES, no thread
+    gets more than an even share of n_runs, and there is at least one."""
+    row_bytes = (inst.n + 2 * inst.graph.m) * inst.q * 8 * n_starts
+    return max(1, min(CHUNK_BYTES // row_bytes,
+                      CHUNK_SITES // (inst.n * n_starts), -(-n_runs // threads)))
+
+
+def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
+                tape: RandomTape, starts, observe, snapshot_rounds=None,
+                threads: int = 1) -> list[dict]:
+    """n_runs runs of T rounds from each start, in memory-budgeted chunks.
+
+    A chunk is one batch of (run, start) rows, run-major: row i * len(starts)
+    + s is run runs[i] from starts[s] and reads the tape at runs[i], so the
+    starts of a run share its randomness (starts=(x, y) is an identical-tape
+    coupling). After each snapshot round t (default: the last) the worker
+    keeps only observe(runs, batch). Returns one {t: observe result} dict per
+    chunk, in run order; chunks run concurrently when threads > 1.
+    """
+    if n_runs < 1:
+        raise ValueError("need n_runs >= 1")
+    k = len(starts)
+    # a preset other than "random" is the same for every run: resolve once
+    starts = [s if isinstance(s, str) and s == "random"
+              else initial_config(inst, s) for s in starts]
+    size = chunk_runs(inst, n_runs, k, threads)
+    spans = [(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size)]
+    wanted = [rounds] if snapshot_rounds is None else snapshot_rounds
+
+    def work(span):
+        runs = np.arange(*span, dtype=np.int64)
+        # a single start stays a read-only view; several are interleaved
+        x0 = [np.broadcast_to(initial_config(inst, s, tape, runs),
+                              (len(runs), inst.n)) for s in starts]
+        x0 = x0[0] if k == 1 else np.stack(x0, axis=1).reshape(-1, inst.n)
+        _, snaps = run_batch(inst, chain, x0, rounds, tape, np.repeat(runs, k),
+                             wanted, lambda x: observe(runs, x))
+        return snaps
+
+    if threads <= 1:
+        return [work(span) for span in spans]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, spans))
 
 
 def sample_many(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
                 tape: RandomTape, initial="random", threads: int = 1) -> SampleResult:
     """n_runs independent executions of T rounds; returns final configurations.
 
-    Runs are numbered 0..n_runs-1 and processed in fixed chunks; with
-    threads > 1 chunks execute concurrently. Output is bitwise identical for
-    any thread count.
+    Runs are numbered 0..n_runs-1 and processed in chunks by run_chunked;
+    with threads > 1 chunks execute concurrently. Output is bitwise
+    identical for any thread count.
     """
-    if n_runs < 1:
-        raise ValueError("need n_runs >= 1")
     final = np.empty((n_runs, inst.n), dtype=np.int64)
-    spans = [(lo, min(lo + CHUNK_RUNS, n_runs))
-             for lo in range(0, n_runs, CHUNK_RUNS)]
 
-    def work(span):
-        lo, hi = span
-        runs = np.arange(lo, hi, dtype=np.int64)
-        x0 = initial_config(inst, initial, tape, runs)
-        out, _ = run_batch(inst, chain, x0, rounds, tape, runs)
-        final[lo:hi] = out
+    def keep(runs, x):
+        final[runs] = x
 
-    if threads <= 1:
-        for span in spans:
-            work(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
+    run_chunked(inst, chain, rounds, n_runs, tape, (initial,), keep,
+                threads=threads)
     return SampleResult(final, rounds, tape.master_seed)

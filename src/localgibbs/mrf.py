@@ -14,8 +14,6 @@ instances are immutable after construction.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .graphs import Graph
@@ -67,19 +65,6 @@ def _check_vertex_activity(b: np.ndarray, q: int) -> np.ndarray:
     if not np.any(b > 0):
         raise DegenerateActivity("vertex activity is all zero")
     return b
-
-
-def normalized_edge_activity(a: np.ndarray) -> np.ndarray:
-    """Scale a symmetric activity matrix so its maximum entry is exactly 1.
-
-    Raises:
-        DegenerateActivity: if the matrix is all zero.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    top = a.max(initial=0.0)
-    if top <= 0:
-        raise DegenerateActivity("cannot normalize an all-zero activity matrix")
-    return a / top
 
 
 class MrfInstance:
@@ -168,23 +153,6 @@ def weight_batch(inst: MrfInstance, sigmas: np.ndarray) -> np.ndarray:
 def weight(inst: MrfInstance, sigma) -> float:
     """Product of one interaction entry per edge and one activity per vertex."""
     return float(weight_batch(inst, np.asarray(sigma)[None, :])[0])
-
-
-def weight_log(inst: MrfInstance, sigma) -> tuple[bool, float]:
-    """Log-domain weight as (is_zero, log_weight); safe against underflow.
-
-    log_weight is -inf when is_zero; otherwise the sum of factor logs, which
-    stays finite on instances far too large for the linear-domain product.
-    """
-    x = validate_configuration(inst, np.asarray(sigma))
-    g = inst.graph
-    factors = inst.b[np.arange(inst.n), x]
-    if g.m:
-        factors = np.concatenate(
-            [factors, inst.A[np.arange(g.m), x[g.eu], x[g.ev]]])
-    if np.any(factors == 0):
-        return True, -math.inf
-    return False, float(np.log(factors).sum())
 
 
 def feasible_batch(inst: MrfInstance, sigmas: np.ndarray) -> np.ndarray:

@@ -1,0 +1,83 @@
+"""The chunked executor: chunk sizing and chunk-invariant outputs.
+
+Chunks are sized from engine.CHUNK_BYTES and engine.CHUNK_SITES (the
+instance here is too small to reach the sites cap). Patching the byte
+budget forces chunks of one run, a few runs or all runs; with threads 1 to
+3 every run-many job must return the same bytes as one unsplit batch.
+"""
+
+import json
+
+import pytest
+from test_digests import _multigraph_instance
+
+from localgibbs import engine
+from localgibbs.chains import local_metropolis, luby_glauber
+from localgibbs.diagnostics import coupling_decay, mixing_scan
+from localgibbs.engine import chunk_runs, sample_many
+from localgibbs.graphs import random_regular
+from localgibbs.models import coloring
+from localgibbs.randomness import RandomTape
+
+
+def _sample(inst, chain, n_runs, threads):
+    res = sample_many(inst, chain, 6, n_runs, RandomTape(31), threads=threads)
+    return res.final.tobytes()
+
+
+def _mixing(inst, chain, n_runs, threads):
+    curve = mixing_scan(inst, chain, [0, 2, 5], n_runs, RandomTape(31),
+                        threads=threads)
+    return json.dumps([curve.per_initial, curve.tv, curve.tau_hat])
+
+
+def _coupling(inst, chain, n_runs, threads):
+    curve = coupling_decay(inst, chain, ("zeros", "max"), 5, n_runs,
+                           RandomTape(31), threads=threads)
+    return curve.phi.tobytes() + curve.stderr.tobytes() + repr(curve.rate).encode()
+
+
+# job -> (its function, starts per run)
+JOBS = {"sample": (_sample, 1), "mixing": (_mixing, 4), "coupling": (_coupling, 2)}
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+@pytest.mark.parametrize("chain", [luby_glauber(), local_metropolis()],
+                         ids=["luby", "metropolis"])
+@pytest.mark.parametrize("n_runs", [1, 7])
+def test_outputs_do_not_depend_on_chunk_size_or_threads(monkeypatch, job,
+                                                        chain, n_runs):
+    inst = _multigraph_instance()
+    fn, starts = JOBS[job]
+    reference = fn(inst, chain, n_runs, 1)  # default budget: one chunk
+    run_bytes = (inst.n + 2 * inst.graph.m) * inst.q * 8 * starts
+    for per_chunk in sorted({1, 3, n_runs}):
+        monkeypatch.setattr(engine, "CHUNK_BYTES", per_chunk * run_bytes)
+        assert chunk_runs(inst, n_runs, starts) == min(per_chunk, n_runs)
+        for threads in (1, 2, 3):
+            assert fn(inst, chain, n_runs, threads) == reference, \
+                (per_chunk, threads)
+
+
+def test_chunk_rows_stay_within_budget():
+    inst = coloring(random_regular(1024, 3, seed=7), 8)
+    row_bytes = (inst.n + 2 * inst.graph.m) * inst.q * 8
+    for n_runs in (1, 7, 1000, 100000):
+        for threads in (1, 2, 3, 4):
+            for starts in (1, 2, 4):
+                size = chunk_runs(inst, n_runs, starts, threads)
+                assert size >= 1
+                assert size * starts * row_bytes <= engine.CHUNK_BYTES
+                assert size * starts * inst.n <= engine.CHUNK_SITES
+                # there are at least as many chunks as threads, runs allowing
+                assert size <= -(-n_runs // threads)
+
+
+def test_one_run_per_chunk_when_a_run_exceeds_a_bound(monkeypatch):
+    inst = coloring(random_regular(1024, 3, seed=7), 8)
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    assert chunk_runs(inst, 50, 4, 2) == 1
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 64 << 20)
+    monkeypatch.setattr(engine, "CHUNK_SITES", 1)
+    assert chunk_runs(inst, 50, 4, 2) == 1
+

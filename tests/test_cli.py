@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from localgibbs import cli
+from localgibbs import cli, engine
 
 
 def write_cfg(tmp_path, name, mapping):
@@ -236,12 +236,33 @@ def test_bad_thread_settings_exit_2(tmp_path, monkeypatch, capsys):
     assert "threads" in err.lower()
 
 
-def test_threads_flag_does_not_change_files(tmp_path):
-    cfg = write_cfg(tmp_path, "s.cfg", dict(HARDCORE_SAMPLE, n_runs="200"))
+_HARDCORE_RUNS = dict(HARDCORE_SAMPLE, n_runs="200")
+del _HARDCORE_RUNS["rounds"]
+
+
+@pytest.mark.parametrize("command,keys,files", [
+    ("sample", {"rounds": "50"}, ("samples.jsonl", "marginals.csv")),
+    ("mix-scan", {"rounds_grid": "0, 5, 20"}, ("mixing.csv",)),
+    ("coupling", {"rounds": "20", "initial_pair": "zeros, max"},
+     ("coupling.csv",)),
+], ids=["sample", "mix-scan", "coupling"])
+def test_threads_flag_does_not_change_files(tmp_path, monkeypatch, command,
+                                            keys, files):
+    workers = []
+
+    class CountingPool(engine.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+    cfg = write_cfg(tmp_path, "s.cfg", dict(_HARDCORE_RUNS, **keys))
     a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["sample", "--config", cfg, "--output", str(a),
+    assert cli.main([command, "--config", cfg, "--output", str(a),
                      "--threads", "1"]) == 0
-    assert cli.main(["sample", "--config", cfg, "--output", str(b),
+    assert workers == []
+    assert cli.main([command, "--config", cfg, "--output", str(b),
                      "--threads", "4"]) == 0
-    assert (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
-    assert (a / "marginals.csv").read_bytes() == (b / "marginals.csv").read_bytes()
+    assert workers == [4]
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes()

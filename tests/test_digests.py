@@ -1,12 +1,15 @@
-"""Pinned digests of sample_many final configurations.
+"""Pinned digests of sample_many, mixing_scan and coupling_decay outputs.
 
 Every chain and scheduler is run on three fixed instances and the sha256 of
-the final (n_runs, n) int64 batch is compared against a recorded value.
+the final (n_runs, n) int64 batch is compared against a recorded value; the
+mixing curves (per-start TVs) and coupling curves (phi, stderr, rate) of
+two chains are pinned the same way.
 A refactor of the round functions must keep these digests; a change that
 moves one must say in CHANGES.md why the new output is correct.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,8 +17,9 @@ import pytest
 from localgibbs.chains import (SchedulerSpec, chromatic_classes,
                                local_metropolis, luby_glauber,
                                sequential_glauber)
+from localgibbs.diagnostics import DEFAULT_INITIALS, coupling_decay, mixing_scan
 from localgibbs.engine import sample_many
-from localgibbs.graphs import Graph, random_regular
+from localgibbs.graphs import Graph, cycle, random_regular
 from localgibbs.models import coloring
 from localgibbs.mrf import MrfInstance
 from localgibbs.randomness import RandomTape
@@ -107,3 +111,62 @@ def test_sample_many_digest_pinned(instance, chain):
     res = sample_many(inst, _chain(chain, inst), rounds=12, n_runs=96,
                       tape=RandomTape(1702))
     assert hashlib.sha256(res.final.tobytes()).hexdigest() == PINS[instance, chain]
+
+
+def _c4_coloring() -> MrfInstance:
+    return coloring(cycle(4), 3)
+
+
+def _curve_digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray)
+                 else json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+SCAN_INSTANCES = {"c4-q3": _c4_coloring, "multigraph": _multigraph_instance}
+
+# recorded before mix-scan and coupling moved onto the chunked executor;
+# hub-tail has 3**14 states, above the enumeration cap, so the mixing pins
+# use the 7-vertex multigraph instead
+MIXING_PINS = {
+    ("c4-q3", "luby"):
+        "cbdcc43bd833b5abfb21ef54f73d30e02e2e786de74db31682ee316cafa59005",
+    ("c4-q3", "metropolis"):
+        "4710ba481b66ed24384841a057784a66313a87de5103d8166acee51087eddb8c",
+    ("multigraph", "luby"):
+        "3567a45f55d745361943ea499b27d74ae64141593b34cd2cf93050455ec840a0",
+    ("multigraph", "metropolis"):
+        "9d06756d9ef2a982fba5c123dc699665488e921e8a2f2b9695842ea59e6b33b2",
+}
+
+COUPLING_PINS = {
+    ("c4-q3", "luby"):
+        "a226c69bf446644a816ee4b8105d304be5f889c9a63e1fdec41576c5c29a4224",
+    ("c4-q3", "metropolis"):
+        "31a8529445f90abfc574f86b88cb42ba4b68d981a33b3aa857028965d6dc1332",
+    ("hub-tail", "luby"):
+        "8d3b9064d53662fc03bdff51756f815252296258db8eea67ef8a5c38edfe4c46",
+    ("hub-tail", "metropolis"):
+        "e97dd2df3555f01fa52565f956606f80a8357382b4691b9192f120ab4c67cdfb",
+}
+
+
+@pytest.mark.parametrize("instance,chain", sorted(MIXING_PINS))
+def test_mixing_scan_digest_pinned(instance, chain):
+    inst = SCAN_INSTANCES[instance]()
+    curve = mixing_scan(inst, _chain(chain, inst), [0, 1, 4, 9], 97,
+                        RandomTape(1702))
+    assert list(curve.per_initial) == list(DEFAULT_INITIALS)
+    assert _curve_digest(curve.per_initial, curve.tv, curve.tau_hat) \
+        == MIXING_PINS[instance, chain]
+
+
+@pytest.mark.parametrize("instance,chain", sorted(COUPLING_PINS))
+def test_coupling_decay_digest_pinned(instance, chain):
+    inst = {**SCAN_INSTANCES, **INSTANCES}[instance]()
+    curve = coupling_decay(inst, _chain(chain, inst), ("zeros", "max"), 15,
+                           101, RandomTape(1702))
+    assert _curve_digest(curve.phi, curve.stderr, repr(curve.rate),
+                         curve.fit_rounds) == COUPLING_PINS[instance, chain]

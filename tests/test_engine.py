@@ -93,7 +93,7 @@ def test_fixed_seed_reproducible():
 
 def test_thread_count_does_not_change_output():
     inst = coloring(cycle(6), 3)
-    # 6000 runs spans two scheduling chunks, so threads actually split work
+    # four threads split the 6000 runs into four chunks of 1500
     one = sample_many(inst, local_metropolis(), 5, 6000, RandomTape(11),
                       initial="zeros", threads=1)
     four = sample_many(inst, local_metropolis(), 5, 6000, RandomTape(11),

@@ -6,8 +6,7 @@ from localgibbs.graphs import Graph, complete, cycle, path
 from localgibbs.models import coloring, hardcore, ising
 from localgibbs.mrf import (DegenerateActivity, MrfInstance, ZeroMarginal,
                             feasible_batch, is_feasible, marginal,
-                            normalized_edge_activity, validate_configuration,
-                            weight, weight_batch, weight_log)
+                            validate_configuration, weight, weight_batch)
 
 
 def _random_instance(rng, graph, q):
@@ -53,23 +52,6 @@ def test_weight_batch_matches_scalar():
     batch = weight_batch(inst, sigmas)
     for i in range(50):
         assert batch[i] == pytest.approx(weight(inst, sigmas[i]), rel=1e-12)
-
-
-def test_weight_log_agrees_with_linear():
-    rng = np.random.default_rng(2)
-    inst = _random_instance(rng, complete(4), 3)
-    for _ in range(30):
-        sigma = rng.integers(0, 3, 4)
-        w = weight(inst, sigma)
-        is_zero, logw = weight_log(inst, sigma)
-        assert not is_zero
-        assert np.exp(logw) == pytest.approx(w, rel=1e-9)
-
-
-def test_weight_log_flags_zero():
-    inst = coloring(path(2), 3)
-    is_zero, _ = weight_log(inst, [1, 1])
-    assert is_zero
 
 
 def test_weight_dimension_mismatch():
@@ -155,27 +137,27 @@ def test_marginal_zero_denominator():
 
 
 def test_normalized_coloring_unchanged():
-    a = coloring(path(2), 3).A[0]
-    np.testing.assert_array_equal(normalized_edge_activity(a), a)
+    inst = coloring(path(2), 3)
+    np.testing.assert_array_equal(inst.A_norm, inst.A)
 
 
 def test_normalized_ising_halves_off_diagonal():
-    a = ising(path(2), 2.0).A[0]
-    np.testing.assert_allclose(normalized_edge_activity(a),
+    np.testing.assert_allclose(ising(path(2), 2.0).A_norm[0],
                                [[1.0, 0.5], [0.5, 1.0]])
 
 
 def test_normalized_rejects_all_zero():
     with pytest.raises(DegenerateActivity):
-        normalized_edge_activity(np.zeros((3, 3)))
+        MrfInstance(path(2), 3, np.zeros((3, 3)), np.ones(3))
 
 
 def test_normalized_idempotent_preserves_argmax():
     rng = np.random.default_rng(5)
     a = rng.random((4, 4))
     a = a + a.T
-    norm = normalized_edge_activity(a)
-    np.testing.assert_array_equal(normalized_edge_activity(norm), norm)
+    norm = MrfInstance(path(2), 4, a, np.ones(4)).A_norm[0]
+    again = MrfInstance(path(2), 4, norm, np.ones(4)).A_norm[0]
+    np.testing.assert_array_equal(again, norm)
     assert np.argmax(norm) == np.argmax(a)
     assert norm.max() == 1.0
 
