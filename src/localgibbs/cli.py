@@ -98,17 +98,36 @@ def _experiment(cfg: ExperimentConfig):
     return graph, inst, chain, RandomTape(cfg["seed"])
 
 
+def _samples_jsonl(final: np.ndarray, q: int) -> bytes:
+    """One b'{"run":i,"spins":[...]}\\n' line per row of final, the bytes of
+    json.dumps({"run": i, "spins": row}, sort_keys=True,
+    separators=(",", ":")).
+
+    Every spin's b"%d," token is gathered from a (q, width) byte table and
+    the padding masked out, so all rows are encoded in one numpy pass into
+    one buffer; each line then slices its row out, minus the last comma.
+    """
+    tokens = [b"%d," % s for s in range(q)]
+    width = max(map(len, tokens))
+    table = np.frombuffer(b"".join(t.ljust(width) for t in tokens),
+                          np.uint8).reshape(q, width)
+    lens = np.array([len(t) for t in tokens], np.uint8)
+    # np.take is several times faster than table[final] here
+    keep = np.take(np.arange(width) < lens[:, None], final, 0)
+    buf = np.take(table, final, 0)[keep].tobytes()
+    ends = np.cumsum(np.take(lens, final).sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
+    return b"".join(b'{"run":%d,"spins":[%s]}\n' % (i, buf[a:b - 1])
+                    for i, (a, b) in enumerate(zip(starts, ends)))
+
+
 def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     graph, inst, chain, tape = _experiment(cfg)
     result = sample_many(inst, chain, cfg["rounds"], cfg["n_runs"], tape,
                          initial=cfg["initial"], threads=threads)
 
-    with open(os.path.join(out_dir, "samples.jsonl"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        for i, row in enumerate(result.final):
-            fh.write(json.dumps({"run": i, "spins": row.tolist()},
-                                sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    with open(os.path.join(out_dir, "samples.jsonl"), "wb") as fh:
+        fh.write(_samples_jsonl(result.final, inst.q))
 
     freqs = result.marginals(inst.q)
     rows = [(v, s, float(freqs[v, s]))

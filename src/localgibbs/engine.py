@@ -13,6 +13,7 @@ cannot change any result.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -197,10 +198,9 @@ class SampleResult:
     def marginals(self, q: int) -> np.ndarray:
         """Per-vertex empirical spin frequencies, (n, q)."""
         n = self.final.shape[1]
-        out = np.empty((n, q))
-        for v in range(n):
-            out[v] = np.bincount(self.final[:, v], minlength=q) / self.n_runs
-        return out
+        counts = np.bincount((self.final + q * np.arange(n)).ravel(),
+                             minlength=n * q)
+        return counts.reshape(n, q) / self.n_runs
 
 
 # Per-thread byte budget of one chunk: a round holds about (n + 2m) * q
@@ -222,6 +222,15 @@ def chunk_runs(inst: MrfInstance, n_runs: int, n_starts: int = 1,
                       CHUNK_SITES // (inst.n * n_starts), -(-n_runs // threads)))
 
 
+def _usable_cores() -> int:
+    """CPU cores this process may run on (all of them where the platform
+    has no affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
                 tape: RandomTape, starts, observe, snapshot_rounds=None,
                 threads: int = 1) -> list[dict]:
@@ -232,7 +241,8 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     starts of a run share its randomness (starts=(x, y) is an identical-tape
     coupling). After each snapshot round t (default: the last) the worker
     keeps only observe(runs, batch). Returns one {t: observe result} dict per
-    chunk, in run order; chunks run concurrently when threads > 1.
+    chunk, in run order. Chunks run concurrently on min(threads, chunks,
+    usable cores) worker threads when that is more than one.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
@@ -240,6 +250,8 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     # a preset other than "random" is the same for every run: resolve once
     starts = [s if isinstance(s, str) and s == "random"
               else initial_config(inst, s) for s in starts]
+    # more workers than usable cores only adds threads, each holding a chunk
+    threads = min(threads, _usable_cores())
     size = chunk_runs(inst, n_runs, k, threads)
     spans = [(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size)]
     wanted = [rounds] if snapshot_rounds is None else snapshot_rounds
@@ -254,6 +266,7 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
                              wanted, lambda x: observe(runs, x))
         return snaps
 
+    threads = min(threads, len(spans))
     if threads <= 1:
         return [work(span) for span in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -139,15 +139,28 @@ def validate_configuration(inst: MrfInstance, sigma) -> np.ndarray:
     return sigma.astype(np.int64, copy=False)
 
 
+def _factor_index(inst: MrfInstance, x: np.ndarray):
+    """Flat positions of each row's vertex factors in b (shape (..., n)) and
+    edge factors in A (shape (..., m)): v*q + x_v and e*q*q + x_u*q + x_v.
+
+    np.take on the flattened tables is several times faster than the
+    equivalent fancy lookups b[arange(n), x] and A[arange(m), x_u, x_v].
+    """
+    g, q = inst.graph, inst.q
+    # in place, and before vi: one (..., m) temporary at a time
+    ei = np.take(x, g.eu, -1)
+    ei *= q
+    ei += np.take(x, g.ev, -1)
+    ei += np.arange(g.m) * (q * q)
+    return x + np.arange(inst.n) * q, ei
+
+
 def weight_batch(inst: MrfInstance, sigmas: np.ndarray) -> np.ndarray:
     """Weights of a (n_runs, n) batch of configurations, shape (n_runs,)."""
-    x = validate_configuration(inst, sigmas)
-    g = inst.graph
-    w = np.prod(inst.b[np.arange(inst.n), x], axis=-1)
-    if g.m:
-        ef = inst.A[np.arange(g.m), x[..., g.eu], x[..., g.ev]]
-        w = w * np.prod(ef, axis=-1)
-    return w
+    vi, ei = _factor_index(inst, validate_configuration(inst, sigmas))
+    # an edgeless graph's empty product is exactly 1.0
+    return np.prod(np.take(inst.b, vi), axis=-1) \
+        * np.prod(np.take(inst.A, ei), axis=-1)
 
 
 def weight(inst: MrfInstance, sigma) -> float:
@@ -157,11 +170,9 @@ def weight(inst: MrfInstance, sigma) -> float:
 
 def feasible_batch(inst: MrfInstance, sigmas: np.ndarray) -> np.ndarray:
     """Boolean feasibility of each row; zero-factor test, no underflow risk."""
-    x = validate_configuration(inst, sigmas)
-    g = inst.graph
-    ok = np.all(inst.b[np.arange(inst.n), x] > 0, axis=-1)
-    if g.m:
-        ok &= np.all(inst.A[np.arange(g.m), x[..., g.eu], x[..., g.ev]] > 0, axis=-1)
+    vi, ei = _factor_index(inst, validate_configuration(inst, sigmas))
+    ok = np.all(np.take(inst.b > 0, vi), axis=-1)
+    ok &= np.all(np.take(inst.A > 0, ei), axis=-1)
     return ok
 
 

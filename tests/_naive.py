@@ -120,3 +120,9 @@ def naive_resample(edges, A_per_edge, b_per_vertex, q, x, selected, u):
         cdf[-1] = 1.0
         new[v] = sum(1 for c in cdf if c <= u[v])
     return new
+
+
+def naive_draw(cdf, u):
+    """Inverse-CDF draw as one reduction over the spin axis: the count of
+    cdf entries at or below u, row by row."""
+    return (cdf <= u[..., None]).sum(axis=-1)

@@ -256,6 +256,8 @@ def test_threads_flag_does_not_change_files(tmp_path, monkeypatch, command,
             super().__init__(max_workers)
 
     monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+    # the pool is capped at the usable cores; pretend there are enough
+    monkeypatch.setattr(engine, "_usable_cores", lambda: 8)
     cfg = write_cfg(tmp_path, "s.cfg", dict(_HARDCORE_RUNS, **keys))
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main([command, "--config", cfg, "--output", str(a),
@@ -266,3 +268,47 @@ def test_threads_flag_does_not_change_files(tmp_path, monkeypatch, command,
     assert workers == [4]
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_thread_count_is_capped_at_chunks_and_cores(tmp_path, monkeypatch):
+    pools, chunks = [], []
+
+    class SerialPool:
+        # records the requested width and maps in the calling thread, so a
+        # huge --threads never starts a real thread
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            spans = list(spans)
+            chunks.extend(spans)
+            return map(fn, spans)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(engine, "_usable_cores", lambda: 3)
+    cfg = write_cfg(tmp_path, "s.cfg", dict(_HARDCORE_RUNS, rounds="5"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["sample", "--config", cfg, "--output", str(a),
+                     "--threads", "100000"]) == 0
+    # chunks are sized for the 3 usable cores, not for 100000 threads
+    assert pools == [3]
+    assert chunks == [(0, 67), (67, 134), (134, 200)]
+    assert cli.main(["sample", "--config", cfg, "--output", str(b),
+                     "--threads", "1"]) == 0
+    for name in ("samples.jsonl", "marginals.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    # fewer chunks than cores: one worker per chunk
+    monkeypatch.setattr(engine, "_usable_cores", lambda: 64)
+    pools.clear()
+    cfg = write_cfg(tmp_path, "t.cfg", dict(_HARDCORE_RUNS, rounds="5",
+                                            n_runs="5"))
+    assert cli.main(["sample", "--config", cfg, "--output", str(a),
+                     "--threads", "100000"]) == 0
+    assert pools == [5]

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from localgibbs import cli
 from localgibbs.chains import (SchedulerSpec, chromatic_classes,
                                local_metropolis, luby_glauber,
                                sequential_glauber)
@@ -170,3 +171,39 @@ def test_coupling_decay_digest_pinned(instance, chain):
                            101, RandomTape(1702))
     assert _curve_digest(curve.phi, curve.stderr, repr(curve.rate),
                          curve.fit_rounds) == COUPLING_PINS[instance, chain]
+
+
+# Potts q=11 on a 12-cycle, 13 runs: two-digit spins and run ids. Recorded
+# before samples.jsonl and marginals were encoded without json.dumps.
+CLI_CONFIG = {
+    "model": "potts", "model.q": "11", "model.beta": "0.4", "graph": "cycle",
+    "graph.n": "12", "rounds": "6", "n_runs": "13", "seed": "7",
+    "initial": "random",
+}
+
+CLI_PINS = {
+    ("luby_glauber", "csv", "samples.jsonl"):
+        "1d75026b3089e4c6d85d492775fddd4863f097e11ad43a38f2647a5bb3184817",
+    ("luby_glauber", "csv", "marginals.csv"):
+        "2b19ee5a5e7f7534174227423a612d91e56cb944b8ca8c13a93ba007fe15153a",
+    ("luby_glauber", "json", "marginals.json"):
+        "4f695652442ea3402576be0fe906b61a298fe5041126530bcd30dac7bf9d0597",
+    ("local_metropolis", "csv", "samples.jsonl"):
+        "011a001fca4ae54175ddb932856b3c3a4cf64dee01d7a4ad176e751f979b8975",
+    ("local_metropolis", "csv", "marginals.csv"):
+        "b5ce625abde3cc3a226c2b27c0461f1a662c39458d34b9dbb678b43cc2cde98a",
+    ("local_metropolis", "json", "marginals.json"):
+        "9b0be5620d60b0129cac5b08d9250df0598ca872d6501fc92584ac35f141e9b8",
+}
+
+
+@pytest.mark.parametrize("chain,fmt,name", sorted(CLI_PINS))
+def test_sample_file_bytes_pinned(tmp_path, chain, fmt, name):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           dict(CLI_CONFIG, chain=chain, format=fmt).items()),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", str(cfg), "--output", str(out)]) == 0
+    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest == CLI_PINS[chain, fmt, name]

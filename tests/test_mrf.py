@@ -190,3 +190,36 @@ def test_validate_configuration_bounds():
         validate_configuration(inst, [0, 1, 3])
     with pytest.raises(ValueError):
         validate_configuration(inst, [0, -1, 0])
+
+
+def _hub_tail_with_zeros():
+    # the hub-and-tail multigraph (hub 1 of degree 8 with a parallel edge,
+    # isolated vertices 0 and 13), with zero entries in some edge matrices
+    # and some vertex activities
+    g = Graph(14, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8),
+                   (8, 1), (2, 3), (8, 9), (9, 10), (10, 11), (11, 12)])
+    q = 3
+    i, j = np.indices((q, q))
+    edge = [np.where((e % 3 == 0) & ((i + j + e) % 5 == 0), 0.0,
+                     0.3 + 0.2 * ((i * j + e) % 3)) for e in range(g.m)]
+    vertex = [np.where((v % 5 == 0) & (np.arange(q) == v % 3), 0.0,
+                       0.5 + 0.1 * np.arange(q)) for v in range(g.n)]
+    return MrfInstance(g, q, edge, vertex)
+
+
+@pytest.mark.parametrize("inst", [
+    _hub_tail_with_zeros(),
+    MrfInstance(Graph(4, []), 3, [], [[0.0, 1.0, 2.0]] * 4),
+], ids=["hub-tail", "edgeless"])
+def test_weight_and_feasible_batch_match_naive(inst):
+    g = inst.graph
+    edges = list(zip(g.eu.tolist(), g.ev.tolist()))
+    A_list, b_list = inst.A.tolist(), inst.b.tolist()
+    rng = np.random.default_rng(11)
+    sigmas = rng.integers(0, inst.q, (400, inst.n))
+    want = np.array([naive_weight(edges, A_list, b_list, s)
+                     for s in sigmas.tolist()])
+    assert 0 < np.count_nonzero(want) < len(want)
+    np.testing.assert_allclose(weight_batch(inst, sigmas), want, rtol=1e-13)
+    np.testing.assert_array_equal(weight_batch(inst, sigmas) > 0, want > 0)
+    np.testing.assert_array_equal(feasible_batch(inst, sigmas), want > 0)
