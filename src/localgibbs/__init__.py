@@ -3,15 +3,15 @@ fields, with exact small-instance verification.
 
 The package splits into a mathematical substrate (graphs, instances,
 weights, conditionals), two parallel chains plus a sequential baseline
-driven by counter-based addressable randomness, an exhaustive oracle that
+driven by counter-based addressable randomness (each chain one batched
+round function over an (n_runs, n) array), an exhaustive oracle that
 verifies their one-round laws and stationarity on tiny instances, and
 diagnostics for influence, mixing, coupling decay, and correlation decay.
 """
 
 from .chains import (ChainSpec, SchedulerSpec, check_filter_positivity,
-                     chromatic_classes, local_metropolis,
-                     local_metropolis_round, luby_glauber, luby_glauber_round,
-                     luby_select, sequential_glauber, sequential_glauber_round)
+                     chromatic_classes, local_metropolis, luby_glauber,
+                     sequential_glauber)
 from .config import (ConfigError, ExperimentConfig, build_chain, build_graph,
                      build_instance, load_config, parse_config_text,
                      validate_config)
@@ -20,9 +20,7 @@ from .diagnostics import (DecayCurve, GammaReport, InfluenceMatrix,
                           crossing_round, dobrushin_alpha_coloring,
                           influence_matrix_numeric, luby_gamma_estimate,
                           mixing_scan)
-from .engine import (RoundState, RoundTrace, SampleResult, initial_config,
-                     run, run_batch, run_traced, sample_many,
-                     write_trace_jsonl)
+from .engine import SampleResult, initial_config, run_batch, sample_many
 from .graphs import (EndpointOutOfRange, GenerationFailed, Graph, ParseError,
                      complete, cycle, grid, load_edge_list, path,
                      random_regular, save_edge_list)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .mrf import MrfInstance, ZeroMarginal, validate_configuration
+from .mrf import MrfInstance, ZeroMarginal
 from .randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
 
 _SCHEDULER_VARIANTS = ("luby", "chromatic", "single-site")
@@ -204,9 +204,9 @@ def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
     return np.broadcast_to(members, (len(np.atleast_1d(runs)), graph.n)).copy()
 
 
-def _resample_round(inst: MrfInstance, x: np.ndarray, scheduler: SchedulerSpec,
-                    round_: int, tape: RandomTape, runs: np.ndarray,
-                    collect: bool):
+def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
+                             scheduler: SchedulerSpec, round_: int,
+                             tape: RandomTape, runs: np.ndarray):
     """One independent-set resampling round.
 
     Conditionals are built for the scheduled (run, vertex) pairs only. The
@@ -246,25 +246,17 @@ def _resample_round(inst: MrfInstance, x: np.ndarray, scheduler: SchedulerSpec,
     u = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vi, round_, runs[ri])
     new_x = x.copy()
     new_x[ri, vi] = _sample_from_cdf(cdf, u)
-    if not collect:
-        return new_x, None
-    trace = {"proposals": new_x.copy(), "luby_selected": sel,
-             "edge_pass": None, "accepted": sel}
-    return new_x, trace
-
-
-def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
-                             scheduler: SchedulerSpec, round_: int,
-                             tape: RandomTape, runs: np.ndarray,
-                             collect: bool = False):
-    return _resample_round(inst, x, scheduler, round_, tape, runs, collect)
+    return new_x, None
 
 
 def sequential_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                                    round_: int, tape: RandomTape,
-                                   runs: np.ndarray, collect: bool = False):
-    return _resample_round(inst, x, SchedulerSpec("single-site"), round_, tape,
-                           runs, collect)
+                                   runs: np.ndarray):
+    """The single-site resampling round. round_function runs this round
+    through luby_glauber_round_batch directly, so a traced round is one
+    span; this name stays because bench/spans.py lists it in ROUND_SPANS."""
+    return luby_glauber_round_batch(inst, x, SchedulerSpec("single-site"),
+                                    round_, tape, runs)
 
 
 def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
@@ -289,7 +281,7 @@ def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
 
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  round_: int, tape: RandomTape,
-                                 runs: np.ndarray, collect: bool = False):
+                                 runs: np.ndarray):
     g = inst.graph
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
     sigma = _sample_from_cdf(inst.b_cdf, u)
@@ -298,58 +290,24 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     acc = _rank_reduce(g, np.logical_and, True,
                        lambda lo, hi: np.take(passed, g.rank_edge[lo:hi], 1),
                        len(sigma), bool)
-    new_x = np.where(acc, sigma, x)
-    if not collect:
-        return new_x, None
-    trace = {"proposals": sigma, "luby_selected": None,
-             "edge_pass": passed, "accepted": acc}
-    return new_x, trace
+    return np.where(acc, sigma, x), None
 
 
 def round_function(chain: ChainSpec):
-    """Bind a chain spec to its batched round function (x, round, tape, runs, collect)."""
-    if chain.kind == "luby_glauber":
-        sched = chain.scheduler
+    """Bind a chain spec to its batched round function.
 
-        def fn(inst, x, round_, tape, runs, collect=False):
-            return luby_glauber_round_batch(inst, x, sched, round_, tape, runs, collect)
-    elif chain.kind == "sequential_glauber":
-        fn = sequential_glauber_round_batch
-    else:
-        fn = local_metropolis_round_batch
+    The bound function maps (inst, x, round, tape, runs), with x the
+    (len(runs), n) round-(t-1) batch, to (round-t batch, None); x is only
+    read, so it may be a read-only view, and the result is a fresh array.
+    """
+    # every round function returns a pair: bench/spans.py reads out[0]
+    if chain.kind == "local_metropolis":
+        return local_metropolis_round_batch
+    sched = chain.scheduler or SchedulerSpec("single-site")
+
+    def fn(inst, x, round_, tape, runs):
+        return luby_glauber_round_batch(inst, x, sched, round_, tape, runs)
     return fn
-
-
-# single-run conveniences
-
-
-def _one_run(x, run):
-    return np.asarray(x)[None, :], np.array([run], dtype=np.int64)
-
-
-def luby_select(graph: Graph, round_: int, tape: RandomTape,
-                run: int = 0) -> np.ndarray:
-    """Vertices selected by the local-maximum rule in one round, ascending."""
-    runs = np.array([run], dtype=np.int64)
-    return np.flatnonzero(luby_select_batch(graph, round_, tape, runs)[0])
-
-
-def luby_glauber_round(inst: MrfInstance, x, scheduler: SchedulerSpec,
-                       round_: int, tape: RandomTape, run: int = 0) -> np.ndarray:
-    xb, runs = _one_run(validate_configuration(inst, x), run)
-    return luby_glauber_round_batch(inst, xb, scheduler, round_, tape, runs)[0][0]
-
-
-def local_metropolis_round(inst: MrfInstance, x, round_: int, tape: RandomTape,
-                           run: int = 0) -> np.ndarray:
-    xb, runs = _one_run(validate_configuration(inst, x), run)
-    return local_metropolis_round_batch(inst, xb, round_, tape, runs)[0][0]
-
-
-def sequential_glauber_round(inst: MrfInstance, x, round_: int, tape: RandomTape,
-                             run: int = 0) -> np.ndarray:
-    xb, runs = _one_run(validate_configuration(inst, x), run)
-    return sequential_glauber_round_batch(inst, xb, round_, tape, runs)[0][0]
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ observe a neighbor's same-round value. Because every variate is addressed
 by (kind, entity, round, run), a run's trajectory is a pure function of
 the master seed, its run index and its start; batch composition, chunking
 (run_chunked, which every run-many job goes through), and thread count
-cannot change any result.
+cannot change any result. A single run is the one-row batch; rounds are
+observed only through run_batch's snapshot callable (run_chunked's observe).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,26 +22,6 @@ import numpy as np
 from .chains import ChainSpec, round_function
 from .mrf import MrfInstance, validate_configuration
 from .randomness import KIND_INIT_CONFIG, RandomTape
-
-INITIAL_PRESETS = ("zeros", "max", "greedy", "random")
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    """What one round did: candidate spins, scheduling/coin outcomes, commits."""
-
-    round: int
-    proposals: np.ndarray
-    luby_selected: np.ndarray | None
-    edge_pass: np.ndarray | None
-    accepted: np.ndarray
-
-
-@dataclass(frozen=True)
-class RoundState:
-    round: int
-    config: np.ndarray
-    trace: RoundTrace | None = None
 
 
 def greedy_feasible(inst: MrfInstance) -> np.ndarray:
@@ -115,58 +95,6 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
         if t in wanted:
             snaps[t] = snapshot(x)
     return x, snaps
-
-
-def run(inst: MrfInstance, chain: ChainSpec, initial, rounds: int,
-        tape: RandomTape, run_index: int = 0, trace: bool = False) -> RoundState:
-    """Execute one run; with trace=True the returned state carries the final
-    round's trace (use run_traced for the full history)."""
-    if trace:
-        final, traces = run_traced(inst, chain, initial, rounds, tape, run_index)
-        return final
-    x0 = initial_config(inst, initial, tape, np.array([run_index]))
-    x, _ = run_batch(inst, chain, x0, rounds, tape,
-                     np.array([run_index], dtype=np.int64))
-    return RoundState(rounds, x[0])
-
-
-def run_traced(inst: MrfInstance, chain: ChainSpec, initial, rounds: int,
-               tape: RandomTape, run_index: int = 0
-               ) -> tuple[RoundState, list[RoundTrace]]:
-    """Execute one run keeping every round's trace."""
-    runs = np.array([run_index], dtype=np.int64)
-    x0 = initial_config(inst, initial, tape, runs)
-    x = validate_configuration(inst, x0)
-    if x.ndim == 1:
-        x = x[None, :].copy()
-    fn = round_function(chain)
-    traces: list[RoundTrace] = []
-    for t in range(1, rounds + 1):
-        x, raw = fn(inst, x, t, tape, runs, True)
-        traces.append(RoundTrace(
-            round=t,
-            proposals=raw["proposals"][0],
-            luby_selected=None if raw["luby_selected"] is None else raw["luby_selected"][0],
-            edge_pass=None if raw["edge_pass"] is None else raw["edge_pass"][0],
-            accepted=raw["accepted"][0]))
-    last = traces[-1] if traces else None
-    return RoundState(rounds, x[0], last), traces
-
-
-def write_trace_jsonl(traces, path: str) -> None:
-    """One JSON record per round with the trace fields, LF-terminated."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for tr in traces:
-            rec = {
-                "round": tr.round,
-                "proposals": np.asarray(tr.proposals).tolist(),
-                "luby_selected": None if tr.luby_selected is None
-                else np.asarray(tr.luby_selected).astype(bool).tolist(),
-                "edge_pass": None if tr.edge_pass is None
-                else np.asarray(tr.edge_pass).astype(bool).tolist(),
-                "accepted": np.asarray(tr.accepted).astype(bool).tolist(),
-            }
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,9 @@ from _naive import all_sigmas
 from localgibbs.chains import (ChainSpec, SchedulerSpec,
                                check_filter_positivity, chromatic_classes,
                                local_max_select, local_metropolis,
-                               local_metropolis_round, luby_glauber,
-                               luby_glauber_round, luby_glauber_round_batch,
-                               luby_select, luby_select_batch,
-                               scheduled_set_batch,
-                               sequential_glauber, sequential_glauber_round)
+                               luby_glauber, luby_glauber_round_batch,
+                               luby_select_batch, round_function,
+                               scheduled_set_batch, sequential_glauber)
 from localgibbs.engine import run_batch
 from localgibbs.graphs import Graph, complete, cycle, path, random_regular
 from localgibbs.models import coloring, hardcore, ising, potts
@@ -19,7 +17,15 @@ from localgibbs.oracle import (Distribution, enumerate_gibbs,
                                tv_distance)
 from localgibbs.randomness import RandomTape
 
-LUBY = SchedulerSpec("luby")
+
+def _select(g, t, tape, run=0):
+    """Vertices the local-maximum rule selects in one run, ascending."""
+    return np.flatnonzero(luby_select_batch(g, t, tape, np.array([run]))[0])
+
+
+def _step(chain, inst, x, t, tape, run=0):
+    """One round of one run, as the one-row batch."""
+    return round_function(chain)(inst, x[None], t, tape, np.array([run]))[0][0]
 
 
 def test_spec_validation():
@@ -39,7 +45,7 @@ def test_luby_select_isolated_always_chosen():
     g = Graph(2, [])
     tape = RandomTape(0)
     for t in range(1, 20):
-        assert set(luby_select(g, t, tape)) == {0, 1}
+        assert set(_select(g, t, tape)) == {0, 1}
 
 
 def test_luby_select_single_edge_symmetry():
@@ -47,7 +53,7 @@ def test_luby_select_single_edge_symmetry():
     tape = RandomTape(1)
     counts = np.zeros(2)
     for t in range(1, 10001):
-        sel = luby_select(g, t, tape)
+        sel = _select(g, t, tape)
         assert len(sel) == 1  # exactly one endpoint each round
         counts[sel[0]] += 1
     freq = counts / 10000
@@ -60,7 +66,7 @@ def test_luby_select_triangle_one_per_round():
     tape = RandomTape(2)
     counts = np.zeros(3)
     for t in range(1, 10001):
-        sel = luby_select(g, t, tape)
+        sel = _select(g, t, tape)
         assert len(sel) == 1
         counts[sel[0]] += 1
     sigma3 = 3 * np.sqrt((1 / 3) * (2 / 3) / 10000)
@@ -73,7 +79,7 @@ def test_luby_select_sets_always_independent():
     tape = RandomTape(3)
     for t in range(1, 500):
         chosen = np.zeros(g.n, dtype=bool)
-        chosen[luby_select(g, t, tape)] = True
+        chosen[_select(g, t, tape)] = True
         assert not any(chosen[u] and chosen[v] for u, v in pairs)
 
 
@@ -159,7 +165,7 @@ def test_glauber_round_respects_coloring_constraint():
     tape = RandomTape(7)
     x = np.array([0, 1, 0, 1])
     for t in range(1, 200):
-        x_new = luby_glauber_round(inst, x, LUBY, t, tape)
+        x_new = _step(luby_glauber(), inst, x, t, tape)
         assert is_feasible(inst, x_new)
         x = x_new
 
@@ -169,8 +175,8 @@ def test_glauber_round_changes_only_selected():
     tape = RandomTape(9)
     x = np.array([0, 1, 0, 1, 0, 1])
     for t in range(1, 50):
-        sel = set(luby_select(inst.graph, t, tape).tolist())
-        x_new = luby_glauber_round(inst, x, LUBY, t, tape)
+        sel = set(_select(inst.graph, t, tape).tolist())
+        x_new = _step(luby_glauber(), inst, x, t, tape)
         changed = {v for v in range(6) if x_new[v] != x[v]}
         assert changed <= sel
         x = x_new
@@ -183,7 +189,7 @@ def test_glauber_zero_marginal_propagates():
     for seed in range(30):
         tape = RandomTape(seed)
         try:
-            luby_glauber_round(inst, x, LUBY, 1, tape, run=7)
+            _step(luby_glauber(), inst, x, 1, tape, run=7)
         except ZeroMarginal as exc:
             assert (exc.vertex, exc.run, exc.round) == (1, 7, 1)
             assert "vertex 1" in str(exc)
@@ -213,7 +219,7 @@ def test_metropolis_round_keeps_feasible_states_feasible():
     tape = RandomTape(13)
     x = np.array([0, 1, 2, 3] * 2)
     for t in range(1, 300):
-        x = local_metropolis_round(inst, x, t, tape)
+        x = _step(local_metropolis(), inst, x, t, tape)
         assert is_feasible(inst, x)
 
 
@@ -238,7 +244,8 @@ def test_metropolis_coloring_check_is_deterministic():
     # the round is a deterministic function of the previous state
     inst = coloring(cycle(4), 3)
     x = np.array([0, 1, 0, 1])
-    out = [local_metropolis_round(inst, x, 3, RandomTape(21)) for _ in range(2)]
+    out = [_step(local_metropolis(), inst, x, 3, RandomTape(21))
+           for _ in range(2)]
     np.testing.assert_array_equal(out[0], out[1])
     norm = inst.A_norm
     assert set(np.unique(norm)) <= {0.0, 1.0}
@@ -250,8 +257,8 @@ def test_sequential_single_vertex_exact():
     counts = np.zeros(2)
     tape = RandomTape(17)
     for seed_run in range(4000):
-        x = sequential_glauber_round(inst, np.array([0]), 1, tape,
-                                     run=seed_run)
+        x = _step(sequential_glauber(), inst, np.array([0]), 1, tape,
+                  run=seed_run)
         counts[x[0]] += 1
     assert tv_distance(Distribution(counts / 4000), mu) < 0.03
 
@@ -261,7 +268,7 @@ def test_sequential_updates_at_most_one_coordinate():
     tape = RandomTape(19)
     x = np.array([0, 1, 0, 1, 0, 1])
     for t in range(1, 100):
-        x_new = sequential_glauber_round(inst, x, t, tape)
+        x_new = _step(sequential_glauber(), inst, x, t, tape)
         assert np.count_nonzero(x_new != x) <= 1
         x = x_new
 
@@ -287,16 +294,15 @@ def test_feasibility_absorption_randomized():
     for inst in cases:
         mu, _ = enumerate_gibbs(inst)
         feas_ranks = np.flatnonzero(mu.probs > 0)
-        steps = [lambda i, x, t, tp: luby_glauber_round(i, x, LUBY, t, tp),
-                 local_metropolis_round, sequential_glauber_round]
-        for chain_round in steps:
+        for chain in (luby_glauber(), local_metropolis(),
+                      sequential_glauber()):
             for trial in range(10):
                 rank = int(rng.choice(feas_ranks))
                 x = np.array([(rank // inst.q ** i) % inst.q
                               for i in range(inst.n)])
                 tape = RandomTape(int(rng.integers(1 << 31)))
                 for t in range(1, 15):
-                    x = chain_round(inst, x, t, tape)
+                    x = _step(chain, inst, x, t, tape)
                     assert is_feasible(inst, x)
 
 
@@ -318,11 +324,24 @@ def test_filter_positivity_colorings_threshold():
     assert not check_filter_positivity(coloring(cycle(5), 2)).ok
 
 
-def test_round_functions_do_not_mutate_input():
+ROUND_CHAINS = {
+    "luby": luby_glauber(),
+    "chromatic": luby_glauber(SchedulerSpec("chromatic", ((0, 2), (1, 3)))),
+    "single-site": luby_glauber(SchedulerSpec("single-site")),
+    "sequential": sequential_glauber(),
+    "metropolis": local_metropolis(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_CHAINS))
+def test_round_functions_do_not_mutate_input(name):
+    # a single start reaches round 1 as a read-only broadcast view
     inst = coloring(cycle(4), 3)
-    x = np.array([0, 1, 0, 1])
-    before = x.copy()
-    luby_glauber_round(inst, x, LUBY, 1, RandomTape(31))
-    local_metropolis_round(inst, x, 1, RandomTape(31))
-    sequential_glauber_round(inst, x, 1, RandomTape(31))
-    np.testing.assert_array_equal(x, before)
+    base = np.array([0, 1, 0, 1])
+    x = np.broadcast_to(base, (5, 4))
+    out, _ = round_function(ROUND_CHAINS[name])(inst, x, 1, RandomTape(31),
+                                                np.arange(5))
+    np.testing.assert_array_equal(base, [0, 1, 0, 1])
+    assert out.shape == (5, 4)
+    assert out.flags.writeable
+    assert not np.shares_memory(out, base)

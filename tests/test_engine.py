@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from localgibbs.chains import local_metropolis, luby_glauber, sequential_glauber
 from localgibbs.engine import (SampleResult, greedy_feasible, initial_config,
-                               run, run_batch, run_traced, sample_many,
-                               write_trace_jsonl)
+                               run_batch, sample_many)
 from localgibbs.graphs import Graph, complete, cycle, path
 from localgibbs.models import coloring, hardcore, ising
 from localgibbs.mrf import is_feasible
@@ -127,59 +124,6 @@ def test_marginals_shape_and_row_sums():
     m = res.marginals(4)
     assert m.shape == (6, 4)
     np.testing.assert_allclose(m.sum(axis=1), 1.0)
-
-
-def test_run_wrapper_matches_batch():
-    inst = coloring(cycle(5), 3)
-    state = run(inst, luby_glauber(), "greedy", 6, RandomTape(17), run_index=2)
-    x0 = initial_config(inst, "greedy")
-    batch, _ = run_batch(inst, luby_glauber(), x0, 6, RandomTape(17),
-                         np.array([2]))
-    np.testing.assert_array_equal(state.config, batch[0])
-    assert state.round == 6
-
-
-def test_traced_metropolis_replay():
-    inst = coloring(cycle(6), 4)
-    final, traces = run_traced(inst, local_metropolis(), "greedy", 10,
-                               RandomTape(19))
-    assert len(traces) == 10
-    x = initial_config(inst, "greedy")
-    for tr in traces:
-        assert tr.luby_selected is None
-        assert tr.edge_pass is not None
-        # accepted vertices take their proposal, others keep their spin
-        x = np.where(tr.accepted, tr.proposals, x)
-    np.testing.assert_array_equal(x, final.config)
-
-
-def test_traced_luby_replay():
-    inst = coloring(cycle(6), 4)
-    final, traces = run_traced(inst, luby_glauber(), "greedy", 10,
-                               RandomTape(21))
-    x = initial_config(inst, "greedy")
-    for tr in traces:
-        assert tr.edge_pass is None
-        assert tr.luby_selected is not None
-        np.testing.assert_array_equal(tr.accepted, tr.luby_selected)
-        x = np.where(tr.accepted, tr.proposals, x)
-    np.testing.assert_array_equal(x, final.config)
-
-
-def test_trace_jsonl_round_trip(tmp_path):
-    inst = coloring(cycle(4), 3)
-    _, traces = run_traced(inst, local_metropolis(), "greedy", 5, RandomTape(23))
-    out = tmp_path / "trace.jsonl"
-    write_trace_jsonl(traces, str(out))
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 5
-    for i, line in enumerate(lines):
-        rec = json.loads(line)
-        assert rec["round"] == i + 1
-        assert set(rec) == {"round", "proposals", "luby_selected",
-                            "edge_pass", "accepted"}
-        assert rec["luby_selected"] is None
-        assert len(rec["proposals"]) == 4
 
 
 def test_far_edge_change_invisible_within_horizon():

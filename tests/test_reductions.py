@@ -9,10 +9,11 @@ vertex range, and on graphs without edges.
 
 import numpy as np
 import pytest
-from _naive import naive_all_incident, naive_local_max, naive_resample
+from _naive import (naive_all_incident, naive_draw, naive_local_max,
+                    naive_resample)
 from test_digests import _hub_and_tail_instance, _multigraph_instance
 
-from localgibbs.chains import (SchedulerSpec, local_max_select,
+from localgibbs.chains import (SchedulerSpec, _filter_probs, local_max_select,
                                local_metropolis_round_batch,
                                luby_glauber_round_batch, scheduled_set_batch)
 from localgibbs.graphs import Graph
@@ -81,13 +82,16 @@ def test_filter_and_matches_loop(inst):
     tape = RandomTape(5)
     x = _random_states(inst, 2)
     for t in range(1, 6):
-        _, trace = local_metropolis_round_batch(inst, x, t, tape, RUNS,
-                                                collect=True)
-        assert trace["edge_pass"].shape == (len(RUNS), g.m)
+        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, RUNS)
+        sigma = naive_draw(inst.b_cdf, u)
+        passed = (tape.edge_uniforms(g.eu, g.ev, g.emult, t, RUNS)
+                  < _filter_probs(inst, sigma, x))
+        assert passed.shape == (len(RUNS), g.m)
+        new_x, _ = local_metropolis_round_batch(inst, x, t, tape, RUNS)
         for row in range(len(RUNS)):
-            expect = naive_all_incident(g.edges, g.n,
-                                        trace["edge_pass"][row].tolist())
-            assert trace["accepted"][row].tolist() == expect
+            accepted = naive_all_incident(g.edges, g.n, passed[row].tolist())
+            expect = np.where(accepted, sigma[row], x[row])
+            assert new_x[row].tolist() == expect.tolist()
 
 
 @pytest.mark.parametrize("variant", ["luby", "single-site"])
