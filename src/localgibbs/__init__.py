@@ -20,7 +20,7 @@ from .diagnostics import (DecayCurve, GammaReport, InfluenceMatrix,
                           crossing_round, dobrushin_alpha_coloring,
                           influence_matrix_numeric, luby_gamma_estimate,
                           mixing_scan)
-from .engine import SampleResult, initial_config, run_batch, sample_many
+from .engine import initial_config, run_batch
 from .graphs import (EndpointOutOfRange, GenerationFailed, Graph, ParseError,
                      complete, cycle, grid, load_edge_list, path,
                      random_regular, save_edge_list)

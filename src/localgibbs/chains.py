@@ -1,18 +1,18 @@
 """Round functions for the parallel samplers and the sequential baseline.
 
-Three chain kinds share one state representation (a batch of configurations,
+Two chain kinds share one state representation (a batch of configurations,
 shape (n_runs, n)) and one randomness contract (every variate addressed by
 (kind, entity, round, run) through the tape):
 
 * independent-set resampling: a scheduler picks a non-adjacent vertex set
   each round and the selected vertices redraw their spins from their
   single-site conditionals, simultaneously; conditionals are built for the
-  scheduled (run, vertex) pairs only;
+  scheduled (run, vertex) pairs only; the sequential baseline is this chain
+  with the single-site scheduler (one uniformly random vertex per round);
 * parallel Metropolis: every vertex proposes from its activity vector, every
   edge tosses one shared coin against a three-factor acceptance probability
   on normalized activities, and a vertex commits its proposal only when all
-  incident edges passed;
-* the sequential baseline: one uniformly random vertex resampled per round.
+  incident edges passed.
 
 Every neighbourhood reduction (the local-maximum test, the product of a
 selected vertex's slot matrices, the AND of a vertex's edge passes) walks
@@ -35,7 +35,7 @@ from .mrf import MrfInstance, ZeroMarginal
 from .randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
 
 _SCHEDULER_VARIANTS = ("luby", "chromatic", "single-site")
-_CHAIN_KINDS = ("luby_glauber", "local_metropolis", "sequential_glauber")
+_CHAIN_KINDS = ("luby_glauber", "local_metropolis")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def local_metropolis() -> ChainSpec:
 
 
 def sequential_glauber() -> ChainSpec:
-    return ChainSpec("sequential_glauber")
+    return luby_glauber(SchedulerSpec("single-site"))
 
 
 def chromatic_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
@@ -303,7 +303,7 @@ def round_function(chain: ChainSpec):
     # every round function returns a pair: bench/spans.py reads out[0]
     if chain.kind == "local_metropolis":
         return local_metropolis_round_batch
-    sched = chain.scheduler or SchedulerSpec("single-site")
+    sched = chain.scheduler
 
     def fn(inst, x, round_, tape, runs):
         return luby_glauber_round_batch(inst, x, sched, round_, tape, runs)

@@ -31,7 +31,7 @@ from .config import (COMMAND_NAMES, ConfigError, ExperimentConfig,
                      build_chain, build_graph, build_instance, load_config)
 from .diagnostics import (correlation_length, coupling_decay,
                           luby_gamma_estimate, mixing_scan)
-from .engine import sample_many
+from .engine import run_chunked
 from .mrf import feasible_batch
 from .oracle import (check_detailed_balance, enumerate_gibbs,
                      exact_transition_matrix)
@@ -98,10 +98,10 @@ def _experiment(cfg: ExperimentConfig):
     return graph, inst, chain, RandomTape(cfg["seed"])
 
 
-def _samples_jsonl(final: np.ndarray, q: int) -> bytes:
-    """One b'{"run":i,"spins":[...]}\\n' line per row of final, the bytes of
-    json.dumps({"run": i, "spins": row}, sort_keys=True,
-    separators=(",", ":")).
+def _samples_jsonl(runs: np.ndarray, final: np.ndarray, q: int) -> bytes:
+    """One b'{"run":r,"spins":[...]}\\n' line per row of final, r the row's
+    entry of runs: the bytes of json.dumps({"run": r, "spins": row},
+    sort_keys=True, separators=(",", ":")).
 
     Every spin's b"%d," token is gathered from a (q, width) byte table and
     the padding masked out, so all rows are encoded in one numpy pass into
@@ -117,29 +117,41 @@ def _samples_jsonl(final: np.ndarray, q: int) -> bytes:
     buf = np.take(table, final, 0)[keep].tobytes()
     ends = np.cumsum(np.take(lens, final).sum(axis=1)).tolist()
     starts = [0] + ends[:-1]
-    return b"".join(b'{"run":%d,"spins":[%s]}\n' % (i, buf[a:b - 1])
-                    for i, (a, b) in enumerate(zip(starts, ends)))
+    return b"".join(b'{"run":%d,"spins":[%s]}\n' % (r, buf[a:b - 1])
+                    for r, a, b in zip(runs.tolist(), starts, ends))
 
 
 def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    graph, inst, chain, tape = _experiment(cfg)
-    result = sample_many(inst, chain, cfg["rounds"], cfg["n_runs"], tape,
-                         initial=cfg["initial"], threads=threads)
+    _, inst, chain, tape = _experiment(cfg)
+    n, q, rounds, n_runs = inst.n, inst.q, cfg["rounds"], cfg["n_runs"]
+    offsets = q * np.arange(n)
 
+    # each worker encodes its chunk's lines and counts its spins and
+    # feasible rows; only these reductions reach the writer
+    def reduce(runs, x):
+        return (_samples_jsonl(runs, x, q),
+                np.bincount((x + offsets).ravel(), minlength=n * q),
+                int(feasible_batch(inst, x).sum()))
+
+    chunks = run_chunked(inst, chain, rounds, n_runs, tape, (cfg["initial"],),
+                         reduce, threads=threads)
+    counts, feasible = np.zeros(n * q, dtype=np.int64), 0
     with open(os.path.join(out_dir, "samples.jsonl"), "wb") as fh:
-        fh.write(_samples_jsonl(result.final, inst.q))
+        for chunk in chunks:
+            lines, chunk_counts, chunk_feasible = chunk[rounds]
+            fh.write(lines)
+            counts += chunk_counts
+            feasible += chunk_feasible
 
-    freqs = result.marginals(inst.q)
-    rows = [(v, s, float(freqs[v, s]))
-            for v in range(graph.n) for s in range(inst.q)]
+    freqs = counts.reshape(n, q) / n_runs
+    rows = [(v, s, float(freqs[v, s])) for v in range(n) for s in range(q)]
     _write_result(out_dir, "marginals", cfg["format"],
                   ("vertex", "spin", "frequency"), rows,
-                  {"frequencies": freqs.tolist(), "n_runs": result.n_runs,
-                   "rounds": result.rounds, "seed": cfg["seed"]})
+                  {"frequencies": freqs.tolist(), "n_runs": n_runs,
+                   "rounds": rounds, "seed": cfg["seed"]})
 
-    feasible = float(feasible_batch(inst, result.final).mean())
-    print(f"sample: {result.n_runs} runs of {cfg['rounds']} rounds; "
-          f"feasible fraction {feasible:.4f}")
+    print(f"sample: {n_runs} runs of {rounds} rounds; "
+          f"feasible fraction {feasible / n_runs:.4f}")
     return 0
 
 

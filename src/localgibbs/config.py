@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .chains import (ChainSpec, SchedulerSpec, chromatic_classes,
                      local_metropolis, luby_glauber, sequential_glauber)
+from .engine import PRESETS
 from .graphs import (Graph, complete, cycle, grid, load_edge_list, path,
                      random_regular)
 from .models import coloring, hardcore, ising, potts
@@ -96,16 +97,13 @@ def _int_list_increasing(lo: int):
     return parse
 
 
-_PRESETS = ("zeros", "max", "greedy", "random")
-
-
 def _preset_pair(text: str) -> list[str]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2 or not all(parts):
         raise ValueError("expected two presets separated by a comma")
     for p in parts:
-        if p not in _PRESETS:
-            raise ValueError(f"expected presets from {', '.join(_PRESETS)}, got {p!r}")
+        if p not in PRESETS:
+            raise ValueError(f"expected presets from {', '.join(PRESETS)}, got {p!r}")
     return parts
 
 
@@ -131,7 +129,7 @@ _SCHEMA: dict[str, tuple] = {
     "rounds_grid": (_int_list_increasing(0), None),
     "n_runs": (_int_atleast(1), None),
     "seed": (_int_atleast(0), None),
-    "initial": (_choice(*_PRESETS), "greedy"),
+    "initial": (_choice(*PRESETS), "greedy"),
     "initial_pair": (_preset_pair, ["zeros", "max"]),
     "output": (str, "localgibbs-out"),
     "format": (_choice("json", "csv"), "csv"),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainSpec, local_max_select
-from .engine import run_chunked
+from .engine import PRESETS, run_chunked
 from .graphs import Graph
 from .mrf import MrfInstance
 from .oracle import (ENUM_CAP, Distribution, all_configs, enumerate_gibbs,
@@ -139,11 +139,8 @@ def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> Influenc
     return InfluenceMatrix(rho, float(rho.sum(axis=1).max()) if n else 0.0)
 
 
-DEFAULT_INITIALS = ("zeros", "max", "greedy", "random")
-
-
 def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
-                tape: RandomTape, initials=DEFAULT_INITIALS,
+                tape: RandomTape, initials=PRESETS,
                 epsilon: float = 0.05, cap: int = ENUM_CAP,
                 threads: int = 1) -> MixingCurve:
     """Empirical distance to the exact Gibbs distribution along a round grid.
@@ -167,8 +164,8 @@ def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
         ranks = (x @ pows).reshape(-1, len(initials))  # column s: start s
         return [np.unique(r, return_counts=True) for r in ranks.T]
 
-    chunks = run_chunked(inst, chain, grid[-1], n_runs, tape, initials,
-                         histogram, grid, threads)
+    chunks = list(run_chunked(inst, chain, grid[-1], n_runs, tape, initials,
+                              histogram, grid, threads))
     per_initial: dict[str, list[float]] = {}
     for s, init in enumerate(initials):
         name = init if isinstance(init, str) else "explicit"
@@ -204,9 +201,9 @@ def coupling_decay(inst: MrfInstance, chain: ChainSpec, initial_pair,
     def disagreement(runs, x):
         return (x[0::2] != x[1::2]) @ deg
 
-    chunks = run_chunked(inst, chain, rounds, n_runs, tape,
-                         tuple(initial_pair), disagreement,
-                         range(rounds + 1), threads)
+    chunks = list(run_chunked(inst, chain, rounds, n_runs, tape,
+                              tuple(initial_pair), disagreement,
+                              range(rounds + 1), threads))
     phi = np.array([np.concatenate([c[t] for c in chunks])
                     for t in range(rounds + 1)])
     mean = phi.mean(axis=1)

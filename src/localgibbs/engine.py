@@ -1,4 +1,4 @@
-"""Round-synchronous execution: barriers, batched runs, empirical sampling.
+"""Round-synchronous execution: barriers, batched runs, chunked run-many jobs.
 
 The engine advances a batch of independent runs through T rounds of a
 chain's round function. Rounds are hard barriers: the round function maps
@@ -8,14 +8,16 @@ by (kind, entity, round, run), a run's trajectory is a pure function of
 the master seed, its run index and its start; batch composition, chunking
 (run_chunked, which every run-many job goes through), and thread count
 cannot change any result. A single run is the one-row batch; rounds are
-observed only through run_batch's snapshot callable (run_chunked's observe).
+observed only through run_batch's snapshot callable (run_chunked's observe),
+so a run-many job holds its per-chunk reductions, never the runs' states.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +46,9 @@ def greedy_feasible(inst: MrfInstance) -> np.ndarray:
             raise ValueError(f"greedy feasible start dead-ends at vertex {v}")
         x[v] = int(np.argmax(ok))
     return x
+
+
+PRESETS = ("zeros", "max", "greedy", "random")
 
 
 def initial_config(inst: MrfInstance, initial, tape: RandomTape | None = None,
@@ -97,40 +102,6 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     return x, snaps
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    """Final configurations of independent runs, (n_runs, n)."""
-
-    final: np.ndarray
-    rounds: int
-    seed: int
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.final)
-
-    def ranks(self, q: int) -> np.ndarray:
-        n = self.final.shape[1]
-        return self.final @ (q ** np.arange(n, dtype=np.int64))
-
-    def distribution(self, q: int, cap: int = 1 << 22):
-        """Empirical distribution over configuration ranks."""
-        from .oracle import Distribution, StateSpaceTooLarge
-        n = self.final.shape[1]
-        if q ** n > cap:
-            raise StateSpaceTooLarge(
-                f"{q}**{n} outcomes exceed the histogram cap; use marginals()")
-        counts = np.bincount(self.ranks(q), minlength=q ** n)
-        return Distribution(counts / counts.sum())
-
-    def marginals(self, q: int) -> np.ndarray:
-        """Per-vertex empirical spin frequencies, (n, q)."""
-        n = self.final.shape[1]
-        counts = np.bincount((self.final + q * np.arange(n)).ravel(),
-                             minlength=n * q)
-        return counts.reshape(n, q) / self.n_runs
-
-
 # Per-thread byte budget of one chunk: a round holds about (n + 2m) * q
 # float64 values per row (per-pair conditionals and slot products, per-edge
 # filter factors). Sites per chunk are capped as well: past about 2**17
@@ -161,16 +132,20 @@ def _usable_cores() -> int:
 
 def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
                 tape: RandomTape, starts, observe, snapshot_rounds=None,
-                threads: int = 1) -> list[dict]:
+                threads: int = 1) -> Iterator[dict]:
     """n_runs runs of T rounds from each start, in memory-budgeted chunks.
 
     A chunk is one batch of (run, start) rows, run-major: row i * len(starts)
     + s is run runs[i] from starts[s] and reads the tape at runs[i], so the
     starts of a run share its randomness (starts=(x, y) is an identical-tape
     coupling). After each snapshot round t (default: the last) the worker
-    keeps only observe(runs, batch). Returns one {t: observe result} dict per
+    keeps only observe(runs, batch). Yields one {t: observe result} dict per
     chunk, in run order. Chunks run concurrently on min(threads, chunks,
-    usable cores) worker threads when that is more than one.
+    usable cores) worker threads when that is more than one; at most twice
+    that many chunks are in flight ahead of the consumer, so a slow consumer
+    holds a bounded number of results. n_runs is checked and every start
+    except "random" resolved before the iterator is returned, so a bad start
+    fails at the call.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
@@ -196,24 +171,20 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
 
     threads = min(threads, len(spans))
     if threads <= 1:
-        return [work(span) for span in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, spans))
+        return map(work, spans)
+    return _in_order(work, spans, threads)
 
 
-def sample_many(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
-                tape: RandomTape, initial="random", threads: int = 1) -> SampleResult:
-    """n_runs independent executions of T rounds; returns final configurations.
-
-    Runs are numbered 0..n_runs-1 and processed in chunks by run_chunked;
-    with threads > 1 chunks execute concurrently. Output is bitwise
-    identical for any thread count.
+def _in_order(work, spans, threads: int) -> Iterator[dict]:
+    """work(span) for each span on a pool of threads, yielded in span order
+    with at most 2 * threads submitted and not yet yielded (pool.map would
+    submit every span at once, piling finished chunks up behind the consumer).
     """
-    final = np.empty((n_runs, inst.n), dtype=np.int64)
-
-    def keep(runs, x):
-        final[runs] = x
-
-    run_chunked(inst, chain, rounds, n_runs, tape, (initial,), keep,
-                threads=threads)
-    return SampleResult(final, rounds, tape.master_seed)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for span in spans:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(work, span))
+        while pending:
+            yield pending.popleft().result()

@@ -239,11 +239,7 @@ def exact_transition_matrix(chain: ChainSpec, inst: MrfInstance,
     _check_cap(inst.n, inst.q, cap)
     if chain.kind == "local_metropolis":
         return TransitionMatrix(_metropolis_matrix(inst))
-    if chain.kind == "luby_glauber":
-        return TransitionMatrix(_glauber_matrix(inst, chain.scheduler))
-    if chain.kind == "sequential_glauber":
-        return TransitionMatrix(_glauber_matrix(inst, SchedulerSpec("single-site")))
-    raise ValueError(f"unknown chain kind {chain.kind!r}")
+    return TransitionMatrix(_glauber_matrix(inst, chain.scheduler))
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,40 @@ budget forces chunks of one run, a few runs or all runs; with threads 1 to
 """
 
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from test_digests import _multigraph_instance
 
-from localgibbs import engine
+from localgibbs import cli, engine
 from localgibbs.chains import local_metropolis, luby_glauber
 from localgibbs.diagnostics import coupling_decay, mixing_scan
-from localgibbs.engine import chunk_runs, sample_many
+from localgibbs.engine import chunk_runs
 from localgibbs.graphs import random_regular
 from localgibbs.models import coloring
 from localgibbs.randomness import RandomTape
 
+# the model, graph and chain keys only make the config valid: the test's
+# instance and chain replace what they would build
+_SAMPLE_CONFIG = ("model = coloring\nmodel.q = 3\ngraph = cycle\n"
+                  "graph.n = 7\nchain = luby_glauber\nrounds = 6\n"
+                  "seed = 31\ninitial = random\n")
+
 
 def _sample(inst, chain, n_runs, threads):
-    res = sample_many(inst, chain, 6, n_runs, RandomTape(31), threads=threads)
-    return res.final.tobytes()
+    """samples.jsonl and marginals.csv of localgibbs sample, run on inst."""
+    experiment = (inst.graph, inst, chain, RandomTape(31))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_experiment", lambda cfg: experiment):
+        cfg, out = Path(tmp, "s.cfg"), Path(tmp, "out")
+        cfg.write_text(_SAMPLE_CONFIG + f"n_runs = {n_runs}\n")
+        assert cli.main(["sample", "--config", str(cfg), "--output", str(out),
+                         "--threads", str(threads)]) == 0
+        return (out / "samples.jsonl").read_bytes() \
+            + (out / "marginals.csv").read_bytes()
 
 
 def _mixing(inst, chain, n_runs, threads):
@@ -81,3 +99,24 @@ def test_one_run_per_chunk_when_a_run_exceeds_a_bound(monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_SITES", 1)
     assert chunk_runs(inst, 50, 4, 2) == 1
 
+
+
+def test_sample_memory_does_not_grow_with_runs(tmp_path, monkeypatch):
+    # 16-run chunks: anything held per run shows up 16 times larger at 16N
+    monkeypatch.setattr(engine, "CHUNK_SITES", 16 * 8)
+    cfg = tmp_path / "s.cfg"
+
+    def traced_peak(n_runs):
+        cfg.write_text("model = coloring\nmodel.q = 3\ngraph = cycle\n"
+                       "graph.n = 8\nchain = local_metropolis\nrounds = 3\n"
+                       f"seed = 5\nn_runs = {n_runs}\n")
+        tracemalloc.start()
+        try:
+            assert cli.main(["sample", "--config", str(cfg), "--output",
+                             str(tmp_path / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(256), traced_peak(16 * 256)
+    assert max(small, large) <= 1.5 * min(small, large), (small, large)

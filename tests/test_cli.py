@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -270,14 +271,29 @@ def test_threads_flag_does_not_change_files(tmp_path, monkeypatch, command,
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_thread_count_is_capped_at_chunks_and_cores(tmp_path, monkeypatch):
-    pools, chunks = [], []
+class _Done:
+    """A finished future that records when its result is taken."""
+
+    def __init__(self, value, taken):
+        self.value, self.taken = value, taken
+
+    def result(self):
+        self.taken.append(self.value)
+        return self.value
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the engine's pool with one that runs each chunk in the
+    calling thread when it is submitted, so a huge --threads never starts a
+    real thread. Records the requested widths, the submitted chunks, and,
+    at each submission, how many chunks are submitted and not yet taken."""
+    log = {"pools": [], "chunks": [], "ahead": []}
+    taken = []
 
     class SerialPool:
-        # records the requested width and maps in the calling thread, so a
-        # huge --threads never starts a real thread
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            log["pools"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -285,12 +301,19 @@ def test_thread_count_is_capped_at_chunks_and_cores(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, spans):
-            spans = list(spans)
-            chunks.extend(spans)
-            return map(fn, spans)
+        def submit(self, fn, span):
+            log["chunks"].append(span)
+            done = _Done(fn(span), taken)
+            log["ahead"].append(len(log["chunks"]) - len(taken))
+            return done
 
     monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+    return log
+
+
+def test_thread_count_is_capped_at_chunks_and_cores(tmp_path, monkeypatch,
+                                                    serial_pool):
+    pools, chunks = serial_pool["pools"], serial_pool["chunks"]
     monkeypatch.setattr(engine, "_usable_cores", lambda: 3)
     cfg = write_cfg(tmp_path, "s.cfg", dict(_HARDCORE_RUNS, rounds="5"))
     a, b = tmp_path / "a", tmp_path / "b"
@@ -312,3 +335,49 @@ def test_thread_count_is_capped_at_chunks_and_cores(tmp_path, monkeypatch):
     assert cli.main(["sample", "--config", cfg, "--output", str(a),
                      "--threads", "100000"]) == 0
     assert pools == [5]
+
+
+def test_chunks_in_flight_are_bounded(tmp_path, monkeypatch, serial_pool):
+    # one run per chunk: 200 chunks on 3 workers
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "_usable_cores", lambda: 3)
+    cfg = write_cfg(tmp_path, "s.cfg", dict(_HARDCORE_RUNS, rounds="5"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["sample", "--config", cfg, "--output", str(a),
+                     "--threads", "3"]) == 0
+    assert serial_pool["pools"] == [3]
+    assert len(serial_pool["chunks"]) == 200
+    # never more than 2 x workers chunks ahead of the writer, and the pool
+    # is kept that full
+    assert max(serial_pool["ahead"]) == 2 * 3
+    assert cli.main(["sample", "--config", cfg, "--output", str(b),
+                     "--threads", "1"]) == 0
+    for name in ("samples.jsonl", "marginals.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+_ODD_CYCLE_Q2 = {
+    "model": "coloring", "model.q": "2", "graph": "cycle", "graph.n": "5",
+    "chain": "luby_glauber", "rounds": "5", "n_runs": "50", "seed": "8",
+}
+
+
+def test_greedy_dead_end_fails_before_samples_are_opened(tmp_path, capsys):
+    # an odd cycle has no proper 2-coloring: the greedy scan dead-ends
+    cfg = write_cfg(tmp_path, "s.cfg", dict(_ODD_CYCLE_Q2, initial="greedy"))
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", cfg, "--output", str(out)]) == 1
+    assert "dead-ends at vertex 4" in capsys.readouterr().err
+    assert not (out / "samples.jsonl").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_zero_marginal_during_sampling_exits_1(tmp_path, capsys, threads):
+    # a random start puts differing spins around some vertex, which then
+    # has no admissible color
+    cfg = write_cfg(tmp_path, "s.cfg", dict(_ODD_CYCLE_Q2, initial="random"))
+    assert cli.main(["sample", "--config", cfg, "--output",
+                     str(tmp_path / "out"), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error: ZeroMarginal: conditional marginal at vertex "
+                     r"\d+ has zero mass in run \d+, round \d+", err), err

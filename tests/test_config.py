@@ -279,6 +279,6 @@ def test_build_chain_variants():
                           "sample")
     assert build_chain(cfg, g).scheduler.variant == "single-site"
     cfg = validate_config(dict(base, chain="sequential_glauber"), "sample")
-    assert build_chain(cfg, g).kind == "sequential_glauber"
+    assert build_chain(cfg, g).scheduler.variant == "single-site"
     cfg = validate_config(dict(base, chain="local_metropolis"), "sample")
     assert build_chain(cfg, g).scheduler is None

@@ -1,4 +1,4 @@
-"""Pinned digests of sample_many, mixing_scan and coupling_decay outputs.
+"""Pinned digests of run_batch, mixing_scan and coupling_decay outputs.
 
 Every chain and scheduler is run on three fixed instances and the sha256 of
 the final (n_runs, n) int64 batch is compared against a recorded value; the
@@ -18,8 +18,8 @@ from localgibbs import cli
 from localgibbs.chains import (SchedulerSpec, chromatic_classes,
                                local_metropolis, luby_glauber,
                                sequential_glauber)
-from localgibbs.diagnostics import DEFAULT_INITIALS, coupling_decay, mixing_scan
-from localgibbs.engine import sample_many
+from localgibbs.diagnostics import coupling_decay, mixing_scan
+from localgibbs.engine import PRESETS, initial_config, run_batch
 from localgibbs.graphs import Graph, cycle, random_regular
 from localgibbs.models import coloring
 from localgibbs.mrf import MrfInstance
@@ -109,9 +109,11 @@ PINS = {
 @pytest.mark.parametrize("instance,chain", sorted(PINS))
 def test_sample_many_digest_pinned(instance, chain):
     inst = INSTANCES[instance]()
-    res = sample_many(inst, _chain(chain, inst), rounds=12, n_runs=96,
-                      tape=RandomTape(1702))
-    assert hashlib.sha256(res.final.tobytes()).hexdigest() == PINS[instance, chain]
+    tape, runs = RandomTape(1702), np.arange(96)
+    final, _ = run_batch(inst, _chain(chain, inst),
+                         initial_config(inst, "random", tape, runs), 12, tape,
+                         runs)
+    assert hashlib.sha256(final.tobytes()).hexdigest() == PINS[instance, chain]
 
 
 def _c4_coloring() -> MrfInstance:
@@ -159,7 +161,7 @@ def test_mixing_scan_digest_pinned(instance, chain):
     inst = SCAN_INSTANCES[instance]()
     curve = mixing_scan(inst, _chain(chain, inst), [0, 1, 4, 9], 97,
                         RandomTape(1702))
-    assert list(curve.per_initial) == list(DEFAULT_INITIALS)
+    assert list(curve.per_initial) == list(PRESETS)
     assert _curve_digest(curve.per_initial, curve.tv, curve.tau_hat) \
         == MIXING_PINS[instance, chain]
 

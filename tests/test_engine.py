@@ -1,14 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
+from localgibbs import cli
 from localgibbs.chains import local_metropolis, luby_glauber, sequential_glauber
-from localgibbs.engine import (SampleResult, greedy_feasible, initial_config,
-                               run_batch, sample_many)
+from localgibbs.engine import (greedy_feasible, initial_config, run_batch,
+                               run_chunked)
 from localgibbs.graphs import Graph, complete, cycle, path
 from localgibbs.models import coloring, hardcore, ising
 from localgibbs.mrf import is_feasible
-from localgibbs.oracle import StateSpaceTooLarge
 from localgibbs.randomness import RandomTape
+
+
+def _finals(inst, chain, rounds, n_runs, tape, initial="random", threads=1):
+    """Final configurations of n_runs runs, (n_runs, n), from the executor."""
+    chunks = run_chunked(inst, chain, rounds, n_runs, tape, (initial,),
+                         lambda runs, x: x.copy(), threads=threads)
+    return np.concatenate([c[rounds] for c in chunks])
 
 
 def test_zero_rounds_returns_initial():
@@ -17,9 +26,8 @@ def test_zero_rounds_returns_initial():
     runs = np.arange(7)
     final, _ = run_batch(inst, luby_glauber(), x0, 0, RandomTape(1), runs)
     np.testing.assert_array_equal(final, np.broadcast_to(x0, (7, 6)))
-    res = sample_many(inst, local_metropolis(), 0, 5, RandomTape(1),
-                      initial="zeros")
-    np.testing.assert_array_equal(res.final, 0)
+    final = _finals(inst, local_metropolis(), 0, 5, RandomTape(1), "zeros")
+    np.testing.assert_array_equal(final, np.zeros((5, 6)))
 
 
 def test_negative_rounds_rejected():
@@ -81,49 +89,38 @@ def test_snapshots_first_and_last():
 def test_fixed_seed_reproducible():
     inst = coloring(cycle(8), 4)
     for chain in (luby_glauber(), local_metropolis(), sequential_glauber()):
-        a = sample_many(inst, chain, 12, 400, RandomTape(9), initial="greedy")
-        b = sample_many(inst, chain, 12, 400, RandomTape(9), initial="greedy")
-        np.testing.assert_array_equal(a.final, b.final)
-        c = sample_many(inst, chain, 12, 400, RandomTape(10), initial="greedy")
-        assert not np.array_equal(a.final, c.final)
+        a = _finals(inst, chain, 12, 400, RandomTape(9), "greedy")
+        b = _finals(inst, chain, 12, 400, RandomTape(9), "greedy")
+        np.testing.assert_array_equal(a, b)
+        c = _finals(inst, chain, 12, 400, RandomTape(10), "greedy")
+        assert not np.array_equal(a, c)
 
 
 def test_thread_count_does_not_change_output():
     inst = coloring(cycle(6), 3)
     # four threads split the 6000 runs into four chunks of 1500
-    one = sample_many(inst, local_metropolis(), 5, 6000, RandomTape(11),
-                      initial="zeros", threads=1)
-    four = sample_many(inst, local_metropolis(), 5, 6000, RandomTape(11),
-                       initial="zeros", threads=4)
-    np.testing.assert_array_equal(one.final, four.final)
+    one = _finals(inst, local_metropolis(), 5, 6000, RandomTape(11), "zeros",
+                  threads=1)
+    four = _finals(inst, local_metropolis(), 5, 6000, RandomTape(11), "zeros",
+                   threads=4)
+    np.testing.assert_array_equal(one, four)
 
 
-def test_single_run_point_mass():
-    inst = ising(path(3), 0.5)
-    res = sample_many(inst, luby_glauber(), 7, 1, RandomTape(13))
-    dist = res.distribution(2)
-    assert np.count_nonzero(dist.probs) == 1
-    assert dist.probs.sum() == pytest.approx(1.0)
-
-
-def test_distribution_cap_error():
-    big = SampleResult(np.zeros((4, 30), dtype=np.int64), rounds=0, seed=0)
-    with pytest.raises(StateSpaceTooLarge):
-        big.distribution(2)
-    res = SampleResult(np.zeros((4, 12), dtype=np.int64), rounds=0, seed=0)
-    with pytest.raises(StateSpaceTooLarge):
-        res.distribution(2, cap=1 << 10)
-    ok = res.distribution(2)
-    assert ok.probs[0] == pytest.approx(1.0)
-
-
-def test_marginals_shape_and_row_sums():
-    inst = coloring(cycle(6), 4)
-    res = sample_many(inst, luby_glauber(), 10, 500, RandomTape(15),
-                      initial="greedy")
-    m = res.marginals(4)
+def test_marginals_shape_and_row_sums(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("model = coloring\nmodel.q = 4\ngraph = cycle\n"
+                   "graph.n = 6\nchain = luby_glauber\nrounds = 10\n"
+                   "n_runs = 500\nseed = 15\nformat = json\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", str(cfg), "--output", str(out)]) == 0
+    m = np.array(json.loads((out / "marginals.json").read_text())["frequencies"])
     assert m.shape == (6, 4)
     np.testing.assert_allclose(m.sum(axis=1), 1.0)
+    # the frequencies are the spin counts of samples.jsonl over n_runs
+    lines = (out / "samples.jsonl").read_text().splitlines()
+    final = np.array([json.loads(line)["spins"] for line in lines])
+    counts = np.stack([(final == s).sum(axis=0) for s in range(4)], axis=1)
+    assert m.tolist() == (counts / 500).tolist()
 
 
 def test_far_edge_change_invisible_within_horizon():
@@ -134,9 +131,9 @@ def test_far_edge_change_invisible_within_horizon():
     patched = Graph(9, edges)
     rounds = 3
     for chain in (luby_glauber(), local_metropolis()):
-        a = sample_many(coloring(base, 4), chain, rounds, 300, RandomTape(25),
-                        initial="greedy")
-        b = sample_many(coloring(patched, 4), chain, rounds, 300, RandomTape(25),
-                        initial="greedy")
-        np.testing.assert_array_equal(a.final[:, 0], b.final[:, 0])
-        assert not np.array_equal(a.final[:, 7], b.final[:, 7])
+        a = _finals(coloring(base, 4), chain, rounds, 300, RandomTape(25),
+                    "greedy")
+        b = _finals(coloring(patched, 4), chain, rounds, 300, RandomTape(25),
+                    "greedy")
+        np.testing.assert_array_equal(a[:, 0], b[:, 0])
+        assert not np.array_equal(a[:, 7], b[:, 7])

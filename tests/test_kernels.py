@@ -88,10 +88,10 @@ def test_filter_probs_match_fancy_lookups():
     assert _filter_probs(inst, sigma, x).tobytes() == want.tobytes()
 
 
-def _json_reference(final):
-    return "".join(json.dumps({"run": i, "spins": row.tolist()},
+def _json_reference(runs, final):
+    return "".join(json.dumps({"run": r, "spins": row.tolist()},
                               sort_keys=True, separators=(",", ":")) + "\n"
-                   for i, row in enumerate(final)).encode("utf-8")
+                   for r, row in zip(runs.tolist(), final)).encode("utf-8")
 
 
 @pytest.mark.parametrize("q", [2, 10, 11, 137])
@@ -100,4 +100,6 @@ def test_samples_jsonl_matches_json_dumps(q, shape):
     rng = np.random.default_rng(q)
     final = rng.integers(0, q, shape)
     final[0, 0] = q - 1  # the widest token is present
-    assert _samples_jsonl(final, q) == _json_reference(final)
+    # a chunk's global run ids, not its row numbers
+    runs = np.arange(len(final)) + 995
+    assert _samples_jsonl(runs, final, q) == _json_reference(runs, final)
