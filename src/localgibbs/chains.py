@@ -34,7 +34,7 @@ from .graphs import Graph
 from .mrf import MrfInstance, ZeroMarginal
 from .randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
 
-_SCHEDULER_VARIANTS = ("luby", "chromatic", "single-site")
+SCHEDULER_VARIANTS = ("luby", "chromatic", "single-site")
 _CHAIN_KINDS = ("luby_glauber", "local_metropolis")
 
 
@@ -53,7 +53,7 @@ class SchedulerSpec:
     color_classes: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.variant not in _SCHEDULER_VARIANTS:
+        if self.variant not in SCHEDULER_VARIANTS:
             raise ValueError(f"unknown scheduler variant {self.variant!r}")
         if (self.variant == "chromatic") != (self.color_classes is not None):
             raise ValueError("color_classes required for chromatic, forbidden otherwise")
@@ -217,7 +217,7 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
-            first such (run, vertex) pair in run-major order is named.
+            smallest such (run, vertex) pair is named.
     """
     g = inst.graph
     sel = scheduled_set_batch(g, scheduler, round_, tape, runs)
@@ -236,7 +236,7 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     denom = prod.sum(axis=-1)
     dead = denom <= 0
     if dead.any():
-        k = np.flatnonzero(dead)[np.lexsort((vi[dead], ri[dead]))[0]]
+        k = np.flatnonzero(dead)[np.lexsort((vi[dead], runs[ri[dead]]))[0]]
         raise ZeroMarginal(int(vi[k]), run=int(runs[ri[k]]), round=round_)
     # denom stays a row sum: numpy sums rows pairwise from q = 8 on, so a
     # column loop like the CDF's would change bits

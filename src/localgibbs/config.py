@@ -4,19 +4,15 @@ A config file is plain text: one ``key = value`` per line, ``#`` comments,
 blank lines ignored. Keys are flat but dotted (``model.q``), every key is
 typed, and anything the schema or the chosen command does not know is
 rejected outright so a typo cannot silently drop a parameter.
-
-Resolution order for the output directory is command line flag, then the
-LOCALGIBBS_OUTPUT environment variable, then the ``output`` key; thread
-count follows the same order with LOCALGIBBS_THREADS. Neither can change
-computed results, only where files land and how fast they appear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chains import (ChainSpec, SchedulerSpec, chromatic_classes,
-                     local_metropolis, luby_glauber, sequential_glauber)
+from .chains import (SCHEDULER_VARIANTS, ChainSpec, SchedulerSpec,
+                     chromatic_classes, local_metropolis, luby_glauber,
+                     sequential_glauber)
 from .engine import PRESETS
 from .graphs import (Graph, complete, cycle, grid, load_edge_list, path,
                      random_regular)
@@ -107,24 +103,58 @@ def _preset_pair(text: str) -> list[str]:
     return parts
 
 
+def _luby_glauber(cfg, graph: Graph) -> ChainSpec:
+    variant = cfg.get("chain.scheduler", "luby")
+    classes = chromatic_classes(graph) if variant == "chromatic" else None
+    return luby_glauber(SchedulerSpec(variant, classes))
+
+
+# kind -> (required keys, optional keys, builder). A group is the kind key
+# plus its dotted keys in _SCHEMA; the rest of the group is forbidden.
+_MODELS = {
+    "coloring": (("model.q",), (), lambda c, g: coloring(g, c["model.q"])),
+    "hardcore": (("model.lambda",), (),
+                 lambda c, g: hardcore(g, c["model.lambda"])),
+    "ising": (("model.beta",), (), lambda c, g: ising(g, c["model.beta"])),
+    "potts": (("model.q", "model.beta"), (),
+              lambda c, g: potts(g, c["model.q"], c["model.beta"])),
+}
+_GRAPHS = {
+    "path": (("graph.n",), (), lambda c: path(c["graph.n"])),
+    "cycle": (("graph.n",), (), lambda c: cycle(c["graph.n"])),
+    "complete": (("graph.n",), (), lambda c: complete(c["graph.n"])),
+    "grid": (("graph.rows", "graph.cols"), (),
+             lambda c: grid(c["graph.rows"], c["graph.cols"])),
+    # graph.seed defaults to the run seed
+    "random_regular": (("graph.n", "graph.d"), ("graph.seed",),
+                       lambda c: random_regular(c["graph.n"], c["graph.d"],
+                                                c.get("graph.seed", c["seed"]))),
+    "file": (("graph.file",), (), lambda c: load_edge_list(c["graph.file"])),
+}
+_CHAINS = {
+    "luby_glauber": ((), ("chain.scheduler",), _luby_glauber),
+    "local_metropolis": ((), (), lambda c, g: local_metropolis()),
+    "sequential_glauber": ((), (), lambda c, g: sequential_glauber()),
+}
+# checked in this order, so the first group at fault is the one named
+_GROUPS = {"model": _MODELS, "graph": _GRAPHS, "chain": _CHAINS}
+
 # key -> (parser, default or None). Defaults apply only when the command
 # allows the key; required keys have no default by definition.
 _SCHEMA: dict[str, tuple] = {
-    "model": (_choice("coloring", "hardcore", "ising", "potts"), None),
+    "model": (_choice(*_MODELS), None),
     "model.q": (_int_atleast(2), None),
     "model.lambda": (_float_positive, None),
     "model.beta": (_float_positive, None),
-    "graph": (_choice("path", "cycle", "complete", "grid", "random_regular",
-                      "file"), None),
+    "graph": (_choice(*_GRAPHS), None),
     "graph.n": (_int_atleast(1), None),
     "graph.rows": (_int_atleast(1), None),
     "graph.cols": (_int_atleast(1), None),
     "graph.d": (_int_atleast(0), None),
     "graph.seed": (_int_atleast(0), None),
     "graph.file": (str, None),
-    "chain": (_choice("luby_glauber", "local_metropolis",
-                      "sequential_glauber"), None),
-    "chain.scheduler": (_choice("luby", "chromatic", "single-site"), None),
+    "chain": (_choice(*_CHAINS), None),
+    "chain.scheduler": (_choice(*SCHEDULER_VARIANTS), None),
     "rounds": (_int_atleast(0), None),
     "rounds_grid": (_int_list_increasing(0), None),
     "n_runs": (_int_atleast(1), None),
@@ -139,68 +169,27 @@ _SCHEMA: dict[str, tuple] = {
     "distances": (_int_list_increasing(1), None),
 }
 
-_MODEL_KEYS = ("model", "model.q", "model.lambda", "model.beta")
-_GRAPH_KEYS = ("graph", "graph.n", "graph.rows", "graph.cols", "graph.d",
-               "graph.seed", "graph.file")
-_CHAIN_KEYS = ("chain", "chain.scheduler")
-_BASE_KEYS = ("seed", "output", "format")
-
-# command -> (required top-level keys, all allowed keys). Dependent
-# requirements (model.q for coloring, graph.rows for grid, ...) are checked
-# after the per-key parse.
+# command -> (required keys, optional keys); naming a group allows its
+# dotted keys, which its kind then requires or forbids.
 _COMMANDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "sample": (
-        ("model", "graph", "chain", "rounds", "n_runs", "seed"),
-        _BASE_KEYS + _MODEL_KEYS + _GRAPH_KEYS + _CHAIN_KEYS
-        + ("rounds", "n_runs", "initial"),
-    ),
-    "mix-scan": (
-        ("model", "graph", "chain", "rounds_grid", "n_runs", "seed"),
-        _BASE_KEYS + _MODEL_KEYS + _GRAPH_KEYS + _CHAIN_KEYS
-        + ("rounds_grid", "n_runs", "epsilon"),
-    ),
-    "balance-check": (
-        ("model", "graph", "chain", "seed"),
-        _BASE_KEYS + _MODEL_KEYS + _GRAPH_KEYS + _CHAIN_KEYS,
-    ),
-    "coupling": (
-        ("model", "graph", "chain", "rounds", "n_runs", "seed"),
-        _BASE_KEYS + _MODEL_KEYS + _GRAPH_KEYS + _CHAIN_KEYS
-        + ("rounds", "n_runs", "initial_pair"),
-    ),
-    "correlation": (
-        ("model", "graph", "seed", "distances"),
-        _BASE_KEYS + _MODEL_KEYS + _GRAPH_KEYS + ("u", "distances", "delta"),
-    ),
-    "gamma": (
-        ("graph", "rounds", "seed"),
-        _BASE_KEYS + _GRAPH_KEYS + ("rounds",),
-    ),
+    "sample": (("model", "graph", "chain", "rounds", "n_runs", "seed"),
+               ("initial", "output", "format")),
+    "mix-scan": (("model", "graph", "chain", "rounds_grid", "n_runs", "seed"),
+                 ("epsilon", "output", "format")),
+    "balance-check": (("model", "graph", "chain", "seed"),
+                      ("output", "format")),
+    "coupling": (("model", "graph", "chain", "rounds", "n_runs", "seed"),
+                 ("initial_pair", "output", "format")),
+    "correlation": (("model", "graph", "seed", "distances"),
+                    ("u", "delta", "output", "format")),
+    "gamma": (("graph", "rounds", "seed"), ("output", "format")),
 }
 
 COMMAND_NAMES = tuple(_COMMANDS)
 
-# value of a discriminator key -> (required dependents, forbidden dependents)
-_MODEL_DEPS = {
-    "coloring": (("model.q",), ("model.lambda", "model.beta")),
-    "hardcore": (("model.lambda",), ("model.q", "model.beta")),
-    "ising": (("model.beta",), ("model.q", "model.lambda")),
-    "potts": (("model.q", "model.beta"), ("model.lambda",)),
-}
-_GRAPH_DEPS = {
-    "path": (("graph.n",), ("graph.rows", "graph.cols", "graph.d",
-                            "graph.seed", "graph.file")),
-    "cycle": (("graph.n",), ("graph.rows", "graph.cols", "graph.d",
-                             "graph.seed", "graph.file")),
-    "complete": (("graph.n",), ("graph.rows", "graph.cols", "graph.d",
-                                "graph.seed", "graph.file")),
-    "grid": (("graph.rows", "graph.cols"), ("graph.n", "graph.d",
-                                            "graph.seed", "graph.file")),
-    "random_regular": (("graph.n", "graph.d"), ("graph.rows", "graph.cols",
-                                                "graph.file")),
-    "file": (("graph.file",), ("graph.n", "graph.rows", "graph.cols",
-                               "graph.d", "graph.seed")),
-}
+
+def _group_keys(group: str) -> list[str]:
+    return [k for k in _SCHEMA if k.startswith(group + ".")]
 
 
 @dataclass(frozen=True)
@@ -244,8 +233,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 def validate_config(raw: dict[str, str], command: str) -> ExperimentConfig:
     if command not in _COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}")
-    required, allowed = _COMMANDS[command]
-    allowed_set = set(allowed)
+    required, optional = _COMMANDS[command]
+    allowed_set = set(required + optional)
+    for group in _GROUPS:
+        if group in allowed_set:
+            allowed_set.update(_group_keys(group))
 
     for key in raw:
         if key not in _SCHEMA:
@@ -265,27 +257,19 @@ def validate_config(raw: dict[str, str], command: str) -> ExperimentConfig:
         if key not in values:
             raise ConfigError(key, "required but missing")
 
-    for discriminator, deps in (("model", _MODEL_DEPS), ("graph", _GRAPH_DEPS)):
-        if discriminator in values:
-            need, forbid = deps[values[discriminator]]
+    for group, kinds in _GROUPS.items():
+        if group in values:
+            kind = values[group]
+            need, may, _ = kinds[kind]
             for key in need:
                 if key not in values:
                     raise ConfigError(
-                        key, f"required for {discriminator} "
-                             f"{values[discriminator]!r} but missing")
-            for key in forbid:
-                if key in values:
+                        key, f"required for {group} {kind!r} but missing")
+            for key in _group_keys(group):
+                if key in values and key not in need + may:
                     raise ConfigError(
-                        key, f"not a parameter of {discriminator} "
-                             f"{values[discriminator]!r}")
+                        key, f"not a parameter of {group} {kind!r}")
 
-    if "chain.scheduler" in values:
-        if values.get("chain") != "luby_glauber":
-            raise ConfigError("chain.scheduler",
-                              "only the luby_glauber chain takes a scheduler")
-
-    # hardcore fixes q=2; a q key would be contradictory and is already
-    # forbidden above, so only the coloring/potts q reaches the model builder.
     for key in allowed_set:
         _, default = _SCHEMA[key]
         if key not in values and default is not None:
@@ -304,39 +288,12 @@ def load_config(path: str, command: str) -> ExperimentConfig:
 
 
 def build_graph(cfg: ExperimentConfig) -> Graph:
-    kind = cfg["graph"]
-    if kind == "path":
-        return path(cfg["graph.n"])
-    if kind == "cycle":
-        return cycle(cfg["graph.n"])
-    if kind == "complete":
-        return complete(cfg["graph.n"])
-    if kind == "grid":
-        return grid(cfg["graph.rows"], cfg["graph.cols"])
-    if kind == "random_regular":
-        return random_regular(cfg["graph.n"], cfg["graph.d"],
-                              cfg.get("graph.seed", cfg["seed"]))
-    return load_edge_list(cfg["graph.file"])
+    return _GRAPHS[cfg["graph"]][2](cfg)
 
 
 def build_instance(cfg: ExperimentConfig, graph: Graph) -> MrfInstance:
-    name = cfg["model"]
-    if name == "coloring":
-        return coloring(graph, cfg["model.q"])
-    if name == "hardcore":
-        return hardcore(graph, cfg["model.lambda"])
-    if name == "ising":
-        return ising(graph, cfg["model.beta"])
-    return potts(graph, cfg["model.q"], cfg["model.beta"])
+    return _MODELS[cfg["model"]][2](cfg, graph)
 
 
 def build_chain(cfg: ExperimentConfig, graph: Graph) -> ChainSpec:
-    kind = cfg["chain"]
-    if kind == "local_metropolis":
-        return local_metropolis()
-    if kind == "sequential_glauber":
-        return sequential_glauber()
-    variant = cfg.get("chain.scheduler", "luby")
-    if variant == "chromatic":
-        return luby_glauber(SchedulerSpec("chromatic", chromatic_classes(graph)))
-    return luby_glauber(SchedulerSpec(variant))
+    return _CHAINS[cfg["chain"]][2](cfg, graph)

@@ -18,7 +18,7 @@ import numpy as np
 from .chains import ChainSpec, local_max_select
 from .engine import PRESETS, run_chunked
 from .graphs import Graph
-from .mrf import MrfInstance
+from .mrf import MrfInstance, marginal
 from .oracle import (ENUM_CAP, Distribution, all_configs, enumerate_gibbs,
                      exact_conditional_marginal, path_conditional_marginal,
                      tv_distance)
@@ -103,16 +103,10 @@ def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> Influenc
     marg_cache: dict[tuple[int, bytes], np.ndarray] = {}
 
     def cond(i: int, x: np.ndarray) -> np.ndarray:
-        lo, hi = g.nbr_ptr[i], g.nbr_ptr[i + 1]
-        key = (i, x[g.nbr_flat[lo:hi]].tobytes())
-        out = marg_cache.get(key)
-        if out is None:
-            numer = inst.b[i].copy()
-            for slot in range(lo, hi):
-                numer = numer * inst.slot_A[slot][:, x[g.nbr_flat[slot]]]
-            out = numer / numer.sum()
-            marg_cache[key] = out
-        return out
+        key = (i, x[g.nbr_flat[g.nbr_ptr[i]:g.nbr_ptr[i + 1]]].tobytes())
+        if key not in marg_cache:
+            marg_cache[key] = marginal(inst, i, x)
+        return marg_cache[key]
 
     for j in range(n):
         base = configs @ pows - configs[:, j] * pows[j]
@@ -148,7 +142,8 @@ def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
     For each initial configuration in the panel, n_runs trajectories are
     histogrammed at every grid round (each chunk keeps only its counts) and
     the histogram's total variation distance to the enumerated distribution
-    recorded. The curve keeps the worst panel member per round; tau_hat is
+    recorded under the preset's name, or "explicit-<s>" for an array at
+    position s. The curve keeps the worst panel member per round; tau_hat is
     the first grid round at which that worst distance is <= epsilon (None if
     never).
     """
@@ -168,15 +163,14 @@ def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
                               histogram, grid, threads))
     per_initial: dict[str, list[float]] = {}
     for s, init in enumerate(initials):
-        name = init if isinstance(init, str) else "explicit"
         tvs = []
         for t in grid:
             counts = np.zeros(len(mu.probs), dtype=np.int64)
             for c in chunks:
                 np.add.at(counts, *c[t][s])
             tvs.append(tv_distance(Distribution(counts / counts.sum()), mu))
-        per_initial[name] = tvs
-    worst = [max(per_initial[k][i] for k in per_initial) for i in range(len(grid))]
+        per_initial[init if isinstance(init, str) else f"explicit-{s}"] = tvs
+    worst = [max(col) for col in zip(*per_initial.values())]
     tau = next((t for t, tv in zip(grid, worst) if tv <= epsilon), None)
     return MixingCurve(grid, worst, n_runs, tape.master_seed, epsilon, tau,
                        per_initial)
@@ -184,7 +178,6 @@ def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
 
 def coupling_decay(inst: MrfInstance, chain: ChainSpec, initial_pair,
                    rounds: int, n_runs: int, tape: RandomTape,
-                   coupling: str = "identical-tape",
                    threads: int = 1) -> DecayCurve:
     """Paired evolution under shared randomness; tracks expected disagreement.
 
@@ -194,8 +187,6 @@ def coupling_decay(inst: MrfInstance, chain: ChainSpec, initial_pair,
     The decay rate is a least-squares slope of log phi over the rounds where
     the mean stays above the counting-noise floor 10/n_runs.
     """
-    if coupling != "identical-tape":
-        raise ValueError("only the identical-tape coupling is implemented")
     deg = inst.graph.degrees.astype(np.float64)
 
     def disagreement(runs, x):

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .chains import ChainSpec, round_function
-from .mrf import MrfInstance, validate_configuration
+from .mrf import MrfInstance, ZeroMarginal, validate_configuration
 from .randomness import KIND_INIT_CONFIG, RandomTape
 
 
@@ -146,6 +146,12 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     holds a bounded number of results. n_runs is checked and every start
     except "random" resolved before the iterator is returned, so a bad start
     fails at the call.
+
+    Raises:
+        ZeroMarginal: some run hit a zero-mass conditional. Once a chunk
+            fails, no further chunk is yielded; the remaining chunks still
+            run, and the failure with the smallest (round, run, vertex) is
+            raised, so the one named does not depend on the split.
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
@@ -165,14 +171,29 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
         x0 = [np.broadcast_to(initial_config(inst, s, tape, runs),
                               (len(runs), inst.n)) for s in starts]
         x0 = x0[0] if k == 1 else np.stack(x0, axis=1).reshape(-1, inst.n)
-        _, snaps = run_batch(inst, chain, x0, rounds, tape, np.repeat(runs, k),
-                             wanted, lambda x: observe(runs, x))
-        return snaps
+        try:
+            return run_batch(inst, chain, x0, rounds, tape, np.repeat(runs, k),
+                             wanted, lambda x: observe(runs, x))[1]
+        except ZeroMarginal as exc:
+            return exc
 
     threads = min(threads, len(spans))
-    if threads <= 1:
-        return map(work, spans)
-    return _in_order(work, spans, threads)
+    results = map(work, spans) if threads <= 1 \
+        else _in_order(work, spans, threads)
+    return _until_failure(results)
+
+
+def _until_failure(results) -> Iterator[dict]:
+    """Chunk results up to the first ZeroMarginal; after it, drain the rest
+    and raise the smallest failure by (round, run, vertex)."""
+    failures = []
+    for res in results:
+        if isinstance(res, ZeroMarginal):
+            failures.append(res)
+        elif not failures:
+            yield res
+    if failures:
+        raise min(failures, key=lambda e: (e.round, e.run, e.vertex))
 
 
 def _in_order(work, spans, threads: int) -> Iterator[dict]:

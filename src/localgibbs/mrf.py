@@ -85,8 +85,10 @@ class MrfInstance:
         A_norm: per-edge matrices scaled to maximum entry 1 (the acceptance
             probabilities of the parallel Metropolis filter).
         b_prop: per-vertex proposal distributions, b normalized to sum 1.
-        slot_A: (F, q, q) view of A expanded to adjacency slots, aligned with
-            graph.nbr_flat; marginal computations index it directly.
+        slot_A: (F, q, q) copy of A expanded to adjacency slots, aligned
+            with graph.nbr_flat; marginal computations index it directly.
+
+    Every array attribute is read-only.
     """
 
     def __init__(self, graph: Graph, q: int, edge_activities, vertex_activities):
@@ -119,7 +121,8 @@ class MrfInstance:
         self.b_cdf = np.cumsum(self.b_prop, axis=1)
         self.b_cdf[:, -1] = 1.0
         self.slot_A = self.A[graph.nbr_edge]
-        for arr in (self.A, self.b, self.A_norm, self.b_prop, self.b_cdf):
+        for arr in (self.A, self.b, self.A_norm, self.b_prop, self.b_cdf,
+                    self.slot_A):
             arr.setflags(write=False)
 
     @property

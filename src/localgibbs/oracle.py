@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ChainSpec, SchedulerSpec
-from .mrf import MrfInstance, ZeroMarginal, marginal, weight_batch
+from .mrf import MrfInstance, marginal, weight_batch
 
 ENUM_CAP = 1 << 22
 MATRIX_CAP = 1 << 12
@@ -61,10 +61,6 @@ class Distribution:
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.probs))
 
     def __len__(self) -> int:
         return len(self.probs)

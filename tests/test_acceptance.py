@@ -23,7 +23,7 @@ from localgibbs.diagnostics import (coupling_decay, crossing_round,
                                     correlation_length,
                                     dobrushin_alpha_coloring,
                                     influence_matrix_numeric,
-                                    luby_gamma_estimate, mixing_scan)
+                                    mixing_scan)
 from localgibbs.engine import initial_config, run_batch
 from localgibbs.graphs import cycle, path, random_regular
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts

@@ -12,15 +12,17 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from test_digests import _multigraph_instance
 
 from localgibbs import cli, engine
 from localgibbs.chains import local_metropolis, luby_glauber
 from localgibbs.diagnostics import coupling_decay, mixing_scan
-from localgibbs.engine import chunk_runs
-from localgibbs.graphs import random_regular
+from localgibbs.engine import chunk_runs, initial_config, run_batch, run_chunked
+from localgibbs.graphs import cycle, random_regular
 from localgibbs.models import coloring
+from localgibbs.mrf import ZeroMarginal
 from localgibbs.randomness import RandomTape
 
 # the model, graph and chain keys only make the config valid: the test's
@@ -75,6 +77,32 @@ def test_outputs_do_not_depend_on_chunk_size_or_threads(monkeypatch, job,
         for threads in (1, 2, 3):
             assert fn(inst, chain, n_runs, threads) == reference, \
                 (per_chunk, threads)
+
+
+def _failure(fn):
+    with pytest.raises(ZeroMarginal) as info:
+        fn()
+    return info.value.round, info.value.run, info.value.vertex
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, engine.CHUNK_BYTES])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_reported_zero_marginal_does_not_depend_on_the_split(
+        monkeypatch, chunk_bytes, threads):
+    # odd cycle, q = 2, random starts: runs strand vertices in different
+    # rounds; the smallest (round, run, vertex) over all runs is named
+    inst, tape = coloring(cycle(5), 2), RandomTape(8)
+
+    def one_run(r):
+        runs = np.array([r])
+        x0 = initial_config(inst, "random", tape, runs)
+        return lambda: run_batch(inst, luby_glauber(), x0, 30, tape, runs)
+
+    first = min(_failure(one_run(r)) for r in range(40))
+    monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+    assert _failure(lambda: list(run_chunked(
+        inst, luby_glauber(), 30, 40, tape, ("random",), lambda runs, x: None,
+        threads=threads))) == first
 
 
 def test_chunk_rows_stay_within_budget():

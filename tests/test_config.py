@@ -1,4 +1,7 @@
-import numpy as np
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from localgibbs.config import (ConfigError, build_chain, build_graph,
@@ -143,6 +146,7 @@ def test_scheduler_only_for_resampling_chain():
     with pytest.raises(ConfigError) as exc:
         validate_config(raw, "sample")
     assert exc.value.field == "chain.scheduler"
+    assert "not a parameter of chain 'local_metropolis'" in str(exc.value)
     raw["chain"] = "luby_glauber"
     assert validate_config(raw, "sample")["chain.scheduler"] == "luby"
 
@@ -282,3 +286,76 @@ def test_build_chain_variants():
     assert build_chain(cfg, g).scheduler.variant == "single-site"
     cfg = validate_config(dict(base, chain="local_metropolis"), "sample")
     assert build_chain(cfg, g).scheduler is None
+
+
+# One valid value per key; "temperature" is not a key at all.
+_SWEEP_VALUES = {
+    "model.q": "3", "model.lambda": "1.5", "model.beta": "0.5",
+    "graph.n": "4", "graph.rows": "2", "graph.cols": "3", "graph.d": "2",
+    "graph.seed": "5", "graph.file": "g.edges", "chain.scheduler": "chromatic",
+    "rounds": "3", "rounds_grid": "0, 2", "n_runs": "2", "seed": "1",
+    "initial": "random", "initial_pair": "max, zeros", "output": "out",
+    "format": "json", "epsilon": "0.2", "delta": "0.3", "u": "1",
+    "distances": "1, 2", "temperature": "2",
+}
+_SWEEP_GROUP_KEYS = [k for k in _SWEEP_VALUES if "." in k]
+# group -> kind (None: the group is absent) -> the keys the kind needs
+_SWEEP_KINDS = {
+    "model": {None: (), "coloring": ("model.q",), "hardcore": ("model.lambda",),
+              "ising": ("model.beta",), "potts": ("model.q", "model.beta")},
+    "graph": {None: (), "path": ("graph.n",), "cycle": ("graph.n",),
+              "complete": ("graph.n",), "grid": ("graph.rows", "graph.cols"),
+              "random_regular": ("graph.n", "graph.d"),
+              "file": ("graph.file",)},
+    "chain": {None: (), "luby_glauber": (), "local_metropolis": (),
+              "sequential_glauber": ()},
+}
+_SWEEP_COMMAND_NEEDS = {
+    "sample": ("rounds", "n_runs", "seed"),
+    "mix-scan": ("rounds_grid", "n_runs", "seed"),
+    "balance-check": ("seed",),
+    "coupling": ("rounds", "n_runs", "seed"),
+    "correlation": ("seed", "distances"),
+    "gamma": ("rounds", "seed"),
+}
+
+
+def _validation_sweep():
+    """One JSON line per (command, raw config): the resolved values when
+    the config is accepted, else the ConfigError field.
+
+    For every command and every (model, graph, chain) kind combination,
+    absent groups included, the base config holds the kinds and the keys
+    they and the command need. The sweep validates the base, the base less
+    each key, the base plus each single key, and the base plus each pair of
+    group keys (so two forbidden keys meet)."""
+    for command, needs in _SWEEP_COMMAND_NEEDS.items():
+        for kinds in itertools.product(*(k.items() for k in _SWEEP_KINDS.values())):
+            base = {}
+            for group, (kind, kind_needs) in zip(_SWEEP_KINDS, kinds):
+                if kind is not None:
+                    base[group] = kind
+                    base.update((k, _SWEEP_VALUES[k]) for k in kind_needs)
+            base.update((k, _SWEEP_VALUES[k]) for k in needs)
+            cases = [base]
+            cases += [{k: v for k, v in base.items() if k != drop}
+                      for drop in base]
+            cases += [dict(base, **{k: v}) for k, v in _SWEEP_VALUES.items()]
+            cases += [dict(base, **{a: _SWEEP_VALUES[a], b: _SWEEP_VALUES[b]})
+                      for a, b in itertools.combinations(_SWEEP_GROUP_KEYS, 2)]
+            for raw in cases:
+                try:
+                    outcome = ["ok", validate_config(raw, command).resolved()]
+                except ConfigError as exc:
+                    outcome = ["error", exc.field]
+                yield json.dumps([command, list(raw.items()), outcome])
+
+
+def test_validation_sweep_pinned():
+    """What validate_config accepts, with the resolved values, and what it
+    rejects, with the field it names, over 63,742 configs."""
+    digest = hashlib.sha256()
+    for line in _validation_sweep():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "82312377cd17de675492f0cda701d7f3c4093833612018329fc6767b55f7db70")

@@ -91,6 +91,24 @@ def test_mixing_scan_reaches_epsilon():
         assert set(curve.per_initial) == {"zeros", "max"}
 
 
+def test_mixing_scan_keeps_every_explicit_start():
+    inst = coloring(cycle(4), 3)
+    a, b = np.array([0, 1, 0, 1]), np.array([0, 1, 2, 1])
+    grid = [0, 1, 2, 4]
+
+    def scan(*starts):
+        return mixing_scan(inst, luby_glauber(), grid, 200, RandomTape(3),
+                           initials=starts)
+
+    both = scan(b, a)
+    assert list(both.per_initial) == ["explicit-0", "explicit-1"]
+    assert both.per_initial["explicit-0"] == scan(b).tv
+    assert both.per_initial["explicit-1"] == scan(a).tv
+    # b starts further from the Gibbs law than a after round 1
+    assert both.tv == list(np.maximum(scan(a).tv, scan(b).tv))
+    assert both.tv[1] > scan(a).tv[1]
+
+
 def test_mixing_estimate_stable_across_seeds():
     inst = coloring(cycle(4), 5)
     vals = [mixing_scan(inst, luby_glauber(), [30], 60000, RandomTape(s),
@@ -118,13 +136,6 @@ def test_coupling_decay_contracts():
     assert 0 == a and b <= 40
     assert curve.phi[-1] < curve.phi[0] / 10
     assert len(curve.stderr) == 41
-
-
-def test_coupling_rejects_unknown_scheme():
-    inst = coloring(cycle(4), 4)
-    with pytest.raises(ValueError):
-        coupling_decay(inst, luby_glauber(), ("zeros", "max"), 5, 10,
-                       RandomTape(7), coupling="maximal")
 
 
 def test_crossing_round_interpolation():

@@ -223,3 +223,15 @@ def test_weight_and_feasible_batch_match_naive(inst):
     np.testing.assert_allclose(weight_batch(inst, sigmas), want, rtol=1e-13)
     np.testing.assert_array_equal(weight_batch(inst, sigmas) > 0, want > 0)
     np.testing.assert_array_equal(feasible_batch(inst, sigmas), want > 0)
+
+
+@pytest.mark.parametrize("inst", [coloring(Graph(4, [(0, 1), (1, 2), (0, 1)]), 3),
+                                  ising(Graph(2, []), 0.5)],
+                         ids=["multigraph", "edgeless"])
+def test_array_tables_are_read_only(inst):
+    for owner in (inst, inst.graph):
+        tables = {k: v for k, v in vars(owner).items()
+                  if isinstance(v, np.ndarray)}
+        assert tables
+        for name, arr in tables.items():
+            assert not arr.flags.writeable, f"{type(owner).__name__}.{name}"

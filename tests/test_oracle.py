@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from _naive import all_sigmas, naive_gibbs, naive_tv

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from localgibbs.randomness import (KIND_EDGE_COIN, KIND_NODE_BETA,
-                                   KIND_NODE_PROPOSAL, RandomTape,
-                                   hash_words, uniform_from_bits)
+from localgibbs.randomness import (KIND_NODE_BETA, KIND_NODE_PROPOSAL,
+                                   RandomTape, hash_words, uniform_from_bits)
 
 
 def test_same_address_same_value():
