@@ -19,6 +19,19 @@ selected vertex's slot matrices, the AND of a vertex's edge passes) walks
 the graph's rank-major slot table: one gather and one elementwise step per
 adjacency rank, each over a prefix of the vertices sorted by degree.
 
+The resampling round works in two layouts besides the (n_runs, n) batch,
+chosen so that every step is a contiguous row operation:
+
+* vertex-major selection: score words, selections and scheduled sets are
+  (n, n_runs), row i for vertex by_degree[i], so a rank's step is a prefix
+  of whole rows, and np.nonzero yields the (position, run) pairs in the
+  by_degree order the conditional product needs;
+* spin-major conditionals: the per-pair conditionals are (q, pairs), one
+  contiguous row per spin, gathered from MrfInstance.slot_table; the
+  denominator, running sum and draw combine whole rows.
+
+The Metropolis round keeps the (n_runs, n) and (n_runs, m) layouts.
+
 All round functions are pure maps from the previous round's snapshot to the
 next; a vertex's update reads its own streams, its neighbors' previous
 spins, and the shared coins of its incident edges, nothing else.
@@ -99,109 +112,130 @@ def chromatic_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
                  for c in range(int(color.max()) + 1))
 
 
-def _rank_reduce(graph: Graph, op, identity, operand, n_rows: int,
-                 dtype) -> np.ndarray:
-    """Per-vertex ufunc reduction over adjacency slots, shape (n_rows, n).
-
-    operand(lo, hi) returns the (n_rows, hi - lo) values of the rank-major
-    slot entries lo:hi; rank k's entries belong to the vertex prefix
-    by_degree[:hi - lo], so each rank is one elementwise step into a prefix
-    of the accumulator. Vertices without slots keep the identity.
-    """
-    acc = np.full((n_rows, graph.n), identity, dtype=dtype)
-    ptr = graph.rank_ptr
-    for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
-        head = acc[:, :hi - lo]
-        op(head, operand(lo, hi), out=head)
-    # np.take is several times faster than acc[:, idx] on wide batches
-    return np.take(acc, graph.degree_pos, 1)
-
-
 def _sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: smallest spin whose cumulative strictly exceeds u.
+    """Inverse-CDF draw from a spin-major cdf: smallest spin whose
+    cumulative strictly exceeds u.
 
-    Counting boundary entries with <= means a zero-probability spin (a flat
-    cdf step) can never be hit, even when u lands exactly on the boundary.
-    The count runs one spin column at a time: a reduction along the short
-    q-axis of (cdf <= u[..., None]) costs several times more.
+    cdf[c] holds spin c's cumulative, broadcast against u; the last entry is
+    exactly 1.0 and u < 1, so it never counts and is skipped. Counting
+    boundary entries with <= means a zero-probability spin (a flat cdf step)
+    can never be hit, even when u lands exactly on the boundary.
     """
-    count = np.zeros(np.broadcast_shapes(cdf.shape[:-1], u.shape), np.int64)
-    for k in range(cdf.shape[-1]):
-        count += cdf[..., k] <= u
+    count = np.zeros(np.broadcast_shapes(cdf.shape[1:], u.shape), np.int64)
+    for c in range(len(cdf) - 1):
+        count += cdf[c] <= u
     return count
 
 
-def _cumsum_columns(a: np.ndarray) -> np.ndarray:
-    """np.cumsum(a, axis=-1) in place, one column at a time.
+def _pairwise_rows(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a (q, k) array, bit for bit a.T.sum(axis=-1).
 
-    The additions are the same and in the same order, so the result is
-    bitwise equal; along a short last axis this runs several times faster.
+    numpy sums a contiguous length-q row pairwise: sequentially below 8
+    terms, in 8 interleaved accumulators up to 128, and by halves (cut at a
+    multiple of 8) above. This adds whole rows of a in that order.
     """
-    for k in range(1, a.shape[-1]):
-        a[..., k] += a[..., k - 1]
-    return a
+    q = len(a)
+    if q < 8:
+        s = a[0].copy()
+        for c in range(1, q):
+            s += a[c]
+        return s
+    if q <= 128:
+        tail = q - q % 8
+        r = a[:8] if tail == 8 else a[:8] + a[8:16]
+        for c in range(16, tail, 8):
+            r += a[c:c + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in range(tail, q):
+            s += a[c]
+        return s
+    half = q // 2 - q // 2 % 8
+    return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
+
+
+def _local_max_rows(graph: Graph, keys: np.ndarray) -> np.ndarray:
+    """The local-maximum rule in the vertex-major layout.
+
+    keys is (n, R): row i holds the score words of vertex by_degree[i]. The
+    result is the (n, R) indicator array in the same layout. Rank k's
+    neighbors are gathered as whole rows and folded into the prefix of rows
+    of the vertices with a k-th slot.
+    """
+    g = graph
+    ptr = g.rank_ptr.tolist()
+    spans = list(zip(ptr[:-1], ptr[1:]))
+    nbr_pos = np.take(g.degree_pos, g.rank_nbr)
+    nbr_max = np.zeros_like(keys)
+    for lo, hi in spans:
+        head = nbr_max[:hi - lo]
+        np.maximum(head, np.take(keys, nbr_pos[lo:hi], 0), out=head)
+    sel = keys > nbr_max
+    ties = keys == nbr_max
+    if ties.any():
+        # the largest id among the neighbors that reach the maximum
+        top_id = np.full(keys.shape, -1, dtype=np.int64)
+        for lo, hi in spans:
+            head = top_id[:hi - lo]
+            tied = np.take(keys, nbr_pos[lo:hi], 0) == nbr_max[:hi - lo]
+            np.maximum(head, np.where(tied, g.rank_nbr[lo:hi, None], -1),
+                       out=head)
+        sel |= ties & (g.by_degree[:, None] > top_id)
+    return sel
 
 
 def local_max_select(graph: Graph, keys: np.ndarray) -> np.ndarray:
     """Rows of score words -> rows of local-maximum indicators.
 
-    v is selected when its 64-bit score word beats every neighbor's,
-    comparing (score, vertex id) lexicographically so exact ties resolve
-    against the smaller id. Each row is an independent set by construction;
-    an isolated vertex is always selected.
+    keys and the result are (rows, n) in vertex order. v is selected when
+    its 64-bit score word beats every neighbor's, comparing (score, vertex
+    id) lexicographically so exact ties resolve against the smaller id. Each
+    row is an independent set by construction; an isolated vertex is always
+    selected.
     """
-    g, rows = graph, len(keys)
-    nbr_max = _rank_reduce(g, np.maximum, 0,
-                           lambda lo, hi: np.take(keys, g.rank_nbr[lo:hi], 1),
-                           rows, np.uint64)
-    sel = keys > nbr_max
-    ties = keys == nbr_max
-    if ties.any():
-        def tied_ids(lo, hi):
-            nbr = g.rank_nbr[lo:hi]
-            owner_max = np.take(nbr_max, g.by_degree[:hi - lo], 1)
-            return np.where(np.take(keys, nbr, 1) == owner_max, nbr, -1)
-
-        top_id = _rank_reduce(g, np.maximum, -1, tied_ids, rows, np.int64)
-        sel |= ties & (np.arange(g.n)[None, :] > top_id)
-    return sel
+    g = graph
+    sel = _local_max_rows(g, np.take(keys, g.by_degree, 1).T.copy())
+    return np.take(sel, g.degree_pos, 0).T
 
 
 def luby_select_batch(graph: Graph, round_: int, tape: RandomTape,
                       runs: np.ndarray) -> np.ndarray:
-    """Local-maximum selection for one round, shape (len(runs), n) boolean."""
-    keys = tape.node_words(KIND_NODE_BETA, np.arange(graph.n), round_, runs)
-    return local_max_select(graph, keys)
+    """Local-maximum selection for one round, vertex-major: shape
+    (n, len(runs)) boolean, row i for vertex by_degree[i]."""
+    keys = tape.node_words(KIND_NODE_BETA, graph.by_degree, round_, runs)
+    return _local_max_rows(graph, keys)
 
 
 def single_site_select_batch(graph: Graph, round_: int, tape: RandomTape,
                              runs: np.ndarray) -> np.ndarray:
-    """One uniformly random vertex per run, as a one-hot boolean matrix.
+    """One uniformly random vertex per run, as a vertex-major one-hot
+    (n, len(runs)) boolean array, row i for vertex by_degree[i].
 
     Uses the global maximum of the same score words the local rule compares:
     with i.i.d. scores the argmax is uniform, and reusing the stream keeps
     the scheduler family on one randomness footprint.
     """
-    keys = tape.node_words(KIND_NODE_BETA, np.arange(graph.n), round_, runs)
-    top = keys.max(axis=1, keepdims=True)
-    is_top = keys == top
+    keys = tape.node_words(KIND_NODE_BETA, graph.by_degree, round_, runs)
+    is_top = keys == keys.max(axis=0)
     # highest vertex id among maxima, consistent with the local tie rule
-    pick = graph.n - 1 - np.argmax(is_top[:, ::-1], axis=1)
+    pick = np.where(is_top, graph.by_degree[:, None], -1).argmax(axis=0)
     sel = np.zeros(keys.shape, dtype=bool)
-    sel[np.arange(len(sel)), pick] = True
+    sel[pick, np.arange(sel.shape[1])] = True
     return sel
 
 
 def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
                         tape: RandomTape, runs: np.ndarray) -> np.ndarray:
+    """The round's independent sets, vertex-major: (n, len(runs)) boolean,
+    row i for vertex by_degree[i], column j for run runs[j]."""
     if scheduler.variant == "luby":
         return luby_select_batch(graph, round_, tape, runs)
     if scheduler.variant == "single-site":
         return single_site_select_batch(graph, round_, tape, runs)
     classes = scheduler.color_classes
     members = np.zeros(graph.n, dtype=bool)
-    members[list(classes[round_ % len(classes)])] = True
-    return np.broadcast_to(members, (len(np.atleast_1d(runs)), graph.n)).copy()
+    members[graph.degree_pos[list(classes[round_ % len(classes)])]] = True
+    return np.broadcast_to(members[:, None],
+                           (graph.n, len(np.atleast_1d(runs)))).copy()
 
 
 def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
@@ -209,43 +243,50 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                              tape: RandomTape, runs: np.ndarray):
     """One independent-set resampling round.
 
-    Conditionals are built for the scheduled (run, vertex) pairs only. The
-    pairs are taken vertex-major over the vertices in by_degree order, so
-    the pairs whose vertex has a k-th adjacency slot form a prefix; the
-    product over slots is then one gather and one multiply per rank, in
-    slot order. Proposal uniforms are hashed for these pairs alone.
+    Conditionals are built for the scheduled (run, vertex) pairs only,
+    spin-major: a (q, pairs) array whose rows are contiguous. The pairs are
+    taken vertex-major over the vertices in by_degree order, so the pairs
+    whose vertex has a k-th adjacency slot form a prefix; the product over
+    slots is then, per rank and in slot order, one flat gather from each
+    row of inst.slot_table and one multiply. The denominator, CDF and draw
+    run over whole rows, and the draws are committed with one np.put.
+    Proposal uniforms are hashed for the scheduled pairs alone.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
             smallest such (run, vertex) pair is named.
     """
-    g = inst.graph
-    sel = scheduled_set_batch(g, scheduler, round_, tape, runs)
-    pos, ri = np.nonzero(sel[:, g.by_degree].T)
-    vi = g.by_degree[pos]
-    base = g.nbr_ptr[vi]
+    g, q = inst.graph, inst.q
+    pos, ri = np.nonzero(scheduled_set_batch(g, scheduler, round_, tape, runs))
+    vi = np.take(g.by_degree, pos)
+    row_base = ri * g.n
+    base = np.take(g.nbr_ptr, vi)
+    xf = np.ravel(x)
     # pairs whose vertex has degree > k: those at a by_degree position
     # below that rank's vertex count
     heads = np.searchsorted(pos, np.diff(g.rank_ptr)).tolist()
-    prod = np.ones((len(vi), inst.q))
+    prod = np.ones((q, len(vi)))
     for k, p in enumerate(heads):
         slot = base[:p] + k
-        prod[:p] *= inst.slot_A[slot, x[ri[:p], g.nbr_flat[slot]]]
+        col = np.take(xf, row_base[:p] + np.take(g.nbr_flat, slot))
+        col += slot * q
+        # one flat gather per spin row runs faster than one along axis 1
+        for c in range(q):
+            prod[c, :p] *= np.take(inst.slot_table[c], col)
     # in place from here: prod becomes the numerator, then the CDF
-    prod *= np.take(inst.b, vi, 0)
-    denom = prod.sum(axis=-1)
+    prod *= np.take(inst.b.T, vi, 1)
+    denom = _pairwise_rows(prod)
     dead = denom <= 0
     if dead.any():
         k = np.flatnonzero(dead)[np.lexsort((vi[dead], runs[ri[dead]]))[0]]
         raise ZeroMarginal(int(vi[k]), run=int(runs[ri[k]]), round=round_)
-    # denom stays a row sum: numpy sums rows pairwise from q = 8 on, so a
-    # column loop like the CDF's would change bits
-    prod /= denom[:, None]
-    cdf = _cumsum_columns(prod)
-    cdf[:, -1] = 1.0
+    prod /= denom
+    for c in range(1, q):
+        prod[c] += prod[c - 1]
+    prod[-1] = 1.0
     u = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vi, round_, runs[ri])
     new_x = x.copy()
-    new_x[ri, vi] = _sample_from_cdf(cdf, u)
+    np.put(new_x, row_base + vi, _sample_from_cdf(prod, u))
     return new_x, None
 
 
@@ -284,13 +325,18 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  runs: np.ndarray):
     g = inst.graph
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
-    sigma = _sample_from_cdf(inst.b_cdf, u)
+    sigma = _sample_from_cdf(inst.b_cdf.T, u)
     pe = _filter_probs(inst, sigma, x)
     passed = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs) < pe
-    acc = _rank_reduce(g, np.logical_and, True,
-                       lambda lo, hi: np.take(passed, g.rank_edge[lo:hi], 1),
-                       len(sigma), bool)
-    return np.where(acc, sigma, x), None
+    # a vertex accepts when every incident edge passed: rank k ANDs its
+    # slots' passes into the prefix of the vertices in by_degree order
+    acc = np.ones(sigma.shape, dtype=bool)
+    ptr = g.rank_ptr.tolist()
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        head = acc[:, :hi - lo]
+        head &= np.take(passed, g.rank_edge[lo:hi], 1)
+    # np.take is several times faster than acc[:, idx] on wide batches
+    return np.where(np.take(acc, g.degree_pos, 1), sigma, x), None
 
 
 def round_function(chain: ChainSpec):
@@ -347,7 +393,7 @@ def check_filter_positivity(inst: MrfInstance, state_cap: int = 1 << 12,
         vals = np.broadcast_to(inst.b[v][:, None], (q, len(X))).copy()
         for slot in range(g.nbr_ptr[v], g.nbr_ptr[v + 1]):
             u = g.nbr_flat[slot]
-            A = inst.slot_A[slot]
+            A = inst.slot_table[:, slot * q:(slot + 1) * q]
             S = A @ (inst.b[u][:, None] * A)
             vals *= A[:, X[:, u]] * S[:, X[:, v]]
         total = vals.sum(axis=0)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import engine
 from .chains import ChainSpec, local_max_select
 from .engine import PRESETS, run_chunked
 from .graphs import Graph
@@ -278,10 +279,12 @@ def luby_gamma_estimate(graph: Graph, rounds: int, tape: RandomTape) -> GammaRep
 
     Evaluates the exact selection sets run 0 would see in rounds 1..rounds
     and reports the frequency vector (min over vertices is the empirical
-    scheduler floor).
+    scheduler floor). Rounds are scanned in blocks of at most
+    engine.CHUNK_SITES words, so memory stays flat in n; the counts are
+    integers, so the blocking does not change the result.
     """
     freq = np.zeros(graph.n)
-    block = 4096
+    block = max(1, engine.CHUNK_SITES // graph.n)
     for lo in range(1, rounds + 1, block):
         rs = np.arange(lo, min(lo + block, rounds + 1), dtype=np.int64)
         keys = tape.node_words_over_rounds(KIND_NODE_BETA, np.arange(graph.n), rs)

@@ -41,7 +41,7 @@ def greedy_feasible(inst: MrfInstance) -> np.ndarray:
         for slot in range(g.nbr_ptr[v], g.nbr_ptr[v + 1]):
             u = g.nbr_flat[slot]
             if x[u] >= 0:
-                ok &= inst.slot_A[slot][:, x[u]] > 0
+                ok &= inst.slot_table[:, slot * inst.q + x[u]] > 0
         if not ok.any():
             raise ValueError(f"greedy feasible start dead-ends at vertex {v}")
         x[v] = int(np.argmax(ok))

@@ -85,8 +85,12 @@ class MrfInstance:
         A_norm: per-edge matrices scaled to maximum entry 1 (the acceptance
             probabilities of the parallel Metropolis filter).
         b_prop: per-vertex proposal distributions, b normalized to sum 1.
-        slot_A: (F, q, q) copy of A expanded to adjacency slots, aligned
-            with graph.nbr_flat; marginal computations index it directly.
+        slot_table: (q, F * q) spin-major table of the edge matrices at
+            the F adjacency slots (aligned with graph.nbr_flat): entry
+            [c, slot * q + j] is A_e(c, j) for the slot's edge e, so the
+            column block slot * q:(slot + 1) * q is that edge's matrix.
+            Resampling gathers one column per (run, vertex) pair from each
+            row, so its conditionals come out spin-major.
 
     Every array attribute is read-only.
     """
@@ -120,9 +124,12 @@ class MrfInstance:
         self.b_prop = self.b / self.b.sum(axis=1, keepdims=True)
         self.b_cdf = np.cumsum(self.b_prop, axis=1)
         self.b_cdf[:, -1] = 1.0
-        self.slot_A = self.A[graph.nbr_edge]
+        # the matrices are symmetric, so the rows of A[nbr_edge] stacked
+        # into columns are the matrices themselves
+        self.slot_table = np.ascontiguousarray(
+            self.A[graph.nbr_edge].reshape(-1, self.q).T)
         for arr in (self.A, self.b, self.A_norm, self.b_prop, self.b_cdf,
-                    self.slot_A):
+                    self.slot_table):
             arr.setflags(write=False)
 
     @property
@@ -198,7 +205,7 @@ def marginal(inst: MrfInstance, v: int, x) -> np.ndarray:
     lo, hi = g.nbr_ptr[v], g.nbr_ptr[v + 1]
     numer = inst.b[v].copy()
     for slot in range(lo, hi):
-        numer *= inst.slot_A[slot][:, x[g.nbr_flat[slot]]]
+        numer *= inst.slot_table[:, slot * inst.q + x[g.nbr_flat[slot]]]
     total = numer.sum()
     if total <= 0:
         raise ZeroMarginal(v)

@@ -76,9 +76,15 @@ class RandomTape:
     will ever draw while leaving all other streams untouched. That surgical
     perturbation is what the locality experiments use.
 
-    All accessors take a round index and a run index (or an array of run
-    indices) and return one variate per (run, entity) pair, shape
-    (len(runs), n_entities).
+    Every accessor hashes one variate per addressed (entity, round, run)
+    triple; the layouts differ by consumer:
+
+    * node_words: (len(entities), len(runs)), one row per vertex, as the
+      local-maximum selection reads them;
+    * node_uniforms and edge_uniforms: (len(runs), len(entities)), one row
+      per run, as the Metropolis round and the initial draw read them;
+    * node_uniforms_at: (len(entities),), one per listed (entity, run) pair;
+    * node_words_over_rounds: (len(rounds), len(entities)) for one run.
     """
 
     def __init__(self, master_seed: int, node_salts: np.ndarray | None = None):
@@ -108,21 +114,25 @@ class RandomTape:
             h = fold(h, self.node_salts[entities.astype(np.int64)])
         return fold(h, round_)
 
-    def _node_hash(self, kind, entities, round_, runs):
-        runs = np.asarray(runs, dtype=U64)
-        return fold(self._node_prefix(kind, entities, round_)[None, :],
-                    runs[:, None])
 
     def node_words(self, kind, entities, round_, runs) -> np.ndarray:
-        """Raw uint64 hash words, shape (len(runs), len(entities)).
+        """Raw uint64 hash words, entity-major: shape (len(entities),
+        len(runs)), entry [i, j] for (entities[i], runs[j]).
 
         Full 64-bit words are what the local-maximum selection rule compares,
-        so ties carry no float rounding ambiguity.
+        so ties carry no float rounding ambiguity; the selection works on
+        one row per vertex, hence the layout.
         """
-        return self._node_hash(kind, entities, round_, runs)
+        runs = np.asarray(runs, dtype=U64)
+        return fold(self._node_prefix(kind, entities, round_)[:, None],
+                    runs[None, :])
 
     def node_uniforms(self, kind, entities, round_, runs) -> np.ndarray:
-        return uniform_from_bits(self._node_hash(kind, entities, round_, runs))
+        """Uniforms in [0, 1), run-major: shape (len(runs), len(entities))."""
+        runs = np.asarray(runs, dtype=U64)
+        return uniform_from_bits(
+            fold(self._node_prefix(kind, entities, round_)[None, :],
+                 runs[:, None]))
 
     def node_uniforms_at(self, kind, entities, round_, runs) -> np.ndarray:
         """One uniform per (entities[i], runs[i]) pair, shape (len(entities),).

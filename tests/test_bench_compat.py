@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from localgibbs import chains
-from localgibbs.graphs import cycle
+from localgibbs.graphs import cycle, random_regular
 from localgibbs.models import coloring
 from localgibbs.randomness import RandomTape
 
@@ -53,3 +53,32 @@ def test_round_spans_return_the_batch_first(span):
     out = fn(inst, x, *sched, 1, RandomTape(3), np.arange(3))
     assert isinstance(out, tuple)
     assert out[0].shape == x.shape
+
+
+class _PairCountingTape(RandomTape):
+    """Counts the (vertex, run) pairs a round hashes proposal uniforms for:
+    one per resampled pair."""
+
+    pairs = 0
+
+    def node_uniforms_at(self, kind, entities, round_, runs):
+        self.pairs += len(entities)
+        return super().node_uniforms_at(kind, entities, round_, runs)
+
+
+@pytest.mark.parametrize("variant", chains.SCHEDULER_VARIANTS)
+def test_selected_frac_counts_the_resampled_pairs(variant):
+    # _count_selected reads out.sum() / out.size of scheduled_set_batch
+    g = random_regular(12, 3, seed=1)
+    inst = coloring(g, 5)
+    sched = chains.SchedulerSpec(
+        variant, chains.chromatic_classes(g) if variant == "chromatic" else None)
+    runs = np.arange(7, 16)
+    x = np.tile(np.arange(g.n) % inst.q, (len(runs), 1))
+    for t in range(1, 4):
+        tape = _PairCountingTape(3)
+        out = chains.scheduled_set_batch(g, sched, t, tape, runs)
+        chains.luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+        assert out.dtype == bool
+        assert out.size == g.n * len(runs)
+        assert int(out.sum()) == tape.pairs

@@ -18,9 +18,16 @@ from localgibbs.oracle import (Distribution, enumerate_gibbs,
 from localgibbs.randomness import RandomTape
 
 
+def selection_rows(g, sel):
+    """A vertex-major selection (row i for vertex by_degree[i], one column
+    per run) as (runs, n) rows in vertex order."""
+    return np.take(sel, g.degree_pos, 0).T
+
+
 def _select(g, t, tape, run=0):
     """Vertices the local-maximum rule selects in one run, ascending."""
-    return np.flatnonzero(luby_select_batch(g, t, tape, np.array([run]))[0])
+    sel = luby_select_batch(g, t, tape, np.array([run]))
+    return np.flatnonzero(selection_rows(g, sel)[0])
 
 
 def _step(chain, inst, x, t, tape, run=0):
@@ -93,7 +100,7 @@ def test_luby_rows_independent_with_trailing_isolated_vertex():
     g = _trailing_isolated()
     runs = np.arange(20000, dtype=np.int64)
     for t in (1, 2, 3):
-        sel = luby_select_batch(g, t, RandomTape(5), runs)
+        sel = selection_rows(g, luby_select_batch(g, t, RandomTape(5), runs))
         assert not np.any(sel[:, g.eu] & sel[:, g.ev])
         assert sel[:, 3].all()
 
@@ -132,7 +139,8 @@ def test_single_site_selects_exactly_one():
     chain = luby_glauber(SchedulerSpec("single-site"))
     tape = RandomTape(11)
     runs = np.arange(64)
-    sel = scheduled_set_batch(g, chain.scheduler, 5, tape, runs)
+    sel = selection_rows(g, scheduled_set_batch(g, chain.scheduler, 5, tape,
+                                                runs))
     np.testing.assert_array_equal(sel.sum(axis=1), 1)
 
 
@@ -156,7 +164,8 @@ def test_chromatic_sweep_touches_every_vertex_once():
     k = len(chain.scheduler.color_classes)
     touched = np.zeros((4, 6), dtype=int)
     for t in range(1, k + 1):
-        touched += scheduled_set_batch(g, chain.scheduler, t, tape, runs)
+        touched += selection_rows(
+            g, scheduled_set_batch(g, chain.scheduler, t, tape, runs))
     np.testing.assert_array_equal(touched, 1)
 
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from localgibbs import engine
 from localgibbs.chains import local_metropolis, luby_glauber
 from localgibbs.diagnostics import (DecayCurve, coupling_decay, crossing_round,
                                     correlation_length, dobrushin_alpha_coloring,
@@ -200,3 +202,25 @@ def test_gamma_respects_degree_floor():
     rep = luby_gamma_estimate(g, 8000, RandomTape(11))
     floor = 1 / 4
     assert np.all(rep.per_vertex >= floor - 3 * math.sqrt(floor / 8000))
+
+
+def test_gamma_memory_flat_in_n():
+    # each block of rounds holds at most CHUNK_SITES score words and their
+    # selection arrays; a fixed block of 4096 rounds peaked near 375 MB here
+    g = cycle(4000)
+    tracemalloc.start()
+    try:
+        luby_gamma_estimate(g, 4096, RandomTape(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("sites", [1, 5 * 12 + 7])
+def test_gamma_does_not_depend_on_the_block(monkeypatch, sites):
+    g = random_regular(12, 3, seed=10)
+    want = luby_gamma_estimate(g, 300, RandomTape(11)).per_vertex
+    monkeypatch.setattr(engine, "CHUNK_SITES", sites)
+    got = luby_gamma_estimate(g, 300, RandomTape(11)).per_vertex
+    assert got.tobytes() == want.tobytes()

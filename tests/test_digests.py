@@ -53,8 +53,25 @@ def _hub_and_tail_instance() -> MrfInstance:
     return MrfInstance(g, q, edge, vertex)
 
 
+def _hub_and_tail_wide(q: int) -> MrfInstance:
+    # the hub-and-tail graph with q spins and symmetric activities spread
+    # over four decades, so that a change in the order of a q-term sum
+    # moves bits; q = 9, 16 and 137 reach numpy's 8-accumulator and
+    # recursive pairwise branches (q = 3 above is the sequential one)
+    g = _hub_and_tail_instance().graph
+    i, j = np.indices((q, q))
+    edge = [(0.3 + ((i * j + 2 * (i + j) + e) % 7) * 0.45)
+            * 10.0 ** ((i + j + e) % 4 - 2) for e in range(g.m)]
+    c = np.arange(q)
+    vertex = [(0.2 + ((5 * v + 3 * c) % 11) * 0.31)
+              * 10.0 ** ((v + c) % 3 - 1) for v in range(g.n)]
+    return MrfInstance(g, q, edge, vertex)
+
+
 INSTANCES = {"multigraph": _multigraph_instance, "rr24-q8": _regular_coloring,
-             "hub-tail": _hub_and_tail_instance}
+             "hub-tail": _hub_and_tail_instance,
+             **{f"hub-tail-q{q}": (lambda q=q: _hub_and_tail_wide(q))
+                for q in (9, 16, 137)}}
 
 
 def _chain(name, inst):
@@ -103,6 +120,25 @@ PINS = {
         "177b244413a8549d56d3593654729714456c1778665ec6dd78ee5547c30c96a4",
     ("hub-tail", "metropolis"):
         "89690670678ddb177de29056e8bf91c491515f92759e9e6216f83b4a8453492c",
+    # recorded before the resampling round moved to the spin-major layout
+    ("hub-tail-q9", "chromatic"):
+        "45a9f272fee71c1e4aa7ad34925f1a8a0bf6d1de1c79a1972ba3e6cf0adadd27",
+    ("hub-tail-q9", "luby"):
+        "e2b929b5d55ec9406f5ca1c5e9b053c310b47736284231c6dd99b455b7a17ade",
+    ("hub-tail-q9", "single-site"):
+        "68bda713c2ea10cea3334d4d98d51f86769d87f93b421458c6cf3c4d305b18d3",
+    ("hub-tail-q16", "chromatic"):
+        "1b078a6c90523e575ca495ced8a3ecc8dc29687318dcbd84956070c677026700",
+    ("hub-tail-q16", "luby"):
+        "623907ad0669b64401f5051fcbdd5902129bc31cd7e925490fbc573086d179d4",
+    ("hub-tail-q16", "single-site"):
+        "4e9a6ab4ed60f0fd425c63b5239a1ad453681dfe5aeb2b2140029ae5324091f1",
+    ("hub-tail-q137", "chromatic"):
+        "50d11fe88f8bd4f186f85ad81d4aa3c1133f3245a224b39bcd7e64695941735b",
+    ("hub-tail-q137", "luby"):
+        "b5482eb2423328d31d8eda459a94ef722cc673984fea2b1dc50c2167b41e45b1",
+    ("hub-tail-q137", "single-site"):
+        "700d7e6f675ff78cb1b9ec9ee1c108888483d8166b276251e28c73d301999d4c",
 }
 
 
@@ -209,3 +245,20 @@ def test_sample_file_bytes_pinned(tmp_path, chain, fmt, name):
     assert cli.main(["sample", "--config", str(cfg), "--output", str(out)]) == 0
     digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert digest == CLI_PINS[chain, fmt, name]
+
+
+# 5000 rounds: more than one block of the selection scan. Recorded before
+# the local-maximum rule moved to the vertex-major layout.
+GAMMA_CONFIG = {"graph": "random_regular", "graph.n": "40", "graph.d": "3",
+                "graph.seed": "2", "rounds": "5000", "seed": "6"}
+GAMMA_PIN = "f19b3ec06d8f7851721ec3e06b100bfad6840e5bb9f809878240125e3e992811"
+
+
+def test_gamma_file_bytes_pinned(tmp_path):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in GAMMA_CONFIG.items()),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["gamma", "--config", str(cfg), "--output", str(out)]) == 0
+    digest = hashlib.sha256((out / "gamma.csv").read_bytes()).hexdigest()
+    assert digest == GAMMA_PIN

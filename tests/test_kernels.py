@@ -1,23 +1,34 @@
 """Exact vectorised kernels against their direct forms.
 
-The inverse-CDF draw, the CDF's running sum, the Metropolis filter's
-flat-index lookups and the samples.jsonl encoder must agree bit for bit
-(byte for byte) with the expressions they replace.
+The inverse-CDF draw, the conditional's pairwise denominator, the
+Metropolis filter's flat-index lookups and the samples.jsonl encoder must
+agree bit for bit (byte for byte) with the expressions they replace.
 """
 
 import json
 
 import numpy as np
 import pytest
-from _naive import naive_draw
+from _naive import (naive_draw, naive_local_max, naive_marginal,
+                    naive_resample)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_chains import selection_rows
 from test_digests import _multigraph_instance
 
-from localgibbs.chains import _cumsum_columns, _filter_probs, _sample_from_cdf
+from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
+                               _filter_probs, _pairwise_rows, _sample_from_cdf,
+                               chromatic_classes, luby_glauber_round_batch,
+                               scheduled_set_batch)
 from localgibbs.cli import _samples_jsonl
+from localgibbs.graphs import Graph
+from localgibbs.mrf import MrfInstance, ZeroMarginal
+from localgibbs.randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
 
 
 def _check_draw(cdf, u):
-    got = _sample_from_cdf(cdf, u)
+    # the kernel reads the cdf spin-major
+    got = _sample_from_cdf(np.moveaxis(cdf, -1, 0), u)
     want = naive_draw(cdf, u)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
@@ -67,13 +78,83 @@ def test_draw_matches_reduction_on_random_rows(seed):
         _check_draw(cdf[:7], rng.random((11, 7)))
 
 
-@pytest.mark.parametrize("q", [2, 3, 8, 137])
-def test_column_cumsum_is_bitwise_cumsum(q):
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 9, 15, 16, 17, 128, 129, 137, 300])
+def test_pairwise_denominator_is_bitwise_row_sum(q):
+    # sequential below 8 terms, 8 accumulators up to 128, halves above;
+    # magnitudes over many decades make any other order change bits
     rng = np.random.default_rng(q)
-    a = rng.random((257, q)) * rng.choice([1e-300, 1.0, 1e300], (257, q))
-    want = np.cumsum(a, axis=-1)
-    got = _cumsum_columns(a.copy())
+    a = rng.random((257, q)) * rng.choice([1e-300, 1e-5, 1.0, 1e5, 1e300],
+                                          (257, q))
+    want = a.sum(axis=-1)
+    got = _pairwise_rows(np.ascontiguousarray(a.T))
     assert got.tobytes() == want.tobytes()
+
+
+_LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+
+
+@st.composite
+def _tiny_rounds(draw):
+    """A random tiny instance, batch and round: a multigraph on 1-5
+    vertices (parallel edges and isolated vertices allowed), q in 2..4,
+    symmetric edge and vertex activities with zeros, any scheduler."""
+    n = draw(st.integers(1, 5))
+    q = draw(st.integers(2, 4))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    edge = []
+    for _ in edges:
+        upper = iter(draw(st.lists(_LEVELS, min_size=q * (q + 1) // 2,
+                                   max_size=q * (q + 1) // 2).filter(any)))
+        a = np.zeros((q, q))
+        for i in range(q):
+            for j in range(i, q):
+                a[i, j] = a[j, i] = next(upper)
+        edge.append(a)
+    vertex = [draw(st.lists(_LEVELS, min_size=q, max_size=q).filter(any))
+              for _ in range(n)]
+    inst = MrfInstance(Graph(n, edges), q, edge, vertex)
+    runs = np.array(draw(st.lists(st.integers(0, 999), min_size=1,
+                                  max_size=4, unique=True)))
+    x = np.array(draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                        max_size=n),
+                               min_size=len(runs), max_size=len(runs))))
+    variant = draw(st.sampled_from(SCHEDULER_VARIANTS))
+    sched = SchedulerSpec(variant, chromatic_classes(inst.graph)
+                          if variant == "chromatic" else None)
+    return inst, x, sched, draw(st.integers(1, 50)), runs
+
+
+# budget: 100 examples in about 2 s, well inside 5 s
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_tiny_rounds())
+def test_resampling_round_matches_loop_on_tiny_instances(case):
+    inst, x, sched, t, runs = case
+    g, tape = inst.graph, RandomTape(17)
+    sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, runs))
+    if sched.variant == "luby":
+        keys = tape.node_words(KIND_NODE_BETA, np.arange(g.n), t, runs)
+        for row in range(len(runs)):
+            assert sel[row].tolist() == naive_local_max(
+                g.edges, g.n, [int(k) for k in keys[:, row]])
+    A, b = inst.A.tolist(), inst.b.tolist()
+    # scheduled pairs whose conditional has no mass
+    dead = [(int(runs[row]), int(v)) for row in range(len(runs))
+            for v in np.flatnonzero(sel[row])
+            if naive_marginal(g.edges, A, b, inst.q, v, x[row].tolist()) is None]
+    if dead:
+        with pytest.raises(ZeroMarginal) as err:
+            luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+        assert (err.value.run, err.value.vertex, err.value.round) \
+            == (*min(dead), t)
+        return
+    new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+    u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, runs)
+    for row in range(len(runs)):
+        assert new_x[row].tolist() == naive_resample(
+            g.edges, A, b, inst.q, x[row].tolist(), sel[row].tolist(),
+            u[row].tolist())
 
 
 def test_filter_probs_match_fancy_lookups():

@@ -98,7 +98,7 @@ def test_words_over_rounds_matches_per_round_queries():
     block = tape.node_words_over_rounds(KIND_NODE_BETA, ents, [1, 2, 3])
     for i, t in enumerate([1, 2, 3]):
         np.testing.assert_array_equal(
-            block[i], tape.node_words(KIND_NODE_BETA, ents, t, [0])[0])
+            block[i], tape.node_words(KIND_NODE_BETA, ents, t, [0])[:, 0])
 
 
 def test_hash_words_deterministic_and_spread():
@@ -119,3 +119,14 @@ def test_salt_vertex_out_of_range():
     assert tape.master_seed == 7
     with pytest.raises(ValueError):
         tape.with_node_salt(10, 1, 3)
+
+
+def test_node_words_are_entity_major():
+    # the selection reads one row per vertex; the uniforms one row per run
+    tape = RandomTape(13).with_node_salt(2, 5, 6)
+    ents, runs = np.array([4, 0, 2]), np.array([9, 1])
+    words = tape.node_words(KIND_NODE_BETA, ents, 3, runs)
+    assert words.shape == (3, 2)
+    np.testing.assert_array_equal(
+        uniform_from_bits(words).T,
+        tape.node_uniforms(KIND_NODE_BETA, ents, 3, runs))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from _naive import (naive_all_incident, naive_draw, naive_local_max,
                     naive_resample)
+from test_chains import selection_rows
 from test_digests import _hub_and_tail_instance, _multigraph_instance
 
 from localgibbs.chains import (SchedulerSpec, _filter_probs, local_max_select,
@@ -104,7 +105,7 @@ def test_resampling_round_matches_loop(inst, variant):
     for t in range(1, 4):
         x = _random_states(inst, t)
         new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, RUNS)
-        sel = scheduled_set_batch(g, sched, t, tape, RUNS)
+        sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, RUNS))
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, RUNS)
         for row in range(len(RUNS)):
             expect = naive_resample(g.edges, A, b, inst.q, x[row].tolist(),
