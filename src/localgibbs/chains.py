@@ -1,8 +1,10 @@
 """Round functions for the parallel samplers and the sequential baseline.
 
 Two chain kinds share one state representation (a batch of configurations,
-shape (n_runs, n)) and one randomness contract (every variate addressed by
-(kind, entity, round, run) through the tape):
+shape (rows, n), with k = rows // len(runs) rows per run, run-major) and one
+randomness contract (every variate addressed by (kind, entity, round, run)
+through the tape, so a run's k rows share it and a round computes it once
+per run):
 
 * independent-set resampling: a scheduler picks a non-adjacent vertex set
   each round and the selected vertices redraw their spins from their
@@ -19,18 +21,19 @@ selected vertex's slot matrices, the AND of a vertex's edge passes) walks
 the graph's rank-major slot table: one gather and one elementwise step per
 adjacency rank, each over a prefix of the vertices sorted by degree.
 
-The resampling round works in two layouts besides the (n_runs, n) batch,
+The resampling round works in two layouts besides the (rows, n) batch,
 chosen so that every step is a contiguous row operation:
 
 * vertex-major selection: score words, selections and scheduled sets are
-  (n, n_runs), row i for vertex by_degree[i], so a rank's step is a prefix
-  of whole rows, and np.nonzero yields the (position, run) pairs in the
-  by_degree order the conditional product needs;
+  (n, len(runs)), row i for vertex by_degree[i], so a rank's step is a
+  prefix of whole rows, and np.nonzero yields the (position, run) pairs in
+  the by_degree order the conditional product needs; each pair then
+  expands to its run's k rows;
 * spin-major conditionals: the per-pair conditionals are (q, pairs), one
   contiguous row per spin, gathered from MrfInstance.slot_table; the
   denominator, running sum and draw combine whole rows.
 
-The Metropolis round keeps the (n_runs, n) and (n_runs, m) layouts.
+The Metropolis round keeps the (rows, n) and (rows, m) layouts.
 
 All round functions are pure maps from the previous round's snapshot to the
 next; a vertex's update reads its own streams, its neighbors' previous
@@ -243,10 +246,15 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                              tape: RandomTape, runs: np.ndarray):
     """One independent-set resampling round.
 
-    Conditionals are built for the scheduled (run, vertex) pairs only,
+    x holds k = len(x) // len(runs) rows per run, run-major (see
+    round_function). The selection and the proposal uniforms read only the
+    tape, so they are computed once per run and each selected (vertex, run)
+    pair is then expanded to the run's k rows.
+
+    Conditionals are built for the scheduled (row, vertex) pairs only,
     spin-major: a (q, pairs) array whose rows are contiguous. The pairs are
     taken vertex-major over the vertices in by_degree order, so the pairs
-    whose vertex has a k-th adjacency slot form a prefix; the product over
+    whose vertex has a given adjacency slot form a prefix; the product over
     slots is then, per rank and in slot order, one flat gather from each
     row of inst.slot_table and one multiply. The denominator, CDF and draw
     run over whole rows, and the draws are committed with one np.put.
@@ -257,17 +265,24 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
             smallest such (run, vertex) pair is named.
     """
     g, q = inst.graph, inst.q
-    pos, ri = np.nonzero(scheduled_set_batch(g, scheduler, round_, tape, runs))
-    vi = np.take(g.by_degree, pos)
+    k = len(x) // len(runs)
+    pos, ru = np.nonzero(scheduled_set_batch(g, scheduler, round_, tape, runs))
+    vu = np.take(g.by_degree, pos)
+    # pairs whose vertex has degree > rank: those at a by_degree position
+    # below that rank's vertex count, k rows each
+    heads = (np.searchsorted(pos, np.diff(g.rank_ptr)) * k).tolist()
+    ri, vi = ru, vu
+    if k > 1:
+        # each pair's k rows, in the vertex-major order np.nonzero would
+        # give on a selection with every run repeated k times
+        ri = (ru[:, None] * k + np.arange(k)).ravel()
+        vi = np.repeat(vu, k)
     row_base = ri * g.n
     base = np.take(g.nbr_ptr, vi)
     xf = np.ravel(x)
-    # pairs whose vertex has degree > k: those at a by_degree position
-    # below that rank's vertex count
-    heads = np.searchsorted(pos, np.diff(g.rank_ptr)).tolist()
     prod = np.ones((q, len(vi)))
-    for k, p in enumerate(heads):
-        slot = base[:p] + k
+    for rank, p in enumerate(heads):
+        slot = base[:p] + rank
         col = np.take(xf, row_base[:p] + np.take(g.nbr_flat, slot))
         col += slot * q
         # one flat gather per spin row runs faster than one along axis 1
@@ -278,13 +293,17 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     denom = _pairwise_rows(prod)
     dead = denom <= 0
     if dead.any():
-        k = np.flatnonzero(dead)[np.lexsort((vi[dead], runs[ri[dead]]))[0]]
-        raise ZeroMarginal(int(vi[k]), run=int(runs[ri[k]]), round=round_)
+        run = runs[ri // k]
+        i = np.flatnonzero(dead)[np.lexsort((vi[dead], run[dead]))[0]]
+        raise ZeroMarginal(int(vi[i]), run=int(run[i]), round=round_)
     prod /= denom
     for c in range(1, q):
         prod[c] += prod[c - 1]
     prod[-1] = 1.0
-    u = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vi, round_, runs[ri])
+    # hashed last, so that u is not held in memory through the product
+    u = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vu, round_, runs[ru])
+    if k > 1:
+        u = np.repeat(u, k)
     new_x = x.copy()
     np.put(new_x, row_base + vi, _sample_from_cdf(prod, u))
     return new_x, None
@@ -323,12 +342,20 @@ def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  round_: int, tape: RandomTape,
                                  runs: np.ndarray):
+    """One parallel Metropolis round on k = len(x) // len(runs) rows per
+    run, run-major (see round_function). The proposals and the edge coins
+    read only the tape, so they are drawn once per run: the proposals are
+    repeated over the run's rows and the coins compared against each row's
+    filter probabilities by broadcasting."""
     g = inst.graph
+    n_runs = len(runs)
+    k = len(x) // n_runs
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
-    sigma = _sample_from_cdf(inst.b_cdf.T, u)
-    pe = _filter_probs(inst, sigma, x)
-    passed = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs) < pe
-    # a vertex accepts when every incident edge passed: rank k ANDs its
+    sigma = np.repeat(_sample_from_cdf(inst.b_cdf.T, u), k, 0)
+    pe = _filter_probs(inst, sigma, x).reshape(n_runs, k, g.m)
+    coins = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs)
+    passed = (coins[:, None] < pe).reshape(len(x), g.m)
+    # a vertex accepts when every incident edge passed: rank r ANDs its
     # slots' passes into the prefix of the vertices in by_degree order
     acc = np.ones(sigma.shape, dtype=bool)
     ptr = g.rank_ptr.tolist()
@@ -342,9 +369,13 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
 def round_function(chain: ChainSpec):
     """Bind a chain spec to its batched round function.
 
-    The bound function maps (inst, x, round, tape, runs), with x the
-    (len(runs), n) round-(t-1) batch, to (round-t batch, None); x is only
-    read, so it may be a read-only view, and the result is a fresh array.
+    The bound function maps (inst, x, round, tape, runs) to (round-t batch,
+    None). x is the round-(t-1) batch of k = len(x) // len(runs) rows per
+    run, run-major: row i * k + s is run runs[i] from its s-th start, and
+    every row of a run reads the tape at runs[i]. The tape's variates are
+    computed once per run and shared by its k rows, so they are hashed
+    per run, not per row. x is only read, so it may be a read-only view,
+    and the result is a fresh array.
     """
     # every round function returns a pair: bench/spans.py reads out[0]
     if chain.kind == "local_metropolis":

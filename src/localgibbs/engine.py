@@ -79,10 +79,18 @@ def initial_config(inst: MrfInstance, initial, tape: RandomTape | None = None,
 def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
               tape: RandomTape, runs: np.ndarray, snapshot_rounds=None,
               snapshot=np.copy) -> tuple[np.ndarray, dict]:
-    """Advance a (n_runs, n) batch T rounds; optionally snapshot named rounds.
+    """Advance a batch T rounds; optionally snapshot named rounds.
 
-    Returns the final batch and {t: snapshot(batch after round t)} for each
-    requested t (0 means the initial batch); the default snapshot is a copy.
+    x0 is one (n,) configuration shared by every run, or a (rows, n) batch
+    of k = rows // len(runs) rows per run, run-major: row i * k + s is run
+    runs[i] from its s-th start. The k rows of a run read the same tape
+    variates, which each round computes once per run. Returns the final
+    batch and {t: snapshot(batch after round t)} for each requested t (0
+    means the initial batch); the default snapshot is a copy.
+
+    Raises:
+        ValueError: rounds < 0, or the row count is not a positive multiple
+            of len(runs).
     """
     if rounds < 0:
         raise ValueError("round count must be >= 0")
@@ -90,6 +98,9 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     x = validate_configuration(inst, x0)
     if x.ndim == 1:
         x = np.broadcast_to(x, (len(runs), inst.n)).copy()
+    if len(runs) == 0 or len(x) == 0 or len(x) % len(runs):
+        raise ValueError(f"{len(x)} rows is not a positive multiple of "
+                         f"{len(runs)} runs")
     fn = round_function(chain)
     wanted = set() if snapshot_rounds is None else set(int(t) for t in snapshot_rounds)
     snaps: dict[int, np.ndarray] = {}
@@ -138,9 +149,11 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     A chunk is one batch of (run, start) rows, run-major: row i * len(starts)
     + s is run runs[i] from starts[s] and reads the tape at runs[i], so the
     starts of a run share its randomness (starts=(x, y) is an identical-tape
-    coupling). After each snapshot round t (default: the last) the worker
-    keeps only observe(runs, batch). Yields one {t: observe result} dict per
-    chunk, in run order. Chunks run concurrently on min(threads, chunks,
+    coupling). The chunk's run ids go to run_batch once each, not once per
+    start, so a round hashes and selects once per run for all its starts.
+    After each snapshot round t (default: the last) the worker keeps only
+    observe(runs, batch). Yields one {t: observe result} dict per chunk, in
+    run order. Chunks run concurrently on min(threads, chunks,
     usable cores) worker threads when that is more than one; at most twice
     that many chunks are in flight ahead of the consumer, so a slow consumer
     holds a bounded number of results. n_runs is checked and every start
@@ -172,8 +185,8 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
                               (len(runs), inst.n)) for s in starts]
         x0 = x0[0] if k == 1 else np.stack(x0, axis=1).reshape(-1, inst.n)
         try:
-            return run_batch(inst, chain, x0, rounds, tape, np.repeat(runs, k),
-                             wanted, lambda x: observe(runs, x))[1]
+            return run_batch(inst, chain, x0, rounds, tape, runs, wanted,
+                             lambda x: observe(runs, x))[1]
         except ZeroMarginal as exc:
             return exc
 

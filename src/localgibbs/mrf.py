@@ -141,9 +141,15 @@ class MrfInstance:
 
 
 def validate_configuration(inst: MrfInstance, sigma) -> np.ndarray:
+    """sigma as an int64 array, after checking its length and that every
+    spin is a whole number in [0, q); a float array of whole numbers
+    passes."""
     sigma = np.asarray(sigma)
     if sigma.shape[-1] != inst.n:
         raise ValueError(f"configuration length {sigma.shape[-1]} != {inst.n} vertices")
+    # NaN fails here too: the bounds test below cannot see it
+    if sigma.dtype.kind not in "biu" and not np.all(sigma == np.floor(sigma)):
+        raise ValueError("spins must be whole numbers")
     if sigma.size and (sigma.min() < 0 or sigma.max() >= inst.q):
         raise ValueError(f"spins must lie in [0, {inst.q})")
     return sigma.astype(np.int64, copy=False)

@@ -126,3 +126,36 @@ def naive_draw(cdf, u):
     """Inverse-CDF draw as one reduction over the spin axis: the count of
     cdf entries at or below u, row by row."""
     return (cdf <= u[..., None]).sum(axis=-1)
+
+
+def naive_metropolis(edges, A_per_edge, b_per_vertex, q, x, u, coins):
+    """One LocalMetropolis round for one run.
+
+    Vertex v proposes the spin its normalized activity's inverse CDF gives
+    for its uniform u[v]. Edge e, taken as (lower, higher) endpoint, passes
+    when coins[e] is below the product of three normalized activities:
+    both proposals, the lower endpoint's current spin against the higher's
+    proposal, and the lower's proposal against the higher's current spin.
+    A vertex commits its proposal when every incident edge passed.
+    """
+    n = len(x)
+    sigma = []
+    for v in range(n):
+        total = 0.0
+        for w in b_per_vertex[v]:
+            total += w
+        cdf, cum = [], 0.0
+        for w in b_per_vertex[v]:
+            cum += w / total
+            cdf.append(cum)
+        cdf[-1] = 1.0
+        sigma.append(sum(1 for c in cdf if c <= u[v]))
+    ok = [True] * n
+    for (a, b), A, coin in zip(edges, A_per_edge, coins):
+        a, b = min(a, b), max(a, b)
+        top = max(A[i][j] for i in range(q) for j in range(q))
+        p = A[sigma[a]][sigma[b]] / top * (A[x[a]][sigma[b]] / top)
+        p *= A[sigma[a]][x[b]] / top
+        if not coin < p:
+            ok[a] = ok[b] = False
+    return [sigma[v] if ok[v] else x[v] for v in range(n)]

@@ -3,12 +3,14 @@ functions of localgibbs.chains.
 
 `round_peak_alloc` getattrs every ROUND_SPANS name under `bench/run.py
 --trace 1`, and `_count_changed` reads the changed sites from out[0] of a
-round call. A rename or a bare-array return breaks the traced benchmark
-without failing any other test.
+round call, on batches of one row per run (sample) and of several starts
+per run (mix-scan). A rename or a bare-array return breaks the traced
+benchmark without failing any other test.
 """
 
 import importlib.util
 import inspect
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -47,17 +49,19 @@ def test_span_names_resolve_to_chain_functions(span):
 def test_round_spans_return_the_batch_first(span):
     fn = getattr(chains, _attr(span))
     inst = coloring(cycle(4), 3)
-    x = np.array([[0, 1, 0, 1]] * 3)
     sched = ((chains.SchedulerSpec("luby"),)
              if "scheduler" in inspect.signature(fn).parameters else ())
-    out = fn(inst, x, *sched, 1, RandomTape(3), np.arange(3))
-    assert isinstance(out, tuple)
-    assert out[0].shape == x.shape
+    # three runs with one row each, then with four starts each
+    for starts in (1, 4):
+        x = np.array([[0, 1, 0, 1], [2, 1, 2, 0]] * (2 * starts))[:3 * starts]
+        out = fn(inst, x, *sched, 1, RandomTape(3), np.arange(3))
+        assert isinstance(out, tuple)
+        assert out[0].shape == x.shape
 
 
 class _PairCountingTape(RandomTape):
     """Counts the (vertex, run) pairs a round hashes proposal uniforms for:
-    one per resampled pair."""
+    one per resampled (vertex, run) pair, shared by the run's starts."""
 
     pairs = 0
 
@@ -68,14 +72,15 @@ class _PairCountingTape(RandomTape):
 
 @pytest.mark.parametrize("variant", chains.SCHEDULER_VARIANTS)
 def test_selected_frac_counts_the_resampled_pairs(variant):
-    # _count_selected reads out.sum() / out.size of scheduled_set_batch
+    # _count_selected reads out.sum() / out.size of scheduled_set_batch,
+    # which has one column per run however many starts each run has
     g = random_regular(12, 3, seed=1)
     inst = coloring(g, 5)
     sched = chains.SchedulerSpec(
         variant, chains.chromatic_classes(g) if variant == "chromatic" else None)
     runs = np.arange(7, 16)
-    x = np.tile(np.arange(g.n) % inst.q, (len(runs), 1))
-    for t in range(1, 4):
+    for t, starts in itertools.product(range(1, 4), (1, 4)):
+        x = np.tile(np.arange(g.n) % inst.q, (len(runs) * starts, 1))
         tape = _PairCountingTape(3)
         out = chains.scheduled_set_batch(g, sched, t, tape, runs)
         chains.luby_glauber_round_batch(inst, x, sched, t, tape, runs)

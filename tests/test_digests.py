@@ -3,7 +3,8 @@
 Every chain and scheduler is run on three fixed instances and the sha256 of
 the final (n_runs, n) int64 batch is compared against a recorded value; the
 mixing curves (per-start TVs) and coupling curves (phi, stderr, rate) of
-two chains are pinned the same way.
+two chains are pinned the same way, and so are the float outputs of the
+Metropolis filter probabilities and the single-site conditionals.
 A refactor of the round functions must keep these digests; a change that
 moves one must say in CHANGES.md why the new output is correct.
 """
@@ -15,14 +16,14 @@ import numpy as np
 import pytest
 
 from localgibbs import cli
-from localgibbs.chains import (SchedulerSpec, chromatic_classes,
-                               local_metropolis, luby_glauber,
-                               sequential_glauber)
+from localgibbs.chains import (SchedulerSpec, _filter_probs,
+                               chromatic_classes, local_metropolis,
+                               luby_glauber, sequential_glauber)
 from localgibbs.diagnostics import coupling_decay, mixing_scan
 from localgibbs.engine import PRESETS, initial_config, run_batch
 from localgibbs.graphs import Graph, cycle, random_regular
 from localgibbs.models import coloring
-from localgibbs.mrf import MrfInstance
+from localgibbs.mrf import MrfInstance, marginal
 from localgibbs.randomness import RandomTape
 
 
@@ -150,6 +151,44 @@ def test_sample_many_digest_pinned(instance, chain):
                          initial_config(inst, "random", tape, runs), 12, tape,
                          runs)
     assert hashlib.sha256(final.tobytes()).hexdigest() == PINS[instance, chain]
+
+
+# The state pins above see a float kernel only where a changed last bit
+# moves a draw, which takes a uniform between the two roundings. These pin
+# the float outputs themselves: the Metropolis filter's per-edge pass
+# probabilities and every single-site conditional, over 32 fixed states on
+# the wide hub-and-tail instances. Recorded before a round computed its
+# randomness once per run for all of the run's starts.
+FLOAT_PINS = {
+    (9, "filter"):
+        "0be70f6bef85bffc8538c426f20d0d727c6587325e415c290431b8a1e4ebb7c9",
+    (9, "marginal"):
+        "695ddf76c74bbd4f11df8e0e04f6d346390faaa72696c176c1393d0ad03910d8",
+    (16, "filter"):
+        "e530051ef0867a937dbb8bbd8213fcfb59bb61fe99212257b0f565b7946c01e3",
+    (16, "marginal"):
+        "01abcb9e48147a8d00a1be310aa88ce14aa8fdd277774a6c5270dac7d1895336",
+    (137, "filter"):
+        "d6e2b69f5a04f58babd364092d57d2107d2a3a061dcec912fc28228a3246b6f7",
+    (137, "marginal"):
+        "13cbdd089f0931d778090ba9bbb31e611513a66a2983062d54ea9405bb4470a3",
+}
+
+
+@pytest.mark.parametrize("q,kernel", sorted(FLOAT_PINS))
+def test_float_kernel_digest_pinned(q, kernel):
+    inst = _hub_and_tail_wide(q)
+    tape = RandomTape(1702)
+    x = initial_config(inst, "random", tape, np.arange(32, 64))
+    h = hashlib.sha256()
+    if kernel == "filter":
+        sigma = initial_config(inst, "random", tape, np.arange(32))
+        h.update(_filter_probs(inst, sigma, x).tobytes())
+    else:
+        for row in x:
+            for v in range(inst.n):
+                h.update(marginal(inst, v, row).tobytes())
+    assert h.hexdigest() == FLOAT_PINS[q, kernel]
 
 
 def _c4_coloring() -> MrfInstance:

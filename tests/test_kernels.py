@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 from _naive import (naive_draw, naive_local_max, naive_marginal,
-                    naive_resample)
+                    naive_metropolis, naive_resample)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_chains import selection_rows
@@ -18,8 +18,8 @@ from test_digests import _multigraph_instance
 
 from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
                                _filter_probs, _pairwise_rows, _sample_from_cdf,
-                               chromatic_classes, luby_glauber_round_batch,
-                               scheduled_set_batch)
+                               chromatic_classes, local_metropolis_round_batch,
+                               luby_glauber_round_batch, scheduled_set_batch)
 from localgibbs.cli import _samples_jsonl
 from localgibbs.graphs import Graph
 from localgibbs.mrf import MrfInstance, ZeroMarginal
@@ -97,7 +97,8 @@ _LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
 def _tiny_rounds(draw):
     """A random tiny instance, batch and round: a multigraph on 1-5
     vertices (parallel edges and isolated vertices allowed), q in 2..4,
-    symmetric edge and vertex activities with zeros, any scheduler."""
+    symmetric edge and vertex activities with zeros, any scheduler, and 1-3
+    starts per run (k rows per run, run-major)."""
     n = draw(st.integers(1, 5))
     q = draw(st.integers(2, 4))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -116,32 +117,39 @@ def _tiny_rounds(draw):
     inst = MrfInstance(Graph(n, edges), q, edge, vertex)
     runs = np.array(draw(st.lists(st.integers(0, 999), min_size=1,
                                   max_size=4, unique=True)))
+    rows = len(runs) * draw(st.integers(1, 3))
     x = np.array(draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
                                         max_size=n),
-                               min_size=len(runs), max_size=len(runs))))
+                               min_size=rows, max_size=rows)))
     variant = draw(st.sampled_from(SCHEDULER_VARIANTS))
     sched = SchedulerSpec(variant, chromatic_classes(inst.graph)
                           if variant == "chromatic" else None)
     return inst, x, sched, draw(st.integers(1, 50)), runs
 
 
-# budget: 100 examples in about 2 s, well inside 5 s
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+# budget: the two property tests below run 100 examples each in about
+# 2 s together, well inside 5 s
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                     database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
 @given(_tiny_rounds())
 def test_resampling_round_matches_loop_on_tiny_instances(case):
     inst, x, sched, t, runs = case
     g, tape = inst.graph, RandomTape(17)
+    k = len(x) // len(runs)
     sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, runs))
     if sched.variant == "luby":
         keys = tape.node_words(KIND_NODE_BETA, np.arange(g.n), t, runs)
-        for row in range(len(runs)):
-            assert sel[row].tolist() == naive_local_max(
-                g.edges, g.n, [int(k) for k in keys[:, row]])
+        for i in range(len(runs)):
+            assert sel[i].tolist() == naive_local_max(
+                g.edges, g.n, [int(w) for w in keys[:, i]])
     A, b = inst.A.tolist(), inst.b.tolist()
-    # scheduled pairs whose conditional has no mass
-    dead = [(int(runs[row]), int(v)) for row in range(len(runs))
-            for v in np.flatnonzero(sel[row])
+    # scheduled pairs whose conditional has no mass, in any start
+    dead = [(int(runs[row // k]), int(v)) for row in range(len(x))
+            for v in np.flatnonzero(sel[row // k])
             if naive_marginal(g.edges, A, b, inst.q, v, x[row].tolist()) is None]
     if dead:
         with pytest.raises(ZeroMarginal) as err:
@@ -151,10 +159,29 @@ def test_resampling_round_matches_loop_on_tiny_instances(case):
         return
     new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, runs)
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, runs)
-    for row in range(len(runs)):
+    for row in range(len(x)):
         assert new_x[row].tolist() == naive_resample(
-            g.edges, A, b, inst.q, x[row].tolist(), sel[row].tolist(),
-            u[row].tolist())
+            g.edges, A, b, inst.q, x[row].tolist(), sel[row // k].tolist(),
+            u[row // k].tolist())
+
+
+@_PROPERTY
+@given(_tiny_rounds())
+def test_metropolis_round_matches_loop_on_tiny_instances(case):
+    inst, x, _, t0, runs = case
+    g, tape = inst.graph, RandomTape(17)
+    k = len(x) // len(runs)
+    A, b = inst.A.tolist(), inst.b.tolist()
+    # a filter factor decides a vertex only when its coin falls between
+    # the right and a wrong product, so each example runs four rounds
+    for t in range(t0, t0 + 4):
+        new_x, _ = local_metropolis_round_batch(inst, x, t, tape, runs)
+        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, runs)
+        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs)
+        for row in range(len(x)):
+            assert new_x[row].tolist() == naive_metropolis(
+                g.edges, A, b, inst.q, x[row].tolist(), u[row // k].tolist(),
+                coins[row // k].tolist())
 
 
 def test_filter_probs_match_fancy_lookups():

@@ -192,6 +192,19 @@ def test_validate_configuration_bounds():
         validate_configuration(inst, [0, -1, 0])
 
 
+def test_validate_configuration_rejects_fractional_spins():
+    inst = coloring(path(3), 3)
+    for sigma in ([0.5, 1.9, 2.7], [0.0, 1.0, np.nan], [[0, 1, 2], [0, 1, 1.5]]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            validate_configuration(inst, sigma)
+    with pytest.raises(ValueError, match="whole numbers"):
+        is_feasible(inst, [0.2, 1.9, 0.4])
+    # whole-valued floats still pass, as int64
+    got = validate_configuration(inst, np.array([0.0, 1.0, 2.0]))
+    assert got.dtype == np.int64
+    assert got.tolist() == [0, 1, 2]
+
+
 def _hub_tail_with_zeros():
     # the hub-and-tail multigraph (hub 1 of degree 8 with a parallel edge,
     # isolated vertices 0 and 13), with zero entries in some edge matrices

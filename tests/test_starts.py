@@ -1,0 +1,166 @@
+"""The round contract: k = len(x) // len(runs) rows per run, run-major.
+
+Row i * k + s of a batch is run runs[i] from its s-th start, and all k rows
+of a run read the tape at runs[i]. A round computes the tape's variates
+once per run, so a k-start batch must equal k one-start batches row for
+row, must hash exactly what one start hashes, and must name the same
+ZeroMarginal failure.
+"""
+
+import numpy as np
+import pytest
+from test_digests import _hub_and_tail_instance
+
+from localgibbs.chains import (SchedulerSpec, chromatic_classes,
+                               local_metropolis, luby_glauber, round_function)
+from localgibbs.engine import initial_config, run_batch, run_chunked
+from localgibbs.graphs import path, random_regular
+from localgibbs.models import coloring
+from localgibbs.mrf import ZeroMarginal
+from localgibbs.randomness import RandomTape
+
+STARTS = (1, 2, 4)
+RUNS = np.arange(5, 45, 3, dtype=np.int64)
+
+
+def _chain(name, graph):
+    if name == "metropolis":
+        return local_metropolis()
+    return luby_glauber(SchedulerSpec(
+        name, chromatic_classes(graph) if name == "chromatic" else None))
+
+
+CHAINS = ("luby", "chromatic", "single-site", "metropolis")
+
+
+def _batch(inst, k, seed):
+    """k random starts per run of RUNS, run-major: (len(RUNS) * k, n)."""
+    starts = [initial_config(inst, "random", RandomTape(seed + s), RUNS)
+              for s in range(k)]
+    return np.stack(starts, axis=1).reshape(-1, inst.n)
+
+
+class _CountingTape(RandomTape):
+    """Counts the variates each tape accessor hashes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.words = dict.fromkeys(("node_words", "node_uniforms",
+                                    "node_uniforms_at", "edge_uniforms"), 0)
+
+    def node_words(self, *args):
+        out = super().node_words(*args)
+        self.words["node_words"] += out.size
+        return out
+
+    def node_uniforms(self, *args):
+        out = super().node_uniforms(*args)
+        self.words["node_uniforms"] += out.size
+        return out
+
+    def node_uniforms_at(self, *args):
+        out = super().node_uniforms_at(*args)
+        self.words["node_uniforms_at"] += out.size
+        return out
+
+    def edge_uniforms(self, *args):
+        out = super().edge_uniforms(*args)
+        self.words["edge_uniforms"] += out.size
+        return out
+
+
+@pytest.mark.parametrize("k", STARTS)
+@pytest.mark.parametrize("name", CHAINS)
+def test_k_starts_equal_k_one_start_batches(name, k):
+    inst = _hub_and_tail_instance()
+    fn = round_function(_chain(name, inst.graph))
+    tape = RandomTape(11)
+    for t in range(1, 5):
+        x = _batch(inst, k, 10 * t)
+        got, _ = fn(inst, x, t, tape, RUNS)
+        assert got.shape == x.shape
+        for s in range(k):
+            want, _ = fn(inst, x[s::k], t, tape, RUNS)
+            np.testing.assert_array_equal(got[s::k], want)
+
+
+@pytest.mark.parametrize("k", STARTS)
+@pytest.mark.parametrize("name", CHAINS)
+def test_tape_is_hashed_per_run_not_per_row(name, k):
+    inst = _hub_and_tail_instance()
+    g = inst.graph
+    fn = round_function(_chain(name, g))
+    for t in range(1, 4):
+        one, many = _CountingTape(3), _CountingTape(3)
+        fn(inst, _batch(inst, 1, t), t, one, RUNS)
+        fn(inst, _batch(inst, k, t), t, many, RUNS)
+        assert many.words == one.words
+        # one start hashes at most one variate per (entity, run)
+        per_run = {"node_words": g.n, "node_uniforms": g.n,
+                   "node_uniforms_at": g.n, "edge_uniforms": g.m}
+        for accessor, count in one.words.items():
+            assert count <= per_run[accessor] * len(RUNS)
+        assert sum(one.words.values()) > 0
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_run_chunked_hashes_per_run_whatever_the_starts(name):
+    inst = _hub_and_tail_instance()
+    chain = _chain(name, inst.graph)
+    words = []
+    for starts in (["zeros"], ["zeros", "max", "greedy", "random"]):
+        tape = _CountingTape(3)
+        list(run_chunked(inst, chain, 5, 40, tape, starts,
+                         lambda runs, x: len(x)))
+        words.append(tape.words)
+    # the random start's initial draw is the one variate per (vertex, run)
+    # that the four starts add
+    words[1]["node_uniforms"] -= inst.n * 40
+    assert words[0] == words[1]
+
+
+def _failure(fn, inst, x, t, tape):
+    try:
+        fn(inst, x, t, tape, RUNS)
+    except ZeroMarginal as exc:
+        return exc.run, exc.vertex, exc.round
+    return None
+
+
+@pytest.mark.parametrize("k", STARTS[1:])
+@pytest.mark.parametrize("name", CHAINS[:3])
+def test_zero_marginal_names_the_same_pair_with_extra_starts(name, k):
+    # 3-colorings of a 3-regular graph from random starts: many scheduled
+    # vertices see all three colors around them. A proper coloring never
+    # strands a vertex, since its own color stays available.
+    g = random_regular(12, 3, seed=2)
+    inst = coloring(g, 3)
+    proper = np.broadcast_to(initial_config(inst, "greedy"),
+                             (len(RUNS), inst.n))
+    fn = round_function(_chain(name, g))
+    tape = RandomTape(4)
+    raised = 0
+    for t in range(1, 9):
+        x = _batch(inst, k, 100 + t)
+        first = _failure(fn, inst, x[::k], t, tape)
+        raised += first is not None
+        # extra starts that never fail leave the named failure as it was
+        padded = np.stack([x[::k]] + [proper] * (k - 1), axis=1)
+        assert _failure(fn, inst, padded.reshape(x.shape), t, tape) == first
+        # extra starts that fail too: the smallest (run, vertex) of all
+        alone = [f for f in (_failure(fn, inst, x[s::k], t, tape)
+                             for s in range(k)) if f is not None]
+        assert _failure(fn, inst, x, t, tape) \
+            == (min(alone) if alone else None)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("chain", [luby_glauber(), local_metropolis()],
+                         ids=["luby_glauber", "local_metropolis"])
+@pytest.mark.parametrize("rows,runs", [(4, 3), (5, 2), (0, 2), (0, 0)])
+def test_run_batch_rejects_rows_not_a_multiple_of_runs(chain, rows, runs):
+    # four rows and three runs would leave row 3 never updated
+    inst = coloring(path(3), 3)
+    with pytest.raises(ValueError, match="not a positive multiple"):
+        run_batch(inst, chain, np.zeros((rows, inst.n), int), 1,
+                  RandomTape(0), np.arange(runs))
