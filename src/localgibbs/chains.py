@@ -31,7 +31,8 @@ chosen so that every step is a contiguous row operation:
   expands to its run's k rows;
 * spin-major conditionals: the per-pair conditionals are (q, pairs), one
   contiguous row per spin, gathered from MrfInstance.slot_table; the
-  denominator, running sum and draw combine whole rows.
+  denominator and running sum add whole rows in spin order, and the draw
+  compares whole rows.
 
 The Metropolis round keeps the (rows, n) and (rows, m) layouts.
 
@@ -128,32 +129,6 @@ def _sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     for c in range(len(cdf) - 1):
         count += cdf[c] <= u
     return count
-
-
-def _pairwise_rows(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) of a (q, k) array, bit for bit a.T.sum(axis=-1).
-
-    numpy sums a contiguous length-q row pairwise: sequentially below 8
-    terms, in 8 interleaved accumulators up to 128, and by halves (cut at a
-    multiple of 8) above. This adds whole rows of a in that order.
-    """
-    q = len(a)
-    if q < 8:
-        s = a[0].copy()
-        for c in range(1, q):
-            s += a[c]
-        return s
-    if q <= 128:
-        tail = q - q % 8
-        r = a[:8] if tail == 8 else a[:8] + a[8:16]
-        for c in range(16, tail, 8):
-            r += a[c:c + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for c in range(tail, q):
-            s += a[c]
-        return s
-    half = q // 2 - q // 2 % 8
-    return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
 
 
 def _local_max_rows(graph: Graph, keys: np.ndarray) -> np.ndarray:
@@ -256,9 +231,11 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     taken vertex-major over the vertices in by_degree order, so the pairs
     whose vertex has a given adjacency slot form a prefix; the product over
     slots is then, per rank and in slot order, one flat gather from each
-    row of inst.slot_table and one multiply. The denominator, CDF and draw
-    run over whole rows, and the draws are committed with one np.put.
-    Proposal uniforms are hashed for the scheduled pairs alone.
+    row of inst.slot_table and one multiply. The denominator and CDF add
+    whole rows in spin order, so each pair's arithmetic is that of a loop
+    over its spins, whatever the number of pairs in the round; the draws
+    are committed with one np.put. Proposal uniforms are hashed for the
+    scheduled pairs alone.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
@@ -290,7 +267,10 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
             prod[c, :p] *= np.take(inst.slot_table[c], col)
     # in place from here: prod becomes the numerator, then the CDF
     prod *= np.take(inst.b.T, vi, 1)
-    denom = _pairwise_rows(prod)
+    # not prod.sum(axis=0): numpy sums a single column pairwise
+    denom = prod[0].copy()
+    for c in range(1, q):
+        denom += prod[c]
     dead = denom <= 0
     if dead.any():
         run = runs[ri // k]

@@ -258,6 +258,8 @@ def cmd_correlation(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 def cmd_gamma(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     graph, _, _, tape = _experiment(cfg)
+    if cfg["rounds"] < 1:
+        raise ConfigError("rounds", "gamma needs at least one round")
     report = luby_gamma_estimate(graph, cfg["rounds"], tape)
 
     rows = [(v, float(f), None) for v, f in enumerate(report.per_vertex)]

@@ -80,8 +80,6 @@ def dobrushin_alpha_coloring(graph: Graph, q_lists) -> float:
     q = np.broadcast_to(np.asarray(q_lists, dtype=np.float64), (graph.n,))
     if np.any(q <= d):
         return math.inf
-    if graph.n == 0:
-        return 0.0
     return float((d / (q - d)).max())
 
 
@@ -131,7 +129,7 @@ def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> Influenc
         if not any_pair:
             warnings.warn(f"vertex {j} is frozen (no feasible pair differs only "
                           f"there); influence column left zero")
-    return InfluenceMatrix(rho, float(rho.sum(axis=1).max()) if n else 0.0)
+    return InfluenceMatrix(rho, float(rho.sum(axis=1).max()))
 
 
 def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
@@ -187,7 +185,12 @@ def coupling_decay(inst: MrfInstance, chain: ChainSpec, initial_pair,
     phi(X, Y) = sum of deg(v) over vertices where the two states differ.
     The decay rate is a least-squares slope of log phi over the rounds where
     the mean stays above the counting-noise floor 10/n_runs.
+
+    Raises:
+        ValueError: initial_pair does not hold exactly two starts.
     """
+    if len(initial_pair) != 2:
+        raise ValueError(f"need two starts, got {len(initial_pair)}")
     deg = inst.graph.degrees.astype(np.float64)
 
     def disagreement(runs, x):
@@ -282,7 +285,12 @@ def luby_gamma_estimate(graph: Graph, rounds: int, tape: RandomTape) -> GammaRep
     scheduler floor). Rounds are scanned in blocks of at most
     engine.CHUNK_SITES words, so memory stays flat in n; the counts are
     integers, so the blocking does not change the result.
+
+    Raises:
+        ValueError: rounds < 1, which leaves no frequency to report.
     """
+    if rounds < 1:
+        raise ValueError(f"need rounds >= 1, got {rounds}")
     freq = np.zeros(graph.n)
     block = max(1, engine.CHUNK_SITES // graph.n)
     for lo in range(1, rounds + 1, block):

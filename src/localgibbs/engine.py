@@ -156,9 +156,9 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     run order. Chunks run concurrently on min(threads, chunks,
     usable cores) worker threads when that is more than one; at most twice
     that many chunks are in flight ahead of the consumer, so a slow consumer
-    holds a bounded number of results. n_runs is checked and every start
-    except "random" resolved before the iterator is returned, so a bad start
-    fails at the call.
+    holds a bounded number of results. n_runs and the start count are
+    checked and every start except "random" resolved before the iterator is
+    returned, so a bad start fails at the call.
 
     Raises:
         ZeroMarginal: some run hit a zero-mass conditional. Once a chunk
@@ -169,6 +169,8 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
     k = len(starts)
+    if k == 0:
+        raise ValueError("need at least one start")
     # a preset other than "random" is the same for every run: resolve once
     starts = [s if isinstance(s, str) and s == "random"
               else initial_config(inst, s) for s in starts]

@@ -114,7 +114,7 @@ class Graph:
             arr.setflags(write=False)
 
     def max_degree(self) -> int:
-        return int(self.degrees.max()) if self.n else 0
+        return int(self.degrees.max())
 
     def neighbors(self, v: int):
         return self.adjacency[v]

@@ -92,33 +92,41 @@ def naive_all_incident(edges, n, passed):
     return out
 
 
-def naive_resample(edges, A_per_edge, b_per_vertex, q, x, selected, u):
-    """One resampling round for one run: each selected vertex redraws its
-    spin from its conditional by inverse CDF with its uniform u[v].
+def naive_conditional_cdf(edges, A_per_edge, b_per_vertex, q, v, x):
+    """The CDF of v's conditional given x, summed in spin order.
 
     The conditional multiplies the edge factors in edge-list order, which
-    is the order of the vertex's adjacency slots.
+    is the order of the vertex's adjacency slots. The last entry is forced
+    to exactly 1.0.
     """
+    prod = [1.0] * q
+    for (a, b), A in zip(edges, A_per_edge):
+        if v in (a, b):
+            other = b if a == v else a
+            for c in range(q):
+                prod[c] *= A[c][x[other]]
+    numer = [b_per_vertex[v][c] * prod[c] for c in range(q)]
+    total = 0.0
+    for w in numer:
+        total += w
+    cdf, cum = [], 0.0
+    for w in numer:
+        cum += w / total
+        cdf.append(cum)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def naive_resample(edges, A_per_edge, b_per_vertex, q, x, selected, u):
+    """One resampling round for one run: each selected vertex redraws its
+    spin from its conditional (naive_conditional_cdf) by inverse CDF with
+    its uniform u[v]."""
     new = list(x)
     for v in range(len(x)):
-        if not selected[v]:
-            continue
-        prod = [1.0] * q
-        for (a, b), A in zip(edges, A_per_edge):
-            if v in (a, b):
-                other = b if a == v else a
-                for c in range(q):
-                    prod[c] *= A[c][x[other]]
-        numer = [b_per_vertex[v][c] * prod[c] for c in range(q)]
-        total = 0.0
-        for w in numer:
-            total += w
-        cdf, cum = [], 0.0
-        for w in numer:
-            cum += w / total
-            cdf.append(cum)
-        cdf[-1] = 1.0
-        new[v] = sum(1 for c in cdf if c <= u[v])
+        if selected[v]:
+            cdf = naive_conditional_cdf(edges, A_per_edge, b_per_vertex, q,
+                                        v, x)
+            new[v] = sum(1 for c in cdf if c <= u[v])
     return new
 
 

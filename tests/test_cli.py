@@ -189,6 +189,14 @@ def test_gamma_cli(tmp_path, capsys):
     assert "floor 0.3333" in capsys.readouterr().out
 
 
+def test_gamma_zero_rounds_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "g.cfg", {
+        "graph": "cycle", "graph.n": "8", "rounds": "0", "seed": "6"})
+    assert cli.main(["gamma", "--config", cfg,
+                     "--output", str(tmp_path / "o")]) == 2
+    assert "rounds" in capsys.readouterr().err
+
+
 def test_output_env_override(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "s.cfg", HARDCORE_SAMPLE)
     env_dir = tmp_path / "from-env"

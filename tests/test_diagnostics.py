@@ -128,6 +128,20 @@ def test_coupling_identical_starts_stay_together():
     assert crossing_round(curve, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("starts", [("greedy",), ("zeros", "max", "greedy")])
+def test_coupling_decay_needs_exactly_two_starts(starts):
+    # one start would compare the rows of different runs
+    with pytest.raises(ValueError, match="two starts"):
+        coupling_decay(coloring(cycle(4), 3), luby_glauber(), starts, 3, 10,
+                       RandomTape(1))
+
+
+def test_mixing_scan_needs_a_start():
+    with pytest.raises(ValueError, match="at least one start"):
+        mixing_scan(coloring(cycle(4), 3), luby_glauber(), [1], 10,
+                    RandomTape(1), initials=())
+
+
 def test_coupling_decay_contracts():
     inst = coloring(cycle(8), 6)
     curve = coupling_decay(inst, local_metropolis(), ("zeros", "max"), 40,
@@ -195,6 +209,11 @@ def test_gamma_matches_inclusion_probability():
     assert abs(rep.per_vertex[1] - 1 / 3) <= 3 * math.sqrt((1 / 3) * (2 / 3) / 20000)
     assert rep.min == rep.per_vertex[1]
     assert rep.rounds == 20000
+
+
+def test_gamma_needs_a_round():
+    with pytest.raises(ValueError, match="rounds"):
+        luby_gamma_estimate(path(3), 0, RandomTape(9))
 
 
 def test_gamma_respects_degree_floor():

@@ -57,8 +57,9 @@ def _hub_and_tail_instance() -> MrfInstance:
 def _hub_and_tail_wide(q: int) -> MrfInstance:
     # the hub-and-tail graph with q spins and symmetric activities spread
     # over four decades, so that a change in the order of a q-term sum
-    # moves bits; q = 9, 16 and 137 reach numpy's 8-accumulator and
-    # recursive pairwise branches (q = 3 above is the sequential one)
+    # moves bits; at q = 9, 16 and 137 they guard the order of marginal's
+    # numpy row sum (8 accumulators, then halves) and of _filter_probs's
+    # three factors
     g = _hub_and_tail_instance().graph
     i, j = np.indices((q, q))
     edge = [(0.3 + ((i * j + 2 * (i + j) + e) % 7) * 0.45)

@@ -1,23 +1,24 @@
 """Exact vectorised kernels against their direct forms.
 
-The inverse-CDF draw, the conditional's pairwise denominator, the
-Metropolis filter's flat-index lookups and the samples.jsonl encoder must
-agree bit for bit (byte for byte) with the expressions they replace.
+The inverse-CDF draw, the Metropolis filter's flat-index lookups and the
+samples.jsonl encoder must agree bit for bit (byte for byte) with the
+expressions they replace, and the batched rounds with their pure-loop
+references, down to draws that land exactly on a CDF entry.
 """
 
 import json
 
 import numpy as np
 import pytest
-from _naive import (naive_draw, naive_local_max, naive_marginal,
-                    naive_metropolis, naive_resample)
+from _naive import (naive_conditional_cdf, naive_draw, naive_local_max,
+                    naive_marginal, naive_metropolis, naive_resample)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_chains import selection_rows
-from test_digests import _multigraph_instance
+from test_digests import _hub_and_tail_wide, _multigraph_instance
 
 from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
-                               _filter_probs, _pairwise_rows, _sample_from_cdf,
+                               _filter_probs, _sample_from_cdf,
                                chromatic_classes, local_metropolis_round_batch,
                                luby_glauber_round_batch, scheduled_set_batch)
 from localgibbs.cli import _samples_jsonl
@@ -78,16 +79,56 @@ def test_draw_matches_reduction_on_random_rows(seed):
         _check_draw(cdf[:7], rng.random((11, 7)))
 
 
-@pytest.mark.parametrize("q", [2, 3, 7, 8, 9, 15, 16, 17, 128, 129, 137, 300])
-def test_pairwise_denominator_is_bitwise_row_sum(q):
-    # sequential below 8 terms, 8 accumulators up to 128, halves above;
-    # magnitudes over many decades make any other order change bits
-    rng = np.random.default_rng(q)
-    a = rng.random((257, q)) * rng.choice([1e-300, 1e-5, 1.0, 1e5, 1e300],
-                                          (257, q))
-    want = a.sum(axis=-1)
-    got = _pairwise_rows(np.ascontiguousarray(a.T))
-    assert got.tobytes() == want.tobytes()
+class _BoundaryTape(RandomTape):
+    """Proposal uniforms that sit exactly on an entry of each scheduled
+    pair's reference CDF, computed by naive_conditional_cdf from the pair's
+    row of x. A draw then moves with the last bit of the conditional's
+    normaliser; the entry is chosen per (vertex, run, round)."""
+
+    def __init__(self, inst, x, runs):
+        super().__init__(3)
+        self.inst, self.x = inst, dict(zip(runs.tolist(), x.tolist()))
+
+    def node_uniforms_at(self, kind, entities, round_, runs):
+        inst = self.inst
+        A, b, q = inst.A.tolist(), inst.b.tolist(), inst.q
+        return np.array([
+            naive_conditional_cdf(inst.graph.edges, A, b, q, v,
+                                  self.x[r])[(v + r + round_) % (q - 1)]
+            for v, r in zip(np.asarray(entities).tolist(),
+                            np.asarray(runs).tolist())])
+
+
+@pytest.mark.parametrize("q", [3, 8, 9, 16, 137])
+@pytest.mark.parametrize("variant, alone", [("luby", False),
+                                            ("single-site", False),
+                                            ("single-site", True)])
+def test_resampling_draws_on_cdf_boundaries_match_loop(q, variant, alone):
+    inst = _hub_and_tail_wide(q)
+    g, sched = inst.graph, SchedulerSpec(variant)
+    A, b = inst.A.tolist(), inst.b.tolist()
+    runs = np.arange(24, dtype=np.int64) + 5
+    x = np.random.default_rng(q).integers(0, q, (len(runs), g.n))
+    tape = _BoundaryTape(inst, x, runs)
+    for t in (1, 2):
+        if alone:
+            # one single-site run per round: a single pair, whose
+            # conditional is one (q, 1) column
+            new_x = np.concatenate([
+                luby_glauber_round_batch(inst, x[i:i + 1], sched, t, tape,
+                                         runs[i:i + 1])[0]
+                for i in range(len(runs))])
+        else:
+            new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+        sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, runs))
+        for i, r in enumerate(runs):
+            # naive_resample reads u only at the selected vertices
+            vs = np.flatnonzero(sel[i])
+            u = np.zeros(g.n)
+            u[vs] = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vs, t,
+                                          np.full(len(vs), r))
+            assert new_x[i].tolist() == naive_resample(
+                g.edges, A, b, q, x[i].tolist(), sel[i].tolist(), u.tolist())
 
 
 _LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
