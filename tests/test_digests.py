@@ -22,7 +22,7 @@ from localgibbs.chains import (SchedulerSpec, _filter_probs,
 from localgibbs.diagnostics import coupling_decay, mixing_scan
 from localgibbs.engine import PRESETS, initial_config, run_batch
 from localgibbs.graphs import Graph, cycle, random_regular
-from localgibbs.models import coloring
+from localgibbs.models import coloring, hardcore, list_coloring
 from localgibbs.mrf import MrfInstance, marginal
 from localgibbs.randomness import RandomTape
 
@@ -40,6 +40,19 @@ def _multigraph_instance() -> MrfInstance:
 
 def _regular_coloring() -> MrfInstance:
     return coloring(random_regular(24, 3, seed=5), 8)
+
+
+def _regular_hardcore() -> MrfInstance:
+    # fugacity away from 1, so that the Metropolis proposals are not uniform
+    return hardcore(random_regular(24, 3, seed=5), 0.5)
+
+
+def _regular_list_coloring() -> MrfInstance:
+    # lists of 4 to 6 of the 8 colors: 0/1 vertex activities, so the
+    # proposals are uniform over each vertex's own list
+    lists = [[c for c in range(8) if (c + v) % (v % 3 + 2)]
+             for v in range(24)]
+    return list_coloring(random_regular(24, 3, seed=5), 8, lists)
 
 
 def _hub_and_tail_instance() -> MrfInstance:
@@ -71,6 +84,8 @@ def _hub_and_tail_wide(q: int) -> MrfInstance:
 
 
 INSTANCES = {"multigraph": _multigraph_instance, "rr24-q8": _regular_coloring,
+             "hardcore-rr24": _regular_hardcore,
+             "list-rr24-q8": _regular_list_coloring,
              "hub-tail": _hub_and_tail_instance,
              **{f"hub-tail-q{q}": (lambda q=q: _hub_and_tail_wide(q))
                 for q in (9, 16, 137)}}
@@ -141,6 +156,12 @@ PINS = {
         "b5482eb2423328d31d8eda459a94ef722cc673984fea2b1dc50c2167b41e45b1",
     ("hub-tail-q137", "single-site"):
         "700d7e6f675ff78cb1b9ec9ee1c108888483d8166b276251e28c73d301999d4c",
+    # recorded before the Metropolis filter skipped the edge coins on
+    # instances whose normalized activities are all 0 or 1
+    ("hardcore-rr24", "metropolis"):
+        "5e3406c9863a058853d6aee90fdce1be7f1ed5abbf8452792f8477c0a2e4ef8c",
+    ("list-rr24-q8", "metropolis"):
+        "092a3b2e537cf473ae68ff8c26a59032be0bff5735b9abc4078aafe6165405b7",
 }
 
 
