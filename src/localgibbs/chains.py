@@ -14,7 +14,10 @@ per run):
 * parallel Metropolis: every vertex proposes from its activity vector, every
   edge tosses one shared coin against a three-factor acceptance probability
   on normalized activities, and a vertex commits its proposal only when all
-  incident edges passed.
+  incident edges passed. Where every normalized activity is 0 or 1, the
+  probability is 0 or 1 and a coin in [0, 1) passes exactly when it is 1:
+  the coin's outcome is implied, so it is not hashed, and the outputs are
+  bitwise those of the coin-reading filter.
 
 Every neighbourhood reduction (the local-maximum test, the product of a
 selected vertex's slot matrices, the AND of a vertex's edge passes) walks
@@ -125,10 +128,12 @@ def _sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     boundary entries with <= means a zero-probability spin (a flat cdf step)
     can never be hit, even when u lands exactly on the boundary.
     """
-    count = np.zeros(np.broadcast_shapes(cdf.shape[1:], u.shape), np.int64)
+    # the narrowest counter that holds len(cdf) - 1 (uint8 up to q = 256)
+    count = np.zeros(np.broadcast_shapes(cdf.shape[1:], u.shape),
+                     np.min_scalar_type(len(cdf) - 1))
     for c in range(len(cdf) - 1):
         count += cdf[c] <= u
-    return count
+    return count.astype(np.int64)
 
 
 def _local_max_rows(graph: Graph, keys: np.ndarray) -> np.ndarray:
@@ -299,24 +304,30 @@ def sequential_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                                     round_, tape, runs)
 
 
-def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """Per-edge pass probability of the Metropolis filter, (n_runs, m).
+def _filter_factors(inst: MrfInstance, table: np.ndarray, sigma: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """Per-edge product of the Metropolis filter's three factors, (rows, m).
 
-    Three factors of normalized activity: both proposals, then each
+    table is A_norm or A_pass, flattened: both proposals, then each
     proposal against the other endpoint's current spin. Entry (e, a, c) is
     read at flat position e*q*q + a*q + c, which np.take serves several
-    times faster than A_norm[arange(m), a, c].
+    times faster than table[arange(m), a, c]. On the boolean A_pass the
+    product is the AND of the three passes.
     """
     g, q = inst.graph, inst.q
     e_off = np.arange(g.m) * (q * q)
     su = np.take(sigma, g.eu, 1) * q + e_off
     xu = np.take(x, g.eu, 1) * q + e_off
     sv, xv = np.take(sigma, g.ev, 1), np.take(x, g.ev, 1)
-    a_norm = inst.A_norm.reshape(-1)
-    pe = np.take(a_norm, su + sv) * np.take(a_norm, xu + sv)
-    pe *= np.take(a_norm, su + xv)
+    pe = np.take(table, su + sv) * np.take(table, xu + sv)
+    pe *= np.take(table, su + xv)
     return pe
+
+
+def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Per-edge pass probability of the Metropolis filter, (rows, m)."""
+    return _filter_factors(inst, inst.A_norm.reshape(-1), sigma, x)
 
 
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
@@ -326,15 +337,27 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     run, run-major (see round_function). The proposals and the edge coins
     read only the tape, so they are drawn once per run: the proposals are
     repeated over the run's rows and the coins compared against each row's
-    filter probabilities by broadcasting."""
+    filter probabilities by broadcasting.
+
+    When every A_norm entry is 0 or 1 (inst.A_pass is set), each pass
+    probability is 0 or 1 and every coin lies in [0, 1), so coin < pe is
+    implied by pe alone: the edge passes exactly when its three factors
+    are 1. The coins are then not hashed and the edges are decided from
+    the boolean table, with the same outcome bit for bit.
+    """
     g = inst.graph
     n_runs = len(runs)
     k = len(x) // n_runs
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
-    sigma = np.repeat(_sample_from_cdf(inst.b_cdf.T, u), k, 0)
-    pe = _filter_probs(inst, sigma, x).reshape(n_runs, k, g.m)
-    coins = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs)
-    passed = (coins[:, None] < pe).reshape(len(x), g.m)
+    sigma = _sample_from_cdf(inst.b_cdf.T, u)
+    if k > 1:
+        sigma = np.repeat(sigma, k, 0)
+    if inst.A_pass is not None:
+        passed = _filter_factors(inst, inst.A_pass.reshape(-1), sigma, x)
+    else:
+        pe = _filter_probs(inst, sigma, x).reshape(n_runs, k, g.m)
+        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs)
+        passed = (coins[:, None] < pe).reshape(len(x), g.m)
     # a vertex accepts when every incident edge passed: rank r ANDs its
     # slots' passes into the prefix of the vertices in by_degree order
     acc = np.ones(sigma.shape, dtype=bool)

@@ -84,6 +84,10 @@ class MrfInstance:
         b: (n, q) stacked vertex activities.
         A_norm: per-edge matrices scaled to maximum entry 1 (the acceptance
             probabilities of the parallel Metropolis filter).
+        A_pass: the boolean table A_norm > 0 when every A_norm entry is
+            exactly 0.0 or 1.0 (colorings, list colorings, hardcore), else
+            None. The filter then passes an edge exactly when its factors
+            are all 1, whatever its coin in [0, 1).
         b_prop: per-vertex proposal distributions, b normalized to sum 1.
         slot_table: (q, F * q) spin-major table of the edge matrices at
             the F adjacency slots (aligned with graph.nbr_flat): entry
@@ -121,6 +125,9 @@ class MrfInstance:
 
         self.A_norm = self.A / self.A.max(axis=(1, 2), keepdims=True) \
             if m else self.A
+        # exact equality: any fractional entry keeps the coins
+        self.A_pass = self.A_norm > 0 \
+            if np.all((self.A_norm == 0) | (self.A_norm == 1)) else None
         self.b_prop = self.b / self.b.sum(axis=1, keepdims=True)
         self.b_cdf = np.cumsum(self.b_prop, axis=1)
         self.b_cdf[:, -1] = 1.0
@@ -128,9 +135,10 @@ class MrfInstance:
         # into columns are the matrices themselves
         self.slot_table = np.ascontiguousarray(
             self.A[graph.nbr_edge].reshape(-1, self.q).T)
-        for arr in (self.A, self.b, self.A_norm, self.b_prop, self.b_cdf,
-                    self.slot_table):
-            arr.setflags(write=False)
+        for arr in (self.A, self.b, self.A_norm, self.A_pass, self.b_prop,
+                    self.b_cdf, self.slot_table):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n(self) -> int:

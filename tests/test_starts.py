@@ -4,7 +4,8 @@ Row i * k + s of a batch is run runs[i] from its s-th start, and all k rows
 of a run read the tape at runs[i]. A round computes the tape's variates
 once per run, so a k-start batch must equal k one-start batches row for
 row, must hash exactly what one start hashes, and must name the same
-ZeroMarginal failure.
+ZeroMarginal failure. A Metropolis round hashes its edge coins only where
+the filter has a fractional factor.
 """
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 from test_digests import _hub_and_tail_instance
 
 from localgibbs.chains import (SchedulerSpec, chromatic_classes,
-                               local_metropolis, luby_glauber, round_function)
+                               local_metropolis, local_metropolis_round_batch,
+                               luby_glauber, round_function)
 from localgibbs.engine import initial_config, run_batch, run_chunked
 from localgibbs.graphs import path, random_regular
-from localgibbs.models import coloring
+from localgibbs.models import (coloring, hardcore, ising, list_coloring,
+                               potts)
 from localgibbs.mrf import ZeroMarginal
 from localgibbs.randomness import RandomTape
 
@@ -117,6 +120,36 @@ def test_run_chunked_hashes_per_run_whatever_the_starts(name):
     # that the four starts add
     words[1]["node_uniforms"] -= inst.n * 40
     assert words[0] == words[1]
+
+
+_RR = random_regular(12, 3, seed=2)
+# instance -> whether every normalized edge activity is 0 or 1
+_FILTERS = {
+    "coloring": (lambda: coloring(_RR, 4), True),
+    "list-coloring": (lambda: list_coloring(
+        _RR, 4, [[c for c in range(4) if c != v % 4] for v in range(12)]),
+        True),
+    "hardcore": (lambda: hardcore(_RR, 0.5), True),
+    "potts": (lambda: potts(_RR, 3, 1.7), False),
+    "ising": (lambda: ising(_RR, 0.4), False),
+    "hub-tail": (_hub_and_tail_instance, False),
+}
+
+
+@pytest.mark.parametrize("k", STARTS[:2])
+@pytest.mark.parametrize("name", sorted(_FILTERS))
+def test_metropolis_hashes_coins_only_for_fractional_filters(name, k):
+    # a fractional filter sent down the coin-free path would change the law
+    make, zero_one = _FILTERS[name]
+    inst = make()
+    assert (inst.A_pass is not None) == zero_one
+    if zero_one:
+        assert not inst.A_pass.flags.writeable
+    for t in range(1, 4):
+        tape = _CountingTape(3)
+        local_metropolis_round_batch(inst, _batch(inst, k, t), t, tape, RUNS)
+        assert tape.words["edge_uniforms"] \
+            == (0 if zero_one else inst.graph.m * len(RUNS))
 
 
 def _failure(fn, inst, x, t, tape):
