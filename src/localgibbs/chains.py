@@ -308,8 +308,9 @@ def _filter_factors(inst: MrfInstance, table: np.ndarray, sigma: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
     """Per-edge product of the Metropolis filter's three factors, (rows, m).
 
-    table is A_norm or A_pass, flattened: both proposals, then each
-    proposal against the other endpoint's current spin. Entry (e, a, c) is
+    The factors, gathered from table (A_norm or A_pass, flattened), are
+    both proposals, then each proposal against the other endpoint's
+    current spin. Entry (e, a, c) is
     read at flat position e*q*q + a*q + c, which np.take serves several
     times faster than table[arange(m), a, c]. On the boolean A_pass the
     product is the AND of the three passes.
