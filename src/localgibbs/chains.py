@@ -29,9 +29,9 @@ chosen so that every step is a contiguous row operation:
 
 * vertex-major selection: score words, selections and scheduled sets are
   (n, len(runs)), row i for vertex by_degree[i], so a rank's step is a
-  prefix of whole rows, and np.nonzero yields the (position, run) pairs in
-  the by_degree order the conditional product needs; each pair then
-  expands to its run's k rows;
+  prefix of whole rows, and its flat indices, split by len(runs), are the
+  (position, run) pairs in the by_degree order the conditional product
+  needs; each pair then expands to its run's k rows;
 * spin-major conditionals: the per-pair conditionals are (q, pairs), one
   contiguous row per spin, gathered from MrfInstance.slot_table; the
   denominator and running sum add whole rows in spin order, and the draw
@@ -236,11 +236,13 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     taken vertex-major over the vertices in by_degree order, so the pairs
     whose vertex has a given adjacency slot form a prefix; the product over
     slots is then, per rank and in slot order, one flat gather from each
-    row of inst.slot_table and one multiply. The denominator and CDF add
-    whole rows in spin order, so each pair's arithmetic is that of a loop
-    over its spins, whatever the number of pairs in the round; the draws
-    are committed with one np.put. Proposal uniforms are hashed for the
-    scheduled pairs alone.
+    row of inst.slot_table and one multiply (rank 0 gathers straight into
+    the product). The pairs come from the selection's flat indices, in
+    np.nonzero's order. The denominator and CDF add whole rows in spin
+    order, so each pair's arithmetic is that of a loop over its spins,
+    whatever the number of pairs in the round; the draws are committed
+    with one np.put. Proposal uniforms are hashed for the scheduled pairs
+    alone.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
@@ -248,11 +250,14 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     """
     g, q = inst.graph, inst.q
     k = len(x) // len(runs)
-    pos, ru = np.nonzero(scheduled_set_batch(g, scheduler, round_, tape, runs))
-    vu = np.take(g.by_degree, pos)
+    flat = np.flatnonzero(scheduled_set_batch(g, scheduler, round_, tape, runs))
     # pairs whose vertex has degree > rank: those at a by_degree position
-    # below that rank's vertex count, k rows each
-    heads = (np.searchsorted(pos, np.diff(g.rank_ptr)) * k).tolist()
+    # below that rank's vertex count c, i.e. at a flat index below
+    # c * len(runs); k rows each
+    heads = (np.searchsorted(flat, np.diff(g.rank_ptr) * len(runs))
+             * k).tolist()
+    vu = np.take(g.by_degree, flat // len(runs))
+    ru = np.remainder(flat, len(runs), out=flat)  # in place: no third array
     ri, vi = ru, vu
     if k > 1:
         # each pair's k rows, in the vertex-major order np.nonzero would
@@ -262,14 +267,19 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     row_base = ri * g.n
     base = np.take(g.nbr_ptr, vi)
     xf = np.ravel(x)
-    prod = np.ones((q, len(vi)))
+    prod = np.empty((q, len(vi)))
+    # isolated vertices' pairs, past every rank's prefix: the empty product
+    prod[:, heads[0] if heads else 0:] = 1.0
     for rank, p in enumerate(heads):
         slot = base[:p] + rank
         col = np.take(xf, row_base[:p] + np.take(g.nbr_flat, slot))
         col += slot * q
         # one flat gather per spin row runs faster than one along axis 1
         for c in range(q):
-            prod[c, :p] *= np.take(inst.slot_table[c], col)
+            if rank:
+                prod[c, :p] *= np.take(inst.slot_table[c], col)
+            else:
+                np.take(inst.slot_table[c], col, out=prod[c, :p])
     # in place from here: prod becomes the numerator, then the CDF
     prod *= np.take(inst.b.T, vi, 1)
     # not prod.sum(axis=0): numpy sums a single column pairwise

@@ -17,7 +17,6 @@ LOCALGIBBS_THREADS, else 1. Thread count never changes results.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -51,20 +50,13 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header, rows) -> None:
+    """Header and rows as comma-joined lines of str() cells, None empty.
+    Cells are numbers and fixed names, so none needs csv quoting."""
+    text = "".join([",".join(["" if v is None else str(v) for v in row]) + "\n"
+                    for row in (header, *rows)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(text)
 
 
 def _write_result(out_dir: str, stem: str, fmt: str, header, rows,
@@ -143,11 +135,11 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             counts += chunk_counts
             feasible += chunk_feasible
 
-    freqs = counts.reshape(n, q) / n_runs
-    rows = [(v, s, float(freqs[v, s])) for v in range(n) for s in range(q)]
+    freqs = (counts.reshape(n, q) / n_runs).tolist()
+    rows = [(v, s, f) for v, row in enumerate(freqs) for s, f in enumerate(row)]
     _write_result(out_dir, "marginals", cfg["format"],
                   ("vertex", "spin", "frequency"), rows,
-                  {"frequencies": freqs.tolist(), "n_runs": n_runs,
+                  {"frequencies": freqs, "n_runs": n_runs,
                    "rounds": rounds, "seed": cfg["seed"]})
 
     print(f"sample: {n_runs} runs of {rounds} rounds; "

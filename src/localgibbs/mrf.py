@@ -42,29 +42,20 @@ class DegenerateActivity(ValueError):
     """All-zero activity matrix or vector; carries no distribution."""
 
 
-def _check_edge_activity(a: np.ndarray, q: int) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (q, q):
-        raise ValueError(f"edge activity must be {q}x{q}, got {a.shape}")
-    if np.any(a < 0):
-        raise ValueError("edge activity entries must be non-negative")
-    # instances are authored, not computed, so symmetry is checked exactly
-    if not np.array_equal(a, a.T):
-        raise ValueError("edge activity must be symmetric")
-    if not np.any(a > 0):
-        raise DegenerateActivity("edge activity is all zero")
-    return a
-
-
-def _check_vertex_activity(b: np.ndarray, q: int) -> np.ndarray:
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (q,):
-        raise ValueError(f"vertex activity must have length {q}, got {b.shape}")
-    if np.any(b < 0):
-        raise ValueError("vertex activity entries must be non-negative")
-    if not np.any(b > 0):
-        raise DegenerateActivity("vertex activity is all zero")
-    return b
+def _check_activities(stack: np.ndarray, what: str) -> None:
+    """Check (m, q, q) edge matrices or (n, q) vertex vectors as one stack.
+    The first check that fails (non-negative, symmetric for edges, not all
+    zero) raises, naming the first edge or vertex that fails it."""
+    axes = tuple(range(1, stack.ndim))
+    checks = [(ValueError, "must be non-negative", (stack < 0).any(axes))]
+    if stack.ndim == 3:
+        # instances are authored, not computed, so symmetry is checked exactly
+        checks.append((ValueError, "must be symmetric",
+                       (stack != stack.transpose(0, 2, 1)).any(axes)))
+    checks.append((DegenerateActivity, "is all zero", ~(stack > 0).any(axes)))
+    for exc, msg, bad in checks:
+        if bad.any():
+            raise exc(f"{what} activity of {what} {int(bad.argmax())} {msg}")
 
 
 class MrfInstance:
@@ -97,6 +88,12 @@ class MrfInstance:
             row, so its conditionals come out spin-major.
 
     Every array attribute is read-only.
+
+    Raises:
+        ValueError: q < 2, misshapen activities, a negative entry or an
+            asymmetric edge matrix; the first offending edge or vertex is
+            named ("edge activity of edge 5 must be symmetric").
+        DegenerateActivity: an all-zero edge matrix or vertex vector.
     """
 
     def __init__(self, graph: Graph, q: int, edge_activities, vertex_activities):
@@ -106,25 +103,23 @@ class MrfInstance:
         self.q = int(q)
         n, m = graph.n, graph.m
 
-        if m == 0:
-            self.A = np.zeros((0, q, q))
-        else:
-            ea = np.asarray(edge_activities, dtype=np.float64)
-            if ea.ndim == 2:
-                ea = np.broadcast_to(ea, (m, q, q))
-            if ea.shape != (m, q, q):
-                raise ValueError(f"expected {m} edge activities of shape ({q}, {q})")
-            self.A = np.stack([_check_edge_activity(ea[e], q) for e in range(m)])
+        ea = np.asarray(edge_activities if m else np.zeros((0, q, q)), np.float64)
+        if ea.ndim == 2:
+            ea = np.broadcast_to(ea, (m, q, q))
+        if ea.shape != (m, q, q):
+            raise ValueError(f"expected {m} edge activities of shape ({q}, {q})")
+        self.A = np.array(ea)
+        _check_activities(self.A, "edge")
 
         vb = np.asarray(vertex_activities, dtype=np.float64)
         if vb.ndim == 1:
             vb = np.broadcast_to(vb, (n, q))
         if vb.shape != (n, q):
             raise ValueError(f"expected {n} vertex activities of length {q}")
-        self.b = np.stack([_check_vertex_activity(vb[v], q) for v in range(n)])
+        self.b = np.array(vb)
+        _check_activities(self.b, "vertex")
 
-        self.A_norm = self.A / self.A.max(axis=(1, 2), keepdims=True) \
-            if m else self.A
+        self.A_norm = self.A / self.A.max(axis=(1, 2), keepdims=True)
         # exact equality: any fractional entry keeps the coins
         self.A_pass = self.A_norm > 0 \
             if np.all((self.A_norm == 0) | (self.A_norm == 1)) else None

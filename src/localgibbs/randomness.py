@@ -83,7 +83,8 @@ class RandomTape:
       local-maximum selection reads them;
     * node_uniforms and edge_uniforms: (len(runs), len(entities)), one row
       per run, as the Metropolis round and the initial draw read them;
-    * node_uniforms_at: (len(entities),), one per listed (entity, run) pair;
+    * node_uniforms_at: (len(entities),), one per listed (entity, run) pair,
+      from one hashed prefix per entity id up to the largest listed;
     * node_words_over_rounds: (len(rounds), len(entities)) for one run.
     """
 
@@ -114,7 +115,6 @@ class RandomTape:
             h = fold(h, self.node_salts[entities.astype(np.int64)])
         return fold(h, round_)
 
-
     def node_words(self, kind, entities, round_, runs) -> np.ndarray:
         """Raw uint64 hash words, entity-major: shape (len(entities),
         len(runs)), entry [i, j] for (entities[i], runs[j]).
@@ -138,10 +138,12 @@ class RandomTape:
         """One uniform per (entities[i], runs[i]) pair, shape (len(entities),).
 
         Entry i equals node_uniforms(kind, [entities[i]], round_,
-        [runs[i]])[0, 0]; only the listed pairs are hashed.
+        [runs[i]])[0, 0]. The (kind, entity, salt, round) prefix is hashed
+        once per entity id up to max(entities), and the run word per pair.
         """
-        return uniform_from_bits(
-            fold(self._node_prefix(kind, entities, round_), runs))
+        ents = np.asarray(entities, dtype=np.int64)
+        prefix = self._node_prefix(kind, np.arange(ents.max(initial=-1) + 1), round_)
+        return uniform_from_bits(fold(np.take(prefix, ents), runs))
 
     def node_words_over_rounds(self, kind, entities, rounds, run: int = 0) -> np.ndarray:
         """Hash words for a fixed run across many rounds, shape (len(rounds), n).

@@ -1,13 +1,16 @@
 """The names bench/spans.py wraps by string must stay round and selection
-functions of localgibbs.chains.
+functions of localgibbs.chains, and its Tracer must still patch the package.
 
 `round_peak_alloc` getattrs every ROUND_SPANS name under `bench/run.py
 --trace 1`, and `_count_changed` reads the changed sites from out[0] of a
 round call, on batches of one row per run (sample) and of several starts
-per run (mix-scan). A rename or a bare-array return breaks the traced
-benchmark without failing any other test.
+per run (mix-scan). `Tracer.install` rebinds the package's public functions
+and the engine's ThreadPoolExecutor. A rename, a bare-array return or a
+binding the tracer can no longer find breaks the traced benchmark without
+failing any other test.
 """
 
+import importlib
 import importlib.util
 import inspect
 import itertools
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localgibbs import chains
+from localgibbs import chains, cli, engine
 from localgibbs.graphs import cycle, random_regular
 from localgibbs.models import coloring
 from localgibbs.randomness import RandomTape
@@ -87,3 +90,46 @@ def test_selected_frac_counts_the_resampled_pairs(variant):
         assert out.dtype == bool
         assert out.size == g.n * len(runs)
         assert int(out.sum()) == tape.pairs
+
+
+def _bindings():
+    """Every module attribute, module-level dict entry and class attribute
+    of the package, the places Tracer.install rebinds."""
+    mods = [importlib.import_module(SPANS.PACKAGE)] + [
+        importlib.import_module(f"{SPANS.PACKAGE}.{layer}")
+        for layer in SPANS.LAYERS]
+    out = {}
+    for mod in mods:
+        for attr, obj in vars(mod).items():
+            out[mod.__name__, attr] = obj
+            inner = obj if isinstance(obj, dict) else \
+                vars(obj) if inspect.isclass(obj) else {}
+            for key, value in inner.items():
+                out[mod.__name__, attr, key] = value
+    return out
+
+
+def test_tracer_patches_a_sample_call_and_restores_every_binding(tmp_path):
+    cfg = tmp_path / "sample.cfg"
+    cfg.write_text("model = coloring\nmodel.q = 3\ngraph = cycle\n"
+                   "graph.n = 4\nchain = luby_glauber\nrounds = 3\n"
+                   "n_runs = 4\nseed = 1\n", encoding="utf-8")
+    before = _bindings()
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        assert engine.ThreadPoolExecutor is not before[engine.__name__,
+                                                       "ThreadPoolExecutor"]
+        assert chains.luby_glauber_round_batch is not before[
+            chains.__name__, "luby_glauber_round_batch"]
+        # looked up after install: the CLI module's main is now wrapped
+        assert cli.main(["sample", "--config", str(cfg), "--output",
+                         str(tmp_path / "out"), "--threads", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    moved = [key for key, obj in before.items()
+             if key not in after or after[key] is not obj]
+    assert moved == []
+    names = {span[3] for span in tracer.spans}
+    assert {"cli.main", "chains.luby_glauber_round_batch"} <= names

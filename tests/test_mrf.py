@@ -184,6 +184,38 @@ def test_all_zero_vertex_activity_rejected():
         MrfInstance(g, 2, A, b)
 
 
+def _negative(a):
+    a.flat[0] = -1.0
+
+
+def _asymmetric(a):
+    a[0, 1] = 2.0
+
+
+def _all_zero(a):
+    a[...] = 0.0
+
+
+@pytest.mark.parametrize("what, fault, exc, message", [
+    ("edge", _negative, ValueError, "edge 2 must be non-negative"),
+    ("edge", _asymmetric, ValueError, "edge 2 must be symmetric"),
+    ("edge", _all_zero, DegenerateActivity, "edge 2 is all zero"),
+    ("vertex", _negative, ValueError, "vertex 3 must be non-negative"),
+    ("vertex", _all_zero, DegenerateActivity, "vertex 3 is all zero"),
+])
+def test_activity_error_names_the_offending_edge_or_vertex(what, fault, exc,
+                                                           message):
+    # one faulty middle item in per-edge and per-vertex lists on a 6-path
+    g, q = path(6), 3
+    A = [np.ones((q, q)) for _ in range(g.m)]
+    b = [np.ones(q) for _ in range(g.n)]
+    fault(A[2] if what == "edge" else b[3])
+    with pytest.raises(ValueError) as err:
+        MrfInstance(g, q, A, b)
+    assert type(err.value) is exc
+    assert str(err.value) == f"{what} activity of {message}"
+
+
 def test_validate_configuration_bounds():
     inst = coloring(path(3), 3)
     with pytest.raises(ValueError):

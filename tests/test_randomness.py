@@ -82,14 +82,20 @@ def test_node_salt_touches_only_that_vertex():
 def test_pair_uniforms_match_node_uniforms():
     tape = RandomTape(77)
     runs = np.array([0, 3, 5])
-    ents = np.array([0, 2, 5, 2, 1, 4])
-    rows = np.array([0, 1, 2, 2, 0, 1])
+    # (entities, rows of runs): every id; ids that skip vertex 0 and the
+    # highest id 5, as the per-entity prefix covers ids up to the largest
+    # listed; and no pairs at all
+    cases = [([0, 2, 5, 2, 1, 4], [0, 1, 2, 2, 0, 1]),
+             ([3, 1, 2, 3, 4], [2, 0, 1, 0, 1]),
+             ([], [])]
     for t in (tape, tape.with_node_salt(2, 9, 6)):
         for kind in (KIND_NODE_BETA, KIND_NODE_PROPOSAL):
             grid = t.node_uniforms(kind, np.arange(6), 4, runs)
-            np.testing.assert_array_equal(
-                t.node_uniforms_at(kind, ents, 4, runs[rows]),
-                grid[rows, ents])
+            for ents, rows in cases:
+                ents, rows = np.array(ents, int), np.array(rows, int)
+                got = t.node_uniforms_at(kind, ents, 4, runs[rows])
+                assert got.dtype == np.float64 and got.shape == ents.shape
+                np.testing.assert_array_equal(got, grid[rows, ents])
 
 
 def test_words_over_rounds_matches_per_round_queries():
