@@ -83,12 +83,24 @@ def _hub_and_tail_wide(q: int) -> MrfInstance:
     return MrfInstance(g, q, edge, vertex)
 
 
+def _hub_and_tail_lists(q: int) -> MrfInstance:
+    # list colorings on the hub-and-tail graph: 0/1 tables with parallel
+    # edges and isolated vertices, and at q = 9 and 137 more than 8 spins.
+    # The hub keeps every color, more than its 7 neighbors; every other
+    # vertex drops about a quarter of them, so no conditional is empty
+    lists = [[c for c in range(q) if v == 1 or (c + v) % 4]
+             for v in range(14)]
+    return list_coloring(_hub_and_tail_instance().graph, q, lists)
+
+
 INSTANCES = {"multigraph": _multigraph_instance, "rr24-q8": _regular_coloring,
              "hardcore-rr24": _regular_hardcore,
              "list-rr24-q8": _regular_list_coloring,
              "hub-tail": _hub_and_tail_instance,
              **{f"hub-tail-q{q}": (lambda q=q: _hub_and_tail_wide(q))
-                for q in (9, 16, 137)}}
+                for q in (9, 16, 137)},
+             **{f"list-hub-tail-q{q}": (lambda q=q: _hub_and_tail_lists(q))
+                for q in (9, 137)}}
 
 
 def _chain(name, inst):
@@ -162,6 +174,31 @@ PINS = {
         "5e3406c9863a058853d6aee90fdce1be7f1ed5abbf8452792f8477c0a2e4ef8c",
     ("list-rr24-q8", "metropolis"):
         "092a3b2e537cf473ae68ff8c26a59032be0bff5735b9abc4078aafe6165405b7",
+    # recorded before the resampling round ANDed packed 0/1 slot tables
+    ("hardcore-rr24", "luby"):
+        "91f2d86e78d7b7bb43f3243962f3a86da14092f1f4d2149799025f7dc35f99dd",
+    ("hardcore-rr24", "chromatic"):
+        "20ac2029dc9bc87d728d12df90b095a87d036873cd720159570adb18f1efd61e",
+    ("hardcore-rr24", "single-site"):
+        "cb512aad4633149dc613f54c38a5833a8a7b938c6af03f260ec6ace048c715e9",
+    ("list-rr24-q8", "luby"):
+        "42f673a95447baf55209d72175d8e56a7730eb86d7f7d9541696bacbcf6fe986",
+    ("list-rr24-q8", "chromatic"):
+        "c9e11f625c27e16223c6de0eaab532a2c40dc42f3fb7380cab511f39bbb6469d",
+    ("list-rr24-q8", "single-site"):
+        "a08686e36fdecd771da26f289218e8dfc718941b9d84cae3c7894af2f070eff6",
+    ("list-hub-tail-q9", "luby"):
+        "687d5146d6f8e30d7ceef2936a7454065f56a5b1c264544f2a1a24800dbcd988",
+    ("list-hub-tail-q9", "chromatic"):
+        "0ce5edc849a7a80bfe7f4e11200c4e02f258826330f7231c7adcaef340da7ae2",
+    ("list-hub-tail-q9", "single-site"):
+        "853e1aa80d968ce7400e48b12ee1bf03ac65ee3ac9b78bf291f946287f3127e1",
+    ("list-hub-tail-q137", "luby"):
+        "85fa4d5e50a7fe00ddd1a8f40f8a8f2d9b538b76b0a4b367c009ddf455636b53",
+    ("list-hub-tail-q137", "chromatic"):
+        "6e4b83096ebc5949a7ed2ac1952aa58f2ef93df7b0f34c830f28aa1d1dacd024",
+    ("list-hub-tail-q137", "single-site"):
+        "15d1eb28d4a247c12817f7b06c9aae04f76ab7bf9eef5802b31eb3aec90246a6",
 }
 
 
