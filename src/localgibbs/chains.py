@@ -35,7 +35,9 @@ chosen so that every step is a contiguous row operation:
 * spin-major conditionals: the per-pair conditionals are (q, pairs), one
   contiguous row per spin, gathered from MrfInstance.slot_table; the
   denominator and running sum add whole rows in spin order, and the draw
-  compares whole rows.
+  compares whole rows. On 0/1 edge tables the slot product is a byte mask
+  ANDed from MrfInstance.slot_bits, one byte row per 8 spins, and b * bit
+  is bitwise b times a product of 1.0 and 0.0 factors.
 
 The Metropolis round keeps the (rows, n) and (rows, m) layouts.
 
@@ -237,12 +239,14 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     whose vertex has a given adjacency slot form a prefix; the product over
     slots is then, per rank and in slot order, one flat gather from each
     row of inst.slot_table and one multiply (rank 0 gathers straight into
-    the product). The pairs come from the selection's flat indices, in
-    np.nonzero's order. The denominator and CDF add whole rows in spin
-    order, so each pair's arithmetic is that of a loop over its spins,
-    whatever the number of pairs in the round; the draws are committed
-    with one np.put. Proposal uniforms are hashed for the scheduled pairs
-    alone.
+    the product). When inst.slot_bits is set, the rows are its byte rows
+    and the step is an AND; the numerator is then each pair's vertex
+    activities times the mask's bits. The pairs come from the selection's
+    flat indices, in np.nonzero's order. The denominator and CDF add whole
+    rows in spin order, so each pair's arithmetic is that of a loop over
+    its spins, whatever the number of pairs in the round; the draws are
+    committed with one np.put. Proposal uniforms are hashed for the
+    scheduled pairs alone.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
@@ -267,21 +271,32 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     row_base = ri * g.n
     base = np.take(g.nbr_ptr, vi)
     xf = np.ravel(x)
-    prod = np.empty((q, len(vi)))
+    # 0/1 tables: AND one byte row per 8 spins instead of multiplying q rows
+    packed = inst.slot_bits is not None
+    table = inst.slot_bits if packed else inst.slot_table
+    fold = np.bitwise_and if packed else np.multiply
+    prod = np.empty((len(table), len(vi)), table.dtype)
     # isolated vertices' pairs, past every rank's prefix: the empty product
-    prod[:, heads[0] if heads else 0:] = 1.0
+    prod[:, heads[0] if heads else 0:] = 0xFF if packed else 1.0
     for rank, p in enumerate(heads):
         slot = base[:p] + rank
         col = np.take(xf, row_base[:p] + np.take(g.nbr_flat, slot))
         col += slot * q
-        # one flat gather per spin row runs faster than one along axis 1
-        for c in range(q):
+        # one flat gather per table row runs faster than one along axis 1
+        for c, row in enumerate(table):
             if rank:
-                prod[c, :p] *= np.take(inst.slot_table[c], col)
+                fold(prod[c, :p], np.take(row, col), out=prod[c, :p])
             else:
-                np.take(inst.slot_table[c], col, out=prod[c, :p])
-    # in place from here: prod becomes the numerator, then the CDF
-    prod *= np.take(inst.b.T, vi, 1)
+                np.take(row, col, out=prod[c, :p])
+    # prod becomes the numerator, then, in place, the CDF
+    if packed:
+        # spin c's factor is bit c % 8 of byte row c // 8, as 0 or 1
+        mask, prod = prod, np.take(inst.b.T, vi, 1)
+        for c in range(q):
+            prod[c] *= (mask[c >> 3] >> (c & 7)) & 1
+        del mask  # freed before the draw: holding it raised peak RSS on C4
+    else:
+        prod *= np.take(inst.b.T, vi, 1)
     # not prod.sum(axis=0): numpy sums a single column pairwise
     denom = prod[0].copy()
     for c in range(1, q):

@@ -86,6 +86,11 @@ class MrfInstance:
             column block slot * q:(slot + 1) * q is that edge's matrix.
             Resampling gathers one column per (run, vertex) pair from each
             row, so its conditionals come out spin-major.
+        slot_bits: slot_table > 0 packed along the spins, (ceil(q / 8),
+            F * q) uint8, spin c at bit c % 8 of byte row c // 8, when every
+            A entry is exactly 0.0 or 1.0, else None. The test is on A, not
+            A_norm as for A_pass, since a conditional multiplies entries of
+            A itself: entries 0 and 2.5 set A_pass but not slot_bits.
 
     Every array attribute is read-only.
 
@@ -130,8 +135,11 @@ class MrfInstance:
         # into columns are the matrices themselves
         self.slot_table = np.ascontiguousarray(
             self.A[graph.nbr_edge].reshape(-1, self.q).T)
+        self.slot_bits = np.packbits(self.slot_table > 0, axis=0,
+                                     bitorder="little") \
+            if np.all((self.A == 0) | (self.A == 1)) else None
         for arr in (self.A, self.b, self.A_norm, self.A_pass, self.b_prop,
-                    self.b_cdf, self.slot_table):
+                    self.b_cdf, self.slot_table, self.slot_bits):
             if arr is not None:
                 arr.setflags(write=False)
 

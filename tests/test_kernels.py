@@ -84,28 +84,48 @@ class _BoundaryTape(RandomTape):
     """Proposal uniforms that sit exactly on an entry of each scheduled
     pair's reference CDF, computed by naive_conditional_cdf from the pair's
     row of x. A draw then moves with the last bit of the conditional's
-    normaliser; the entry is chosen per (vertex, run, round)."""
+    normaliser; the entry is chosen per (vertex, run, round) among those
+    below 1, as a uniform is, and is 0.0 when there are none (only spin 0
+    has mass)."""
 
     def __init__(self, inst, x, runs):
         super().__init__(3)
         self.inst, self.x = inst, dict(zip(runs.tolist(), x.tolist()))
+        self.A, self.b = inst.A.tolist(), inst.b.tolist()
+
+    def _entry(self, v, r, round_):
+        cdf = naive_conditional_cdf(self.inst.graph.edges, self.A, self.b,
+                                    self.inst.q, v, self.x[r])
+        below = [c for c in cdf if c < 1.0] or [0.0]
+        return below[(v + r + round_) % len(below)]
 
     def node_uniforms_at(self, kind, entities, round_, runs):
-        inst = self.inst
-        A, b, q = inst.A.tolist(), inst.b.tolist(), inst.q
-        return np.array([
-            naive_conditional_cdf(inst.graph.edges, A, b, q, v,
-                                  self.x[r])[(v + r + round_) % (q - 1)]
-            for v, r in zip(np.asarray(entities).tolist(),
-                            np.asarray(runs).tolist())])
+        return np.array([self._entry(v, r, round_)
+                         for v, r in zip(np.asarray(entities).tolist(),
+                                         np.asarray(runs).tolist())])
 
 
-@pytest.mark.parametrize("q", [3, 8, 9, 16, 137])
+def _hub_and_tail_zero_one(q: int) -> MrfInstance:
+    # 0/1 edge tables (so the round ANDs packed bits) with the wide
+    # instance's vertex activities, spread over decades. Spin 0's row is
+    # all ones, so no conditional is empty.
+    wide = _hub_and_tail_wide(q)
+    i, j = np.indices((q, q))
+    edge = [((i + j + e) % 3 > 0) | (i * j == 0) for e in range(wide.graph.m)]
+    return MrfInstance(wide.graph, q, edge, wide.b)
+
+
+@pytest.mark.parametrize("make, q", [
+    *(pytest.param(_hub_and_tail_wide, q, id=f"{q}")
+      for q in (3, 8, 9, 16, 137)),
+    *(pytest.param(_hub_and_tail_zero_one, q, id=f"zero-one-{q}")
+      for q in (3, 9, 137))])
 @pytest.mark.parametrize("variant, alone", [("luby", False),
                                             ("single-site", False),
                                             ("single-site", True)])
-def test_resampling_draws_on_cdf_boundaries_match_loop(q, variant, alone):
-    inst = _hub_and_tail_wide(q)
+def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
+                                                       alone):
+    inst = make(q)
     g, sched = inst.graph, SchedulerSpec(variant)
     A, b = inst.A.tolist(), inst.b.tolist()
     runs = np.arange(24, dtype=np.int64) + 5
@@ -136,6 +156,8 @@ _LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
 # one positive level: every normalized edge activity is exactly 0 or 1, so
 # the Metropolis filter decides its edges without coins
 _ZERO_ONE = st.sampled_from([0.0, 2.5])
+# every edge activity itself 0 or 1: the resampling round ANDs packed bits
+_BITS = st.sampled_from([0.0, 1.0])
 
 
 @st.composite
@@ -177,15 +199,16 @@ def _tiny_rounds(draw, edge_levels=_LEVELS):
     return inst, x, sched, draw(st.integers(1, 50)), runs
 
 
-# budget: the two property tests below run 100 and 200 examples in about
-# 3 s together, inside 5 s
-_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+# budget: the two property tests below run 150 and 200 examples in about
+# 4 s together, inside 5 s
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                      database=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
-@_PROPERTY
-@given(_tiny_rounds())
+# both product paths: the float rows and the packed 0/1 bits
+@settings(_PROPERTY, max_examples=150)
+@given(st.one_of(_tiny_rounds(), _tiny_rounds(_BITS)))
 def test_resampling_round_matches_loop_on_tiny_instances(case):
     inst, x, sched, t, runs = case
     g, tape = inst.graph, RandomTape(17)
@@ -215,8 +238,7 @@ def test_resampling_round_matches_loop_on_tiny_instances(case):
             u[row // k].tolist())
 
 
-# twice the examples: the 0/1 strategy takes about a third of them
-@settings(_PROPERTY, max_examples=200)
+@_PROPERTY
 @given(st.one_of(_tiny_rounds(), _tiny_rounds(_ZERO_ONE)))
 def test_metropolis_round_matches_loop_on_tiny_instances(case):
     # both filter paths: naive_metropolis reads the coins either way

@@ -5,8 +5,11 @@ of a run read the tape at runs[i]. A round computes the tape's variates
 once per run, so a k-start batch must equal k one-start batches row for
 row, must hash exactly what one start hashes, and must name the same
 ZeroMarginal failure. A Metropolis round hashes its edge coins only where
-the filter has a fractional factor.
+the filter has a fractional factor, and a resampling round multiplies
+float edge factors only where some edge activity is not 0 or 1.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from localgibbs.engine import initial_config, run_batch, run_chunked
 from localgibbs.graphs import path, random_regular
 from localgibbs.models import (coloring, hardcore, ising, list_coloring,
                                potts)
-from localgibbs.mrf import ZeroMarginal
+from localgibbs.mrf import MrfInstance, ZeroMarginal
 from localgibbs.randomness import RandomTape
 
 STARTS = (1, 2, 4)
@@ -150,6 +153,44 @@ def test_metropolis_hashes_coins_only_for_fractional_filters(name, k):
         local_metropolis_round_batch(inst, _batch(inst, k, t), t, tape, RUNS)
         assert tape.words["edge_uniforms"] \
             == (0 if zero_one else inst.graph.m * len(RUNS))
+
+
+def _outcome(fn, inst, x, t):
+    try:
+        return fn(inst, x, t, RandomTape(3), RUNS)[0].tolist()
+    except ZeroMarginal as exc:
+        return exc.run, exc.vertex, exc.round
+
+
+# instance -> whether every edge activity is 0 or 1. That matches the
+# filter flags above except on the scaled coloring: its normalized
+# activities are 0 or 1, so it sets A_pass, but its own entries are 0 or 2
+_TABLES = {**_FILTERS, "scaled-coloring": (lambda: MrfInstance(
+    _RR, 4, 2 * (1 - np.eye(4)), np.ones(4)), False)}
+
+
+@pytest.mark.parametrize("k", STARTS[:2])
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_resampling_packs_only_zero_one_tables(name, k):
+    # a fractional table sent down the packed path would change the law
+    make, zero_one = _TABLES[name]
+    inst = make()
+    assert (inst.slot_bits is not None) == zero_one
+    if name == "scaled-coloring":
+        assert inst.A_pass is not None
+    if not zero_one:
+        return
+    assert not inst.slot_bits.flags.writeable
+    np.testing.assert_array_equal(
+        np.unpackbits(inst.slot_bits, axis=0, count=inst.q,
+                      bitorder="little"), inst.slot_table > 0)
+    # a round that fell back to the float rows would read the NaNs
+    blind = copy.copy(inst)
+    blind.slot_table = np.full_like(inst.slot_table, np.nan)
+    fn = round_function(_chain("luby", inst.graph))
+    for t in range(1, 4):
+        x = _batch(inst, k, t)
+        assert _outcome(fn, blind, x, t) == _outcome(fn, inst, x, t)
 
 
 def _failure(fn, inst, x, t, tape):
