@@ -39,7 +39,10 @@ chosen so that every step is a contiguous row operation:
   ANDed from MrfInstance.slot_bits, one byte row per 8 spins, and b * bit
   is bitwise b times a product of 1.0 and 0.0 factors.
 
-The Metropolis round keeps the (rows, n) and (rows, m) layouts.
+The Metropolis round is vertex-major too: its spins are (n, rows) in the
+narrowest unsigned dtype for q and its filter is edge-major, (m, rows), so
+every endpoint gather and the acceptance AND move whole rows; only the
+returned batch is (rows, n) int64.
 
 All round functions are pure maps from the previous round's snapshot to the
 next; a vertex's update reads its own streams, its neighbors' previous
@@ -54,7 +57,8 @@ import numpy as np
 
 from .graphs import Graph
 from .mrf import MrfInstance, ZeroMarginal
-from .randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
+from .randomness import (KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape,
+                         uniform_from_bits)
 
 SCHEDULER_VARIANTS = ("luby", "chromatic", "single-site")
 _CHAIN_KINDS = ("luby_glauber", "local_metropolis")
@@ -128,14 +132,15 @@ def _sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf[c] holds spin c's cumulative, broadcast against u; the last entry is
     exactly 1.0 and u < 1, so it never counts and is skipped. Counting
     boundary entries with <= means a zero-probability spin (a flat cdf step)
-    can never be hit, even when u lands exactly on the boundary.
+    can never be hit, even when u lands exactly on the boundary. The
+    spins come back in the counter: the narrowest unsigned dtype that holds
+    len(cdf) - 1 (uint8 up to q = 256).
     """
-    # the narrowest counter that holds len(cdf) - 1 (uint8 up to q = 256)
     count = np.zeros(np.broadcast_shapes(cdf.shape[1:], u.shape),
                      np.min_scalar_type(len(cdf) - 1))
     for c in range(len(cdf) - 1):
         count += cdf[c] <= u
-    return count.astype(np.int64)
+    return count
 
 
 def _local_max_rows(graph: Graph, keys: np.ndarray) -> np.ndarray:
@@ -329,41 +334,70 @@ def sequential_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                                     round_, tape, runs)
 
 
+def _spins_by_vertex(inst: MrfInstance, x: np.ndarray) -> np.ndarray:
+    """A (rows, n) batch as a fresh (n, rows) array in the narrowest
+    unsigned dtype that holds q - 1 (uint8 up to q = 256)."""
+    return np.ascontiguousarray(x.T, dtype=np.min_scalar_type(inst.q - 1))
+
+
 def _filter_factors(inst: MrfInstance, table: np.ndarray, sigma: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
-    """Per-edge product of the Metropolis filter's three factors, (rows, m).
+    """Per-edge product of the Metropolis filter's three factors, edge-major:
+    (m, rows) from the (n, rows) spins sigma (proposals) and x (current).
 
     The factors, gathered from table (A_norm or A_pass, flattened), are
     both proposals, then each proposal against the other endpoint's
-    current spin. Entry (e, a, c) is
-    read at flat position e*q*q + a*q + c, which np.take serves several
-    times faster than table[arange(m), a, c]. On the boolean A_pass the
-    product is the AND of the three passes.
+    current spin; each edge's endpoints are whole-row gathers. Entry
+    (e, a, c) is read at flat position e*q*q + a*q + c, which np.take
+    serves several times faster than table[arange(m), a, c]; the positions
+    are built in the narrowest unsigned dtype that holds every one of them
+    and q itself. On the boolean A_pass the product is the AND of the
+    three passes.
     """
     g, q = inst.graph, inst.q
-    e_off = np.arange(g.m) * (q * q)
-    su = np.take(sigma, g.eu, 1) * q + e_off
-    xu = np.take(x, g.eu, 1) * q + e_off
-    sv, xv = np.take(sigma, g.ev, 1), np.take(x, g.ev, 1)
-    pe = np.take(table, su + sv) * np.take(table, xu + sv)
-    pe *= np.take(table, su + xv)
+    # q too, so that an edgeless graph with q > 255 can still scale by q
+    idx = np.min_scalar_type(max(g.m * q * q - 1, q))
+    e_off = (np.arange(g.m) * (q * q)).astype(idx)[:, None]
+    su = np.take(sigma, g.eu, 0).astype(idx)
+    su *= q
+    su += e_off
+    xu = np.take(x, g.eu, 0).astype(idx)
+    xu *= q
+    xu += e_off
+    sv, xv = np.take(sigma, g.ev, 0), np.take(x, g.ev, 0)
+    pe = np.take(table, su + sv)
+    xu += sv
+    pe *= np.take(table, xu)
+    su += xv
+    pe *= np.take(table, su)
     return pe
 
 
 def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    """Per-edge pass probability of the Metropolis filter, (rows, m)."""
-    return _filter_factors(inst, inst.A_norm.reshape(-1), sigma, x)
+    """Per-edge pass probability of the Metropolis filter, (rows, m), from
+    (rows, n) proposals and current spins: a transposed view of the
+    edge-major factors the round compares its coins against, each entry
+    (f1 * f2) * f3."""
+    return _filter_factors(inst, inst.A_norm.reshape(-1),
+                           _spins_by_vertex(inst, sigma),
+                           _spins_by_vertex(inst, x)).T
 
 
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  round_: int, tape: RandomTape,
                                  runs: np.ndarray):
     """One parallel Metropolis round on k = len(x) // len(runs) rows per
-    run, run-major (see round_function). The proposals and the edge coins
-    read only the tape, so they are drawn once per run: the proposals are
-    repeated over the run's rows and the coins compared against each row's
-    filter probabilities by broadcasting.
+    run, run-major (see round_function).
+
+    The round works vertex-major: x is transposed once into an (n, rows)
+    array of spins in the narrowest unsigned dtype for q, so every endpoint
+    gather and the acceptance AND move whole rows. The proposals and the
+    edge coins read only the tape, so they are drawn once per run: the
+    proposal uniforms are hashed as (n, runs) words, the draw keeps its
+    narrow counter and each run's column is repeated over its k rows, and
+    the (runs, m) coins are compared against the (m, runs, k) filter
+    probabilities through a transposed view.
 
     When every A_norm entry is 0 or 1 (inst.A_pass is set), each pass
     probability is 0 or 1 and every coin lies in [0, 1), so coin < pe is
@@ -374,25 +408,30 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     g = inst.graph
     n_runs = len(runs)
     k = len(x) // n_runs
-    u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)
-    sigma = _sample_from_cdf(inst.b_cdf.T, u)
+    xt = _spins_by_vertex(inst, x)
+    # u is a temporary: not held through the filter
+    sigma = _sample_from_cdf(inst.b_cdf.T[:, :, None], uniform_from_bits(
+        tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)))
     if k > 1:
-        sigma = np.repeat(sigma, k, 0)
+        sigma = np.repeat(sigma, k, 1)
     if inst.A_pass is not None:
-        passed = _filter_factors(inst, inst.A_pass.reshape(-1), sigma, x)
+        passed = _filter_factors(inst, inst.A_pass.reshape(-1), sigma, xt)
     else:
-        pe = _filter_probs(inst, sigma, x).reshape(n_runs, k, g.m)
+        pe = _filter_factors(inst, inst.A_norm.reshape(-1), sigma, xt)
         coins = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs)
-        passed = (coins[:, None] < pe).reshape(len(x), g.m)
+        passed = (coins.T[:, :, None] < pe.reshape(g.m, n_runs, k)
+                  ).reshape(g.m, len(x))
     # a vertex accepts when every incident edge passed: rank r ANDs its
-    # slots' passes into the prefix of the vertices in by_degree order
+    # slots' passes into the prefix of the rows in by_degree order
     acc = np.ones(sigma.shape, dtype=bool)
     ptr = g.rank_ptr.tolist()
     for lo, hi in zip(ptr[:-1], ptr[1:]):
-        head = acc[:, :hi - lo]
-        head &= np.take(passed, g.rank_edge[lo:hi], 1)
-    # np.take is several times faster than acc[:, idx] on wide batches
-    return np.where(np.take(acc, g.degree_pos, 1), sigma, x), None
+        head = acc[:hi - lo]
+        head &= np.take(passed, g.rank_edge[lo:hi], 0)
+    new_x = np.where(np.take(acc, g.degree_pos, 0), sigma, xt)
+    # a fresh C-ordered (rows, n) int64 batch: an F-ordered one would make
+    # every later ravel copy
+    return np.ascontiguousarray(new_x.T, dtype=np.int64), None
 
 
 def round_function(chain: ChainSpec):

@@ -113,9 +113,12 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     return x, snaps
 
 
-# Per-thread byte budget of one chunk: a round holds about (n + 2m) * q
-# float64 values per row (per-pair conditionals and slot products, per-edge
-# filter factors). Sites per chunk are capped as well: past about 2**17
+# Per-thread byte budget of one chunk. The row size below counts
+# (n + 2m) * q float64 values per row: the resampling round's per-pair
+# conditionals and slot products, and per-edge filter factors. The
+# Metropolis round holds less than that: narrow flat indices per edge, and
+# one boolean pass per edge on 0/1 tables (float64 factors only on the
+# coin path). Sites per chunk are capped as well: past about 2**17
 # sites a chunk's (rows, n) arrays fall out of cache and time per site
 # grows. The counter-based tape makes outputs independent of the split, so
 # both bounds move only memory and speed.

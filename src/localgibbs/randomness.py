@@ -80,9 +80,9 @@ class RandomTape:
     triple; the layouts differ by consumer:
 
     * node_words: (len(entities), len(runs)), one row per vertex, as the
-      local-maximum selection reads them;
+      local-maximum selection and the Metropolis proposals read them;
     * node_uniforms and edge_uniforms: (len(runs), len(entities)), one row
-      per run, as the Metropolis round and the initial draw read them;
+      per run, as the initial draw and the Metropolis coins read them;
     * node_uniforms_at: (len(entities),), one per listed (entity, run) pair,
       from one hashed prefix per entity id up to the largest listed;
     * node_words_over_rounds: (len(rounds), len(entities)) for one run.

@@ -161,7 +161,7 @@ def naive_metropolis(edges, A_per_edge, b_per_vertex, q, x, u, coins):
     ok = [True] * n
     for (a, b), A, coin in zip(edges, A_per_edge, coins):
         a, b = min(a, b), max(a, b)
-        top = max(A[i][j] for i in range(q) for j in range(q))
+        top = max(max(row) for row in A)
         p = A[sigma[a]][sigma[b]] / top * (A[x[a]][sigma[b]] / top)
         p *= A[sigma[a]][x[b]] / top
         if not coin < p:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from _naive import all_sigmas
@@ -5,10 +7,11 @@ from _naive import all_sigmas
 from localgibbs.chains import (ChainSpec, SchedulerSpec,
                                check_filter_positivity, chromatic_classes,
                                local_max_select, local_metropolis,
+                               local_metropolis_round_batch,
                                luby_glauber, luby_glauber_round_batch,
                                luby_select_batch, round_function,
                                scheduled_set_batch, sequential_glauber)
-from localgibbs.engine import run_batch
+from localgibbs.engine import initial_config, run_batch
 from localgibbs.graphs import Graph, complete, cycle, path, random_regular
 from localgibbs.models import coloring, hardcore, ising, potts
 from localgibbs.mrf import MrfInstance, ZeroMarginal, feasible_batch, is_feasible
@@ -354,3 +357,53 @@ def test_round_functions_do_not_mutate_input(name):
     assert out.shape == (5, 4)
     assert out.flags.writeable
     assert not np.shares_memory(out, base)
+
+
+_RR12 = random_regular(12, 3, seed=2)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("inst", [coloring(_RR12, 4), potts(_RR12, 3, 1.7)],
+                         ids=["zero-one", "coins"])
+@pytest.mark.parametrize("name", ["luby", "metropolis"])
+def test_round_returns_a_fresh_c_ordered_int64_batch(name, inst, k):
+    # an F-ordered or narrow result would make every later ravel copy, or
+    # every consumer cast, without a warning
+    fn = round_function(ROUND_CHAINS[name])
+    runs = np.array([3, 8, 11])
+    rows, n = len(runs) * k, inst.n
+    spins = np.random.default_rng(k).integers(0, inst.q, (rows, n))
+    # round 1 of a single start is a read-only broadcast of one row
+    for x in (spins, np.broadcast_to(spins[0], (rows, n))):
+        before = x.copy()
+        for t in (1, 2):
+            out, _ = fn(inst, x, t, RandomTape(31), runs)
+            assert out.shape == (rows, n) and out.dtype == np.int64
+            assert out.flags.c_contiguous and out.flags.owndata
+            assert not np.shares_memory(out, x)
+            np.testing.assert_array_equal(x, before)
+
+
+def test_metropolis_round_peak_allocation_is_bounded():
+    # one 512-row round of the sample-rr256-metropolis instance from the
+    # greedy start. The vertex-major round peaked at 3.63 MB traced
+    # (numpy 2.4), the (rows, m) int64 round before it at 10.38 MB; the
+    # bound leaves about 40 % headroom and is not retuned
+    inst = coloring(random_regular(256, 3, seed=1702), 8)
+    runs = np.arange(512)
+    x = np.broadcast_to(initial_config(inst, "greedy"), (512, inst.n))
+    tape = RandomTape(1)
+    local_metropolis_round_batch(inst, x, 1, tape, runs)  # warm caches
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out, _ = local_metropolis_round_batch(inst, x, 1, tape, runs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert out.shape == (512, inst.n)
+    assert peak < 5_000_000

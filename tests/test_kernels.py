@@ -22,16 +22,18 @@ from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
                                chromatic_classes, local_metropolis_round_batch,
                                luby_glauber_round_batch, scheduled_set_batch)
 from localgibbs.cli import _samples_jsonl
-from localgibbs.graphs import Graph
+from localgibbs.graphs import Graph, cycle, path
+from localgibbs.models import coloring, potts
 from localgibbs.mrf import MrfInstance, ZeroMarginal
 from localgibbs.randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
 
 
 def _check_draw(cdf, u):
-    # the kernel reads the cdf spin-major
+    # the kernel reads the cdf spin-major and counts in the narrowest
+    # unsigned dtype that holds q - 1
     got = _sample_from_cdf(np.moveaxis(cdf, -1, 0), u)
     want = naive_draw(cdf, u)
-    assert got.dtype == np.int64
+    assert got.dtype == np.min_scalar_type(cdf.shape[-1] - 1)
     np.testing.assert_array_equal(got, want)
     return got
 
@@ -256,6 +258,65 @@ def test_metropolis_round_matches_loop_on_tiny_instances(case):
             assert new_x[row].tolist() == naive_metropolis(
                 g.edges, A, b, inst.q, x[row].tolist(), u[row // k].tolist(),
                 coins[row // k].tolist())
+
+
+# (graph, q, flat filter index dtype, spin dtype): m * q * q - 1 on each
+# side of 255 and 65535, q on each side of 256, and no edges at all
+_DTYPE_EDGES = {
+    "c16-q4": (cycle(16), 4, np.uint8, np.uint8),
+    "c17-q4": (cycle(17), 4, np.uint16, np.uint8),
+    "c256-q16": (cycle(256), 16, np.uint16, np.uint8),
+    "c257-q16": (cycle(257), 16, np.uint32, np.uint8),
+    "p3-q256": (path(3), 256, np.uint32, np.uint8),
+    "p3-q257": (path(3), 257, np.uint32, np.uint16),
+    "edgeless-q3": (Graph(3, []), 3, np.uint8, np.uint8),
+    "edgeless-q257": (Graph(3, []), 257, np.uint16, np.uint16),
+}
+
+
+def _per_edge(g, q, level):
+    # symmetric tables that differ from edge to edge, so that a flat index
+    # whose edge offset wrapped would read another edge's table
+    i, j = np.indices((q, q))
+    return MrfInstance(g, q, [level(i + j + e, i * j) for e in range(g.m)],
+                       np.ones(q))
+
+
+_FILTER_MODELS = {
+    "coloring": lambda g, q: coloring(g, q),
+    "potts": lambda g, q: potts(g, q, 1.7),
+    "zero-one-per-edge": lambda g, q: _per_edge(
+        g, q, lambda s, p: (s % 3 > 0) | (p == 0)),
+    "fractional-per-edge": lambda g, q: _per_edge(
+        g, q, lambda s, p: 0.5 + (s % 5) * 0.35),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("model", list(_FILTER_MODELS))
+@pytest.mark.parametrize("name", list(_DTYPE_EDGES))
+def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
+    g, q, index_dtype, spin_dtype = _DTYPE_EDGES[name]
+    # the instance sits where it is meant to, on either side of a switch
+    assert np.min_scalar_type(max(g.m * q * q - 1, q)) == index_dtype
+    assert np.min_scalar_type(q - 1) == spin_dtype
+    inst = _FILTER_MODELS[model](g, q)
+    # the fractional tables take the coin path wherever there is an edge
+    assert (inst.A_pass is None) == (model in ("potts", "fractional-per-edge")
+                                     and g.m > 0)
+    A, b = inst.A.tolist(), inst.b.tolist()
+    tape, runs = RandomTape(23), np.array([4, 9])
+    x = np.random.default_rng(q).integers(0, q, (len(runs) * k, g.n))
+    x[:, 0] = q - 1  # the widest spin is present
+    for t in (1, 2, 3):
+        new_x, _ = local_metropolis_round_batch(inst, x, t, tape, runs)
+        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, runs)
+        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs)
+        for row in range(len(x)):
+            assert new_x[row].tolist() == naive_metropolis(
+                g.edges, A, b, q, x[row].tolist(), u[row // k].tolist(),
+                coins[row // k].tolist())
+        x = new_x
 
 
 def test_filter_probs_match_fancy_lookups():
