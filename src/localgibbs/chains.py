@@ -37,7 +37,12 @@ chosen so that every step is a contiguous row operation:
   denominator and running sum add whole rows in spin order, and the draw
   compares whole rows. On 0/1 edge tables the slot product is a byte mask
   ANDed from MrfInstance.slot_bits, one byte row per 8 spins, and b * bit
-  is bitwise b times a product of 1.0 and 0.0 factors.
+  is bitwise b times a product of 1.0 and 0.0 factors. When that mask is
+  a single byte (q <= 8) and every vertex has the same activity vector
+  (colorings, hardcore), a pair's CDF depends on its mask alone: the
+  round reads it from MrfInstance.mask_cdf, (q - 1, 256) with one column
+  per mask, tabulated once by the same arithmetic, and builds no
+  conditionals.
 
 The Metropolis round is vertex-major too: its spins are (n, rows) in the
 narrowest unsigned dtype for q and its filter is edge-major, (m, rows), so
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .mrf import MrfInstance, ZeroMarginal
+from .mrf import MrfInstance, ZeroMarginal, spin_major_cdf
 from .randomness import (KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape,
                          uniform_from_bits)
 
@@ -248,10 +253,17 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     and the step is an AND; the numerator is then each pair's vertex
     activities times the mask's bits. The pairs come from the selection's
     flat indices, in np.nonzero's order. The denominator and CDF add whole
-    rows in spin order, so each pair's arithmetic is that of a loop over
-    its spins, whatever the number of pairs in the round; the draws are
-    committed with one np.put. Proposal uniforms are hashed for the
-    scheduled pairs alone.
+    rows in spin order (mrf.spin_major_cdf), so each pair's arithmetic is
+    that of a loop over its spins, whatever the number of pairs in the
+    round; the draws are committed with one np.put. Proposal uniforms are
+    hashed for the scheduled pairs alone.
+
+    When inst.mask_cdf is set (one byte row of slot bits, q <= 8, and one
+    activity vector shared by every vertex), the pair's byte mask is the
+    key: inst.mask_dead[key] marks the empty conditionals and the draw
+    counts the table rows inst.mask_cdf[c][key] <= u. Each column of the
+    table is the arithmetic above on that mask, so the draws are bitwise
+    the same; no numerator, denominator or CDF is built.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
@@ -293,34 +305,38 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                 fold(prod[c, :p], np.take(row, col), out=prod[c, :p])
             else:
                 np.take(row, col, out=prod[c, :p])
-    # prod becomes the numerator, then, in place, the CDF
-    if packed:
-        # spin c's factor is bit c % 8 of byte row c // 8, as 0 or 1
+    if inst.mask_cdf is not None:
+        # one byte row and one activity vector: the mask keys the tables
+        key = prod[0]
+        dead = np.take(inst.mask_dead, key)
+    elif packed:
+        # prod becomes the numerator, then, in place, the CDF; spin c's
+        # factor is bit c % 8 of byte row c // 8, as 0 or 1
         mask, prod = prod, np.take(inst.b.T, vi, 1)
         for c in range(q):
             prod[c] *= (mask[c >> 3] >> (c & 7)) & 1
         del mask  # freed before the draw: holding it raised peak RSS on C4
+        dead = spin_major_cdf(prod)
     else:
         prod *= np.take(inst.b.T, vi, 1)
-    # not prod.sum(axis=0): numpy sums a single column pairwise
-    denom = prod[0].copy()
-    for c in range(1, q):
-        denom += prod[c]
-    dead = denom <= 0
+        dead = spin_major_cdf(prod)
     if dead.any():
         run = runs[ri // k]
         i = np.flatnonzero(dead)[np.lexsort((vi[dead], run[dead]))[0]]
         raise ZeroMarginal(int(vi[i]), run=int(run[i]), round=round_)
-    prod /= denom
-    for c in range(1, q):
-        prod[c] += prod[c - 1]
-    prod[-1] = 1.0
     # hashed last, so that u is not held in memory through the product
     u = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vu, round_, runs[ru])
     if k > 1:
         u = np.repeat(u, k)
+    if inst.mask_cdf is None:
+        draw = _sample_from_cdf(prod, u)
+    else:
+        # _sample_from_cdf's count, one table row gathered at a time
+        draw = np.zeros(len(key), np.uint8)
+        for row in inst.mask_cdf:
+            draw += np.take(row, key) <= u
     new_x = x.copy()
-    np.put(new_x, row_base + vi, _sample_from_cdf(prod, u))
+    np.put(new_x, row_base + vi, draw)
     return new_x, None
 
 

@@ -50,13 +50,17 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _write_csv(path: str, header, rows) -> None:
     """Header and rows as comma-joined lines of str() cells, None empty.
     Cells are numbers and fixed names, so none needs csv quoting."""
     text = "".join([",".join(["" if v is None else str(v) for v in row]) + "\n"
                     for row in (header, *rows)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 def _write_result(out_dir: str, stem: str, fmt: str, header, rows,
@@ -113,6 +117,19 @@ def _samples_jsonl(runs: np.ndarray, final: np.ndarray, q: int) -> bytes:
                     for r, a, b in zip(runs.tolist(), starts, ends))
 
 
+def _marginals_csv(counts: np.ndarray, n_runs: int) -> str:
+    """marginals.csv from (n, q) spin counts: what _write_csv writes for
+    the rows (vertex, spin, count / n_runs), with str() called once per
+    distinct frequency rather than once per cell."""
+    distinct, pos = np.unique(counts, return_inverse=True)
+    cells = [str(f) for f in (distinct / n_runs).tolist()]
+    spins = [f",{s}," for s in range(counts.shape[1])]
+    return "vertex,spin,frequency\n" + "".join(
+        [f"{v}{spins[s]}{cells[p]}\n"
+         for v, row in enumerate(pos.reshape(counts.shape).tolist())
+         for s, p in enumerate(row)])
+
+
 def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _, inst, chain, tape = _experiment(cfg)
     n, q, rounds, n_runs = inst.n, inst.q, cfg["rounds"], cfg["n_runs"]
@@ -135,12 +152,13 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             counts += chunk_counts
             feasible += chunk_feasible
 
-    freqs = (counts.reshape(n, q) / n_runs).tolist()
-    rows = [(v, s, f) for v, row in enumerate(freqs) for s, f in enumerate(row)]
-    _write_result(out_dir, "marginals", cfg["format"],
-                  ("vertex", "spin", "frequency"), rows,
-                  {"frequencies": freqs, "n_runs": n_runs,
-                   "rounds": rounds, "seed": cfg["seed"]})
+    if cfg["format"] == "csv":
+        _write_text(os.path.join(out_dir, "marginals.csv"),
+                    _marginals_csv(counts.reshape(n, q), n_runs))
+    else:
+        _write_json(os.path.join(out_dir, "marginals.json"), {
+            "frequencies": (counts.reshape(n, q) / n_runs).tolist(),
+            "n_runs": n_runs, "rounds": rounds, "seed": cfg["seed"]})
 
     print(f"sample: {n_runs} runs of {rounds} rounds; "
           f"feasible fraction {feasible / n_runs:.4f}")

@@ -26,26 +26,49 @@ from .mrf import MrfInstance, ZeroMarginal, validate_configuration
 from .randomness import KIND_INIT_CONFIG, RandomTape
 
 
+def _bit_rows(ok: np.ndarray):
+    """Flat row i of a (..., q) boolean array as a Python int, entry c at
+    bit c. The whole array is packed once, as one bit string; a call cuts
+    one row out of it."""
+    q = ok.shape[-1]
+    buf, full = np.packbits(ok, None, "little").tobytes(), (1 << q) - 1
+
+    def row(i):
+        lo = i * q
+        return int.from_bytes(buf[lo >> 3:(lo + q + 7) >> 3],
+                              "little") >> (lo & 7) & full
+    return row
+
+
 def greedy_feasible(inst: MrfInstance) -> np.ndarray:
     """Deterministic feasible configuration: scan vertices, take the smallest
     non-conflicting spin given the already-assigned neighbors.
+
+    The scan is plain Python on spin sets held as int bit masks: a vertex's
+    spins of positive activity, ANDed with, for each assigned neighbor, the
+    spins that the slot's edge allows against the neighbor's spin.
 
     Raises:
         ValueError: the greedy scan dead-ends (no spin has positive weight
         against the assigned neighborhood).
     """
-    g = inst.graph
-    x = np.full(inst.n, -1, dtype=np.int64)
+    g, q = inst.graph, inst.q
+    free = _bit_rows(inst.b > 0)
+    # row e * q + s: the spins edge e allows against spin s (A is symmetric)
+    allowed = _bit_rows(inst.A > 0)
+    ptr, nbr = g.nbr_ptr.tolist(), g.nbr_flat.tolist()
+    edge = g.nbr_edge.tolist()
+    x = [-1] * inst.n
     for v in range(inst.n):
-        ok = inst.b[v] > 0
-        for slot in range(g.nbr_ptr[v], g.nbr_ptr[v + 1]):
-            u = g.nbr_flat[slot]
-            if x[u] >= 0:
-                ok &= inst.slot_table[:, slot * inst.q + x[u]] > 0
-        if not ok.any():
+        ok = free(v)
+        for slot in range(ptr[v], ptr[v + 1]):
+            s = x[nbr[slot]]
+            if s >= 0:
+                ok &= allowed(edge[slot] * q + s)
+        if not ok:
             raise ValueError(f"greedy feasible start dead-ends at vertex {v}")
-        x[v] = int(np.argmax(ok))
-    return x
+        x[v] = (ok & -ok).bit_length() - 1
+    return np.array(x, dtype=np.int64)
 
 
 PRESETS = ("zeros", "max", "greedy", "random")

@@ -91,6 +91,14 @@ class MrfInstance:
             A entry is exactly 0.0 or 1.0, else None. The test is on A, not
             A_norm as for A_pass, since a conditional multiplies entries of
             A itself: entries 0 and 2.5 set A_pass but not slot_bits.
+        mask_cdf: when slot_bits is a single byte row (q <= 8) and every
+            row of b is equal (colorings, hardcore), the (q - 1, 256) table
+            whose column m holds the CDF of a conditional with AND mask m:
+            b[0] times the mask's bits, put through spin_major_cdf. The
+            last entry, 1.0, is left out, and bits q and up are ignored
+            (an isolated vertex's mask is 0xFF). Else None.
+        mask_dead: with mask_cdf, the (256,) boolean table of the masks
+            whose conditional has no mass, else None.
 
     Every array attribute is read-only.
 
@@ -113,7 +121,9 @@ class MrfInstance:
             ea = np.broadcast_to(ea, (m, q, q))
         if ea.shape != (m, q, q):
             raise ValueError(f"expected {m} edge activities of shape ({q}, {q})")
-        self.A = np.array(ea)
+        # C order: a copy of a broadcast matrix would keep the edge axis
+        # innermost, and every flat read of A would copy it
+        self.A = np.array(ea, order="C")
         _check_activities(self.A, "edge")
 
         vb = np.asarray(vertex_activities, dtype=np.float64)
@@ -138,8 +148,18 @@ class MrfInstance:
         self.slot_bits = np.packbits(self.slot_table > 0, axis=0,
                                      bitorder="little") \
             if np.all((self.A == 0) | (self.A == 1)) else None
+        # one byte of bits and one activity vector: a conditional depends
+        # on its mask alone, so all 256 are tabulated once
+        self.mask_cdf = self.mask_dead = None
+        if self.slot_bits is not None and len(self.slot_bits) == 1 \
+                and np.all(self.b == self.b[0]):
+            cdf = self.b[0][:, None] * (
+                (np.arange(256) >> np.arange(self.q)[:, None]) & 1)
+            self.mask_dead = spin_major_cdf(cdf)
+            self.mask_cdf = cdf[:-1].copy()
         for arr in (self.A, self.b, self.A_norm, self.A_pass, self.b_prop,
-                    self.b_cdf, self.slot_table, self.slot_bits):
+                    self.b_cdf, self.slot_table, self.slot_bits,
+                    self.mask_cdf, self.mask_dead):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -149,6 +169,28 @@ class MrfInstance:
 
     def __repr__(self):
         return f"MrfInstance(n={self.n}, m={self.graph.m}, q={self.q})"
+
+
+def spin_major_cdf(p: np.ndarray) -> np.ndarray:
+    """Spin-major conditional numerators, (q, cols), into their CDFs in
+    place; returns the (cols,) boolean array of the columns with no mass,
+    whose entries are then not a CDF.
+
+    The denominator and the running sum add whole rows in spin order, so
+    each column's arithmetic is that of a loop over its spins, whatever the
+    number of columns. The last row is forced to exactly 1.0.
+    """
+    # not p.sum(axis=0): numpy sums a single column pairwise
+    denom = p[0].copy()
+    for c in range(1, len(p)):
+        denom += p[c]
+    dead = denom <= 0
+    with np.errstate(invalid="ignore"):  # 0 / 0 in the dead columns
+        p /= denom
+    for c in range(1, len(p)):
+        p[c] += p[c - 1]
+    p[-1] = 1.0
+    return dead
 
 
 def validate_configuration(inst: MrfInstance, sigma) -> np.ndarray:

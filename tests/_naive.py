@@ -167,3 +167,22 @@ def naive_metropolis(edges, A_per_edge, b_per_vertex, q, x, u, coins):
         if not coin < p:
             ok[a] = ok[b] = False
     return [sigma[v] if ok[v] else x[v] for v in range(n)]
+
+
+def naive_greedy(edges, A_per_edge, b_per_vertex, q):
+    """The greedy start, vertex by vertex: the smallest spin of positive
+    activity that every edge to an already-assigned vertex allows. Returns
+    the configuration as a list, or the vertex (an int) where no spin is
+    left."""
+    x = [None] * len(b_per_vertex)
+    for v in range(len(x)):
+        others = [(b if a == v else a, A) for (a, b), A in zip(edges, A_per_edge)
+                  if v in (a, b)]
+        for c in range(q):
+            if b_per_vertex[v][c] > 0 and all(
+                    A[c][x[u]] > 0 for u, A in others if x[u] is not None):
+                x[v] = c
+                break
+        else:
+            return v
+    return x

@@ -2,6 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from _naive import naive_greedy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_digests import _hub_and_tail_lists, _hub_and_tail_wide
+from test_kernels import _BITS, _PROPERTY, _tiny_rounds
 
 from localgibbs import cli
 from localgibbs.chains import local_metropolis, luby_glauber, sequential_glauber
@@ -51,6 +56,32 @@ def test_initial_presets():
         initial_config(inst, [2, 0, 0, 0])  # spin out of range
     with pytest.raises(ValueError):
         initial_config(inst, [0, 0, 0])  # wrong length
+
+
+def _check_greedy(inst):
+    want = naive_greedy(inst.graph.edges, inst.A.tolist(), inst.b.tolist(),
+                        inst.q)
+    if isinstance(want, int):
+        with pytest.raises(ValueError, match=f"dead-ends at vertex {want}$"):
+            greedy_feasible(inst)
+    else:
+        assert greedy_feasible(inst).tolist() == want
+    return want
+
+
+# zeros in A and b, parallel edges, isolated vertices, fractional tables
+# and 0/1 ones; nearly half of the examples dead-end
+@settings(_PROPERTY, max_examples=100)
+@given(st.one_of(_tiny_rounds(), _tiny_rounds(_BITS)))
+def test_greedy_start_matches_loop_on_tiny_instances(case):
+    _check_greedy(case[0])
+
+
+@pytest.mark.parametrize("q", [9, 137])
+def test_greedy_start_matches_loop_on_wide_spin_sets(q):
+    # a spin set of q bits spans several bytes and starts mid-byte
+    for inst in (_hub_and_tail_wide(q), _hub_and_tail_lists(q)):
+        assert not isinstance(_check_greedy(inst), int)
 
 
 def test_greedy_feasible_on_colorings():

@@ -21,7 +21,7 @@ from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
                                _filter_probs, _sample_from_cdf,
                                chromatic_classes, local_metropolis_round_batch,
                                luby_glauber_round_batch, scheduled_set_batch)
-from localgibbs.cli import _samples_jsonl
+from localgibbs.cli import _marginals_csv, _samples_jsonl, _write_csv
 from localgibbs.graphs import Graph, cycle, path
 from localgibbs.models import coloring, potts
 from localgibbs.mrf import MrfInstance, ZeroMarginal
@@ -85,10 +85,11 @@ def test_draw_matches_reduction_on_random_rows(seed):
 class _BoundaryTape(RandomTape):
     """Proposal uniforms that sit exactly on an entry of each scheduled
     pair's reference CDF, computed by naive_conditional_cdf from the pair's
-    row of x. A draw then moves with the last bit of the conditional's
-    normaliser; the entry is chosen per (vertex, run, round) among those
-    below 1, as a uniform is, and is 0.0 when there are none (only spin 0
-    has mass)."""
+    row of x, or one ulp below it. A draw then moves when the kernel's
+    entry is one ulp above the reference (on the entry) or below it (one
+    ulp under); the entry and the side are chosen per (vertex, run, round)
+    among the entries below 1, as a uniform is, and the entry is 0.0 when
+    there are none (only spin 0 has mass)."""
 
     def __init__(self, inst, x, runs):
         super().__init__(3)
@@ -99,7 +100,8 @@ class _BoundaryTape(RandomTape):
         cdf = naive_conditional_cdf(self.inst.graph.edges, self.A, self.b,
                                     self.inst.q, v, self.x[r])
         below = [c for c in cdf if c < 1.0] or [0.0]
-        return below[(v + r + round_) % len(below)]
+        i = (v + r + round_) % (2 * len(below))
+        return below[i // 2] if i % 2 else np.nextafter(below[i // 2], 0.0)
 
     def node_uniforms_at(self, kind, entities, round_, runs):
         return np.array([self._entry(v, r, round_)
@@ -117,17 +119,27 @@ def _hub_and_tail_zero_one(q: int) -> MrfInstance:
     return MrfInstance(wide.graph, q, edge, wide.b)
 
 
+def _hub_and_tail_mask_table(q: int) -> MrfInstance:
+    # the same edge tables with one vertex activity vector, spread over
+    # decades: at q <= 8 the round draws from the per-mask CDF table
+    inst = _hub_and_tail_zero_one(q)
+    return MrfInstance(inst.graph, q, inst.A, inst.b[0])
+
+
 @pytest.mark.parametrize("make, q", [
     *(pytest.param(_hub_and_tail_wide, q, id=f"{q}")
       for q in (3, 8, 9, 16, 137)),
     *(pytest.param(_hub_and_tail_zero_one, q, id=f"zero-one-{q}")
-      for q in (3, 9, 137))])
+      for q in (3, 9, 137)),
+    *(pytest.param(_hub_and_tail_mask_table, q, id=f"zero-one-{q}")
+      for q in (2, 8))])
 @pytest.mark.parametrize("variant, alone", [("luby", False),
                                             ("single-site", False),
                                             ("single-site", True)])
 def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
                                                        alone):
     inst = make(q)
+    assert (inst.mask_cdf is not None) == (make is _hub_and_tail_mask_table)
     g, sched = inst.graph, SchedulerSpec(variant)
     A, b = inst.A.tolist(), inst.b.tolist()
     runs = np.arange(24, dtype=np.int64) + 5
@@ -163,14 +175,14 @@ _BITS = st.sampled_from([0.0, 1.0])
 
 
 @st.composite
-def _tiny_rounds(draw, edge_levels=_LEVELS):
-    """A random tiny instance, batch and round: a multigraph on 1-5
-    vertices (parallel edges and isolated vertices allowed), q in 2..4,
+def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4):
+    """A random tiny instance, batch and round: a multigraph on 1-max_n
+    vertices (parallel edges and isolated vertices allowed), q in 2..max_q,
     symmetric edge activities from edge_levels and vertex activities, both
     with zeros, any scheduler, and 1-3 starts per run (k rows per run,
     run-major)."""
-    n = draw(st.integers(1, 5))
-    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, max_n))
+    q = draw(st.integers(2, max_q))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     # n > 1 draws an edge, so that the product and the filter are tested,
     # save about one example in eight, which keeps m = 0 with n > 1
@@ -346,3 +358,15 @@ def test_samples_jsonl_matches_json_dumps(q, shape):
     # a chunk's global run ids, not its row numbers
     runs = np.arange(len(final)) + 995
     assert _samples_jsonl(runs, final, q) == _json_reference(runs, final)
+
+
+@pytest.mark.parametrize("n_runs", [1, 7, 512])
+@pytest.mark.parametrize("shape", [(9, 3), (1, 2), (4, 137)])
+def test_marginals_csv_matches_write_csv(tmp_path, shape, n_runs):
+    counts = np.random.default_rng(n_runs).integers(0, n_runs + 1, shape)
+    counts[0, 0] = n_runs  # a frequency of exactly 1.0 is present
+    rows = [(v, s, c / n_runs) for v, row in enumerate(counts.tolist())
+            for s, c in enumerate(row)]
+    _write_csv(tmp_path / "want.csv", ("vertex", "spin", "frequency"), rows)
+    want = (tmp_path / "want.csv").read_text(encoding="utf-8")
+    assert _marginals_csv(counts, n_runs) == want

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 from _naive import all_sigmas, naive_gibbs, naive_tv
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_kernels import _BITS, _PROPERTY, _tiny_rounds
 
 from localgibbs.chains import SchedulerSpec, local_metropolis, luby_glauber, sequential_glauber
 from localgibbs.graphs import Graph, cycle, path
 from localgibbs.models import coloring, hardcore, ising, list_coloring
+from localgibbs.mrf import ZeroMarginal
 from localgibbs.oracle import (Distribution, StateSpaceTooLarge,
                                TransitionMatrix, UnsupportedScheduler,
                                ZeroPartitionFunction,
@@ -261,6 +265,31 @@ def test_matrix_never_leaves_feasible_for_infeasible():
             P = exact_transition_matrix(chain, inst)
             bad = (mu.probs[:, None] > 0) & (mu.probs[None, :] == 0) & (P.rows > 0)
             assert not bad.any()
+
+
+# budget: about 2 s. Instances with n <= 4 and q <= 3, so at most 81
+# states; the Metropolis matrix sums over 2**m coin patterns per state
+@settings(_PROPERTY, max_examples=80)
+@given(st.one_of(_tiny_rounds(max_n=4, max_q=3),
+                 _tiny_rounds(_BITS, max_n=4, max_q=3)))
+def test_exact_matrices_keep_gibbs_on_random_tiny_instances(case):
+    inst = case[0]
+    try:
+        mu, _ = enumerate_gibbs(inst)
+        mats = [exact_transition_matrix(chain, inst) for chain in
+                (luby_glauber(), sequential_glauber(), local_metropolis())]
+    except (ZeroMarginal, ZeroPartitionFunction):
+        assume(False)
+    feasible = mu.probs > 0
+    mu_f = Distribution(mu.probs[feasible])
+    for P in mats:
+        rows = P.rows[feasible]
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+        # no mass moves from a feasible state to an infeasible one
+        assert not rows[:, ~feasible].any()
+        report = check_detailed_balance(
+            TransitionMatrix(rows[:, feasible]), mu_f)
+        assert report.ok, report
 
 
 def test_conditional_no_pinning_is_marginal():

@@ -6,7 +6,8 @@ once per run, so a k-start batch must equal k one-start batches row for
 row, must hash exactly what one start hashes, and must name the same
 ZeroMarginal failure. A Metropolis round hashes its edge coins only where
 the filter has a fractional factor, and a resampling round multiplies
-float edge factors only where some edge activity is not 0 or 1.
+float edge factors only where some edge activity is not 0 or 1, and reads
+its CDFs from the per-mask table only where it applies.
 """
 
 import copy
@@ -191,6 +192,42 @@ def test_resampling_packs_only_zero_one_tables(name, k):
     for t in range(1, 4):
         x = _batch(inst, k, t)
         assert _outcome(fn, blind, x, t) == _outcome(fn, inst, x, t)
+
+
+# instance -> whether the resampling round draws from the per-mask CDF
+# table: one byte of slot bits (q <= 8) and one vertex activity vector
+_MASK_TABLES = {
+    "coloring": (lambda: coloring(_RR, 4), True),
+    # strands vertices, so the table's ZeroMarginal is checked too
+    "coloring-3": (lambda: coloring(_RR, 3), True),
+    "coloring-8": (lambda: coloring(_RR, 8), True),
+    "coloring-9": (lambda: coloring(_RR, 9), False),
+    "hardcore": (lambda: hardcore(_RR, 0.5), True),
+    "list-coloring": (_FILTERS["list-coloring"][0], False),
+    "potts": (_FILTERS["potts"][0], False),
+    "hub-tail": (_hub_and_tail_instance, False),
+}
+
+
+@pytest.mark.parametrize("k", STARTS[:2])
+@pytest.mark.parametrize("name", sorted(_MASK_TABLES))
+def test_resampling_draws_from_mask_table_only_when_it_applies(name, k):
+    make, table = _MASK_TABLES[name]
+    inst = make()
+    assert (inst.mask_cdf is not None) == table
+    assert (inst.mask_dead is not None) == table
+    if not table:
+        return
+    assert inst.mask_cdf.shape == (inst.q - 1, 256)
+    # a round that built the conditionals would read the NaNs
+    blind = copy.copy(inst)
+    blind.b = np.full_like(inst.b, np.nan)
+    blind.slot_table = np.full_like(inst.slot_table, np.nan)
+    fn = round_function(_chain("luby", inst.graph))
+    outcomes = [_outcome(fn, inst, _batch(inst, k, t), t) for t in range(1, 9)]
+    for t, want in enumerate(outcomes, 1):
+        assert _outcome(fn, blind, _batch(inst, k, t), t) == want
+    assert any(isinstance(o, tuple) for o in outcomes) == (name == "coloring-3")
 
 
 def _failure(fn, inst, x, t, tape):
