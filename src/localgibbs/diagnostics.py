@@ -3,12 +3,15 @@
 Influence/contraction diagnostics (the Dobrushin-style matrix and its
 closed coloring form), empirical mixing curves against exact ground truth,
 identical-tape coupling decay with the degree-weighted disagreement
-distance, conditional-correlation decay along paths, and selection-rate
+distance, conditional-correlation decay (enumerated, or by message
+passing on forests past the enumeration cap), and selection-rate
 scans for the local-maximum scheduler.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +24,7 @@ from .engine import PRESETS, run_chunked
 from .graphs import Graph
 from .mrf import MrfInstance, marginal
 from .oracle import (ENUM_CAP, Distribution, all_configs, enumerate_gibbs,
-                     exact_conditional_marginal, path_conditional_marginal,
+                     exact_conditional_marginal, forest_conditional_marginal,
                      tv_distance)
 from .randomness import KIND_NODE_BETA, RandomTape
 
@@ -246,35 +249,23 @@ def correlation_length(inst: MrfInstance, u: int, v: int, pinnings=None,
     Candidate pins are the spins of u whose exact marginal mass reaches
     delta (or an explicit iterable of spins); the result is the maximum
     total variation distance between the conditionals at v over pin pairs.
-    method "enumerate" forces full enumeration, "transfer" the path
-    message-passing recursion, "auto" enumeration when the state space is
-    within cap and the recursion otherwise.
+    method "enumerate" forces full enumeration, "transfer" the forest
+    message passing of forest_conditional_marginal (any n, but the graph
+    must have no cycle), "auto" enumeration when the state space is within
+    cap and message passing otherwise.
     """
     if method not in ("auto", "enumerate", "transfer"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "enumerate" if inst.q ** inst.n <= cap else "transfer"
-
-    def cond(pin: dict[int, int]) -> np.ndarray:
-        if method == "enumerate":
-            return exact_conditional_marginal(inst, v, pin, cap)
-        return path_conditional_marginal(inst, v, pin)
-
+    cond = (functools.partial(exact_conditional_marginal, cap=cap)
+            if method == "enumerate" else forest_conditional_marginal)
     if pinnings is None:
-        if method == "enumerate":
-            mass = exact_conditional_marginal(inst, u, {}, cap)
-        else:
-            mass = path_conditional_marginal(inst, u, {})
-        pinnings = [s for s in range(inst.q) if mass.probs[s] >= delta]
-    pins = list(pinnings)
-    best = 0.0
-    conds = {s: cond({u: s}) for s in pins}
-    for a in range(len(pins)):
-        for b in range(a + 1, len(pins)):
-            t = tv_distance(conds[pins[a]], conds[pins[b]])
-            if t > best:
-                best = t
-    return best
+        mass = cond(inst, u, {}).probs
+        pinnings = [s for s in range(inst.q) if mass[s] >= delta]
+    conds = [cond(inst, v, {u: s}) for s in pinnings]
+    return max((tv_distance(a, b) for a, b in itertools.combinations(conds, 2)),
+               default=0.0)
 
 
 def luby_gamma_estimate(graph: Graph, rounds: int, tape: RandomTape) -> GammaReport:

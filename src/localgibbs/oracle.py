@@ -1,12 +1,13 @@
-"""Brute-force ground truth on small instances.
+"""Exact ground truth: brute force on small instances, message passing on forests.
 
-Everything here trades exponential cost for exactness: the full Gibbs
-distribution by enumerating all q^n configurations, exact one-round
+Almost everything here trades exponential cost for exactness: the full
+Gibbs distribution by enumerating all q^n configurations, exact one-round
 transition matrices for each chain by integrating out their randomness,
 detailed-balance and stationarity residuals, and exact conditional
-marginals (with an independent transfer-matrix recursion on paths as a
-cross-check). The simulator is validated against these outputs; nothing
-here is used on large instances.
+marginals by enumeration. The one exception is the conditional marginal on
+forests, which sum-product message passing computes exactly in O(m q^2)
+for any n; it cross-checks the enumeration and reaches past its cap. The
+simulator is validated against these outputs.
 
 Configurations are ranked little-endian mixed radix: rank(sigma) =
 sum_v sigma_v * q**v, so vertex 0 is the fastest-moving digit.
@@ -54,6 +55,8 @@ class Distribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("probability vector must be one-dimensional")
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite probability entry")
         if p.size and p.min() < 0:
             raise ValueError("negative probability entry")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -76,6 +79,8 @@ class TransitionMatrix:
         P = np.asarray(self.rows, dtype=np.float64)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not np.isfinite(P).all():
+            raise ValueError("non-finite transition probability")
         if P.size and P.min() < 0:
             raise ValueError("negative transition probability")
         if np.abs(P.sum(axis=1) - 1.0).max(initial=0.0) > 1e-9:
@@ -282,61 +287,52 @@ def exact_conditional_marginal(inst: MrfInstance, v: int, pinned: dict[int, int]
     return Distribution(out / total)
 
 
-def _path_order(graph) -> list[int]:
-    """Vertex order along a path graph; raises if the graph is not a path."""
-    if graph.n == 1:
-        return [0]
-    nbr_sets = [sorted(set(a)) for a in graph.adjacency]
-    ends = [v for v, s in enumerate(nbr_sets) if len(s) == 1]
-    if len(ends) != 2 or any(len(s) > 2 for s in nbr_sets):
-        raise ValueError("graph is not a path")
-    order = [min(ends)]
-    prev = -1
-    while len(order) < graph.n:
-        nxt = [u for u in nbr_sets[order[-1]] if u != prev]
-        if len(nxt) != 1:
-            raise ValueError("graph is not a path")
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(set(order)) != graph.n:
-        raise ValueError("graph is not a path")
-    return order
+def forest_conditional_marginal(inst: MrfInstance, v: int,
+                                pinned: dict[int, int]) -> Distribution:
+    """Same quantity as exact_conditional_marginal, by sum-product on a forest.
 
+    Vertices are ordered breadth-first from v, then from each vertex not yet
+    reached, neighbours in adjacency order. One upward pass in reverse order
+    multiplies each vertex's belief (its activity row, zero off a pinned
+    spin, times its children's messages) into its parent through the edge
+    matrix; parallel edges multiply entrywise into one matrix. The parent's
+    belief is rescaled to maximum 1 after each multiply, so long paths and
+    large stars neither overflow nor underflow. O(m q^2) for any n.
 
-def path_conditional_marginal(inst: MrfInstance, v: int,
-                              pinned: dict[int, int]) -> Distribution:
-    """Same quantity as exact_conditional_marginal, by message passing.
-
-    Forward and backward products of per-link matrices along the path; an
-    independent O(n q^2) algorithm used to cross-check the enumeration and
-    to reach instances beyond the enumeration cap. Parallel edges between
-    consecutive vertices multiply entrywise into one effective matrix.
+    Raises:
+        ValueError: the graph has a cycle.
+        ZeroProbabilityCondition: the pinning has zero total weight.
     """
-    order = _path_order(inst.graph)
-    n, q = inst.n, inst.q
-    link = [np.ones((q, q)) for _ in range(n - 1)]
-    pos = {v_: i for i, v_ in enumerate(order)}
-    for e, (a, b_) in enumerate(inst.graph.edges):
-        i, j = pos[a], pos[b_]
-        link[min(i, j)] = link[min(i, j)] * inst.A[e]
-    local = np.empty((n, q))
-    for i, v_ in enumerate(order):
-        d = np.zeros(q)
-        if v_ in pinned:
-            d[pinned[v_]] = 1.0
-        else:
-            d[:] = 1.0
-        local[i] = inst.b[v_] * d
-    fwd = np.empty((n, q))
-    fwd[0] = local[0]
-    for i in range(1, n):
-        fwd[i] = (link[i - 1] @ fwd[i - 1]) * local[i]
-    bwd = np.empty((n, q))
-    bwd[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        bwd[i] = link[i] @ (local[i + 1] * bwd[i + 1])
-    p = fwd[pos[v]] * bwd[pos[v]]
-    total = p.sum()
-    if total <= 0:
-        raise ZeroProbabilityCondition(f"pinning {pinned} carries no weight")
-    return Distribution(p / total)
+    g = inst.graph
+    nbr, edge, ptr = g.nbr_flat.tolist(), g.nbr_edge.tolist(), g.nbr_ptr.tolist()
+    parent, link, seen = [-1] * g.n, [None] * g.n, [False] * g.n
+    order: list[int] = []
+    head = 0  # order[head:] is the breadth-first queue
+    for root in itertools.chain([v], range(g.n)):
+        if not seen[root]:
+            seen[root] = True
+            order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for w, e in zip(nbr[ptr[u]:ptr[u + 1]], edge[ptr[u]:ptr[u + 1]]):
+                if w == parent[u]:
+                    continue
+                if not seen[w]:
+                    seen[w], parent[w], link[w] = True, u, inst.A[e]
+                    order.append(w)
+                elif parent[w] == u:
+                    link[w] = link[w] * inst.A[e]
+                else:
+                    raise ValueError("graph has a cycle")
+    belief = inst.b.copy()
+    for u, s in pinned.items():
+        belief[u, np.arange(inst.q) != s] = 0.0
+    for u in reversed(order):
+        if not belief[u].any():
+            raise ZeroProbabilityCondition(f"pinning {pinned} carries no weight")
+        p = parent[u]
+        if p >= 0:
+            belief[p] *= link[u] @ belief[u]
+            belief[p] /= belief[p].max() or 1.0  # a zero belief raises at p
+    return Distribution(belief[v] / belief[v].sum())

@@ -167,6 +167,37 @@ def test_correlation_cli(tmp_path, capsys):
     assert "strictly decreasing: yes" in capsys.readouterr().out
 
 
+def test_correlation_cli_past_the_enumeration_cap_on_a_path(tmp_path):
+    # 3**1200 states: "auto" takes message passing; a proper 3-coloring of a
+    # path forgets half its pin per hop
+    cfg = write_cfg(tmp_path, "r.cfg", {
+        "model": "coloring", "model.q": "3", "graph": "path",
+        "graph.n": "1200", "seed": "0", "u": "0", "distances": "1, 2, 4"})
+    out = tmp_path / "out"
+    assert cli.main(["correlation", "--config", cfg, "--output", str(out)]) == 0
+    lines = (out / "correlation.csv").read_text(encoding="utf-8").splitlines()
+    vals = [float(line.split(",")[1]) for line in lines[1:]]
+    assert vals == pytest.approx([0.5, 0.25, 0.0625], rel=0, abs=1e-12)
+
+
+def test_correlation_cli_past_the_enumeration_cap_on_a_tree(tmp_path):
+    # 4**12 states exceed the cap; on a tree each hop keeps a third of the pin
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (4, 7), (4, 8),
+             (7, 9), (7, 10), (3, 11)]
+    tree = tmp_path / "tree.edges"
+    tree.write_text("12 11\n" + "".join(f"{a} {b}\n" for a, b in edges),
+                    encoding="utf-8")
+    cfg = write_cfg(tmp_path, "r.cfg", {
+        "model": "coloring", "model.q": "4", "graph": "file",
+        "graph.file": str(tree), "seed": "0", "u": "0",
+        "distances": "1, 2, 3"})
+    out = tmp_path / "out"
+    assert cli.main(["correlation", "--config", cfg, "--output", str(out)]) == 0
+    lines = (out / "correlation.csv").read_text(encoding="utf-8").splitlines()
+    vals = [float(line.split(",")[1]) for line in lines[1:]]
+    assert vals == pytest.approx([1 / 3, 1 / 9, 1 / 27], rel=0, abs=1e-12)
+
+
 def test_correlation_unreachable_distance(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "r.cfg", {
         "model": "ising", "model.beta": "0.5", "graph": "path", "graph.n": "3",

@@ -8,7 +8,7 @@ from test_kernels import _BITS, _PROPERTY, _tiny_rounds
 from localgibbs.chains import SchedulerSpec, local_metropolis, luby_glauber, sequential_glauber
 from localgibbs.graphs import Graph, cycle, path
 from localgibbs.models import coloring, hardcore, ising, list_coloring
-from localgibbs.mrf import ZeroMarginal
+from localgibbs.mrf import MrfInstance, ZeroMarginal
 from localgibbs.oracle import (Distribution, StateSpaceTooLarge,
                                TransitionMatrix, UnsupportedScheduler,
                                ZeroPartitionFunction,
@@ -16,8 +16,8 @@ from localgibbs.oracle import (Distribution, StateSpaceTooLarge,
                                check_detailed_balance, config_of_rank,
                                enumerate_gibbs, exact_conditional_marginal,
                                exact_transition_matrix,
-                               luby_set_distribution,
-                               path_conditional_marginal, rank_of_config,
+                               forest_conditional_marginal,
+                               luby_set_distribution, rank_of_config,
                                tv_distance)
 
 
@@ -83,6 +83,21 @@ def test_distribution_validates():
         Distribution(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         Distribution(np.array([1.1, -0.1]))
+
+
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.inf, 0.0],
+                                   [0.5, 0.5, np.nan]])
+def test_distribution_rejects_non_finite(probs):
+    # NaN compares False with both the sign and the sum check
+    with pytest.raises(ValueError, match="non-finite"):
+        Distribution(np.array(probs))
+
+
+def test_transition_matrix_rejects_non_finite_row():
+    rows = np.eye(3)
+    rows[1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        TransitionMatrix(rows)
 
 
 def test_tv_identity_and_disjoint():
@@ -318,19 +333,95 @@ def test_conditional_two_methods_agree_on_path6():
     inst = coloring(path(6), 3)
     for pin_spin in range(3):
         a = exact_conditional_marginal(inst, 5, {0: pin_spin})
-        b = path_conditional_marginal(inst, 5, {0: pin_spin})
+        b = forest_conditional_marginal(inst, 5, {0: pin_spin})
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
 
 def test_path_conditional_requires_path_graph():
     inst = coloring(cycle(4), 3)
     with pytest.raises(ValueError):
-        path_conditional_marginal(inst, 0, {2: 1})
+        forest_conditional_marginal(inst, 0, {2: 1})
 
 
 def test_path_conditional_with_parallel_edges():
     g = Graph(3, [(0, 1), (0, 1), (1, 2)])
     inst = ising(g, 2.0)
     a = exact_conditional_marginal(inst, 2, {0: 0})
-    b = path_conditional_marginal(inst, 2, {0: 0})
+    b = forest_conditional_marginal(inst, 2, {0: 0})
     np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
+
+
+def _random_forest_instance(rng):
+    """A random forest with parallel edges in both orientations, isolated
+    vertices, several components and zero activities, on shuffled ids."""
+    n = int(rng.integers(1, 8))
+    q = int(rng.integers(2, 4)) if n <= 6 else 2
+    relabel = rng.permutation(n)
+    edges = []
+    for child in range(1, n):
+        if rng.random() < 0.75:  # else child starts a new component
+            parent = int(rng.integers(child))
+            for _ in range(1 + (rng.random() < 0.3)):
+                pair = [int(relabel[parent]), int(relabel[child])]
+                rng.shuffle(pair)
+                edges.append(tuple(pair))
+    A = []
+    for _ in edges:
+        a = rng.random((q, q)) * (rng.random((q, q)) < 0.8)
+        a = a + a.T
+        a[0, 0] += not a.any()
+        A.append(a)
+    b = rng.random((n, q)) * (rng.random((n, q)) < 0.8)
+    b[:, 0] += ~b.any(axis=1)
+    return MrfInstance(Graph(n, edges), q, A if edges else [], b)
+
+
+def test_forest_conditional_matches_enumeration_on_random_forests():
+    rng = np.random.default_rng(1709)
+    compared = raised = 0
+    for _ in range(300):
+        inst = _random_forest_instance(rng)
+        n, q = inst.n, inst.q
+        v = int(rng.integers(n))
+        pins = rng.permutation(n)[:int(rng.integers(0, n))]
+        pinned = {int(p): int(rng.integers(q)) for p in pins}
+        try:
+            want = exact_conditional_marginal(inst, v, pinned)
+        except ZeroProbabilityCondition:
+            with pytest.raises(ZeroProbabilityCondition):
+                forest_conditional_marginal(inst, v, pinned)
+            raised += 1
+            continue
+        got = forest_conditional_marginal(inst, v, pinned)
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-12)
+        compared += 1
+    assert compared >= 150 and raised >= 30
+
+
+@pytest.mark.parametrize("graph", [
+    cycle(4),
+    Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)]),
+], ids=["cycle4", "triangle-pendant", "forest-plus-cycle"])
+def test_forest_conditional_rejects_cycles(graph):
+    with pytest.raises(ValueError, match="cycle"):
+        forest_conditional_marginal(coloring(graph, 3), 0, {})
+
+
+def test_forest_conditional_on_large_star_is_uniform():
+    # messages scaled to sum 1 would multiply to 3**-2000 at the hub
+    star = Graph(2001, [(0, leaf) for leaf in range(1, 2001)])
+    got = forest_conditional_marginal(coloring(star, 3), 0, {})
+    np.testing.assert_allclose(got.probs, 1 / 3, rtol=0, atol=1e-12)
+
+
+def test_forest_conditional_hardcore_star_hub_occupancy():
+    star = Graph(301, [(0, leaf) for leaf in range(1, 301)])
+    got = forest_conditional_marginal(hardcore(star, 1.0), 0, {})
+    assert got.probs[1] == pytest.approx(1 / (1 + 2.0 ** 300), rel=1e-12, abs=0)
+
+
+def test_forest_conditional_long_path_is_finite_and_uniform():
+    got = forest_conditional_marginal(coloring(path(2000), 3), 1000, {0: 2})
+    assert np.isfinite(got.probs).all()
+    np.testing.assert_allclose(got.probs, 1 / 3, rtol=0, atol=1e-12)
