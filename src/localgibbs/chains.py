@@ -14,10 +14,10 @@ per run):
 * parallel Metropolis: every vertex proposes from its activity vector, every
   edge tosses one shared coin against a three-factor acceptance probability
   on normalized activities, and a vertex commits its proposal only when all
-  incident edges passed. Where every normalized activity is 0 or 1, the
-  probability is 0 or 1 and a coin in [0, 1) passes exactly when it is 1:
-  the coin's outcome is implied, so it is not hashed, and the outputs are
-  bitwise those of the coin-reading filter.
+  incident edges passed. Where every edge activity is 0 or 1
+  (MrfInstance.A_pass), the probability is 0 or 1 and a coin in [0, 1)
+  passes exactly when it is 1: the coin's outcome is implied, so it is not
+  hashed, and the outputs are bitwise those of the coin-reading filter.
 
 Every neighbourhood reduction (the local-maximum test, the product of a
 selected vertex's slot matrices, the AND of a vertex's edge passes) walks
@@ -35,14 +35,14 @@ chosen so that every step is a contiguous row operation:
 * spin-major conditionals: the per-pair conditionals are (q, pairs), one
   contiguous row per spin, gathered from MrfInstance.slot_table; the
   denominator and running sum add whole rows in spin order, and the draw
-  compares whole rows. On 0/1 edge tables the slot product is a byte mask
-  ANDed from MrfInstance.slot_bits, one byte row per 8 spins, and b * bit
-  is bitwise b times a product of 1.0 and 0.0 factors. When that mask is
-  a single byte (q <= 8) and every vertex has the same activity vector
-  (colorings, hardcore), a pair's CDF depends on its mask alone: the
-  round reads it from MrfInstance.mask_cdf, (q - 1, 256) with one column
-  per mask, tabulated once by the same arithmetic, and builds no
-  conditionals.
+  compares whole rows. On 0/1 edge tables (A_pass set, slot_table None)
+  the slot product is a byte mask ANDed from MrfInstance.slot_bits, one
+  byte row per 8 spins, and b * bit is bitwise b times a product of 1.0
+  and 0.0 factors. When that mask is a single byte (q <= 8) and every
+  vertex has the same activity vector (colorings, hardcore), a pair's CDF
+  depends on its mask alone: the round reads it from MrfInstance.mask_cdf,
+  (q - 1, 256) with one column per mask, tabulated once by the same
+  arithmetic, and builds no conditionals.
 
 The Metropolis round is vertex-major too: its spins are (n, rows) in the
 narrowest unsigned dtype for q and its filter is edge-major, (m, rows), so
@@ -249,14 +249,14 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     whose vertex has a given adjacency slot form a prefix; the product over
     slots is then, per rank and in slot order, one flat gather from each
     row of inst.slot_table and one multiply (rank 0 gathers straight into
-    the product). When inst.slot_bits is set, the rows are its byte rows
-    and the step is an AND; the numerator is then each pair's vertex
-    activities times the mask's bits. The pairs come from the selection's
-    flat indices, in np.nonzero's order. The denominator and CDF add whole
-    rows in spin order (mrf.spin_major_cdf), so each pair's arithmetic is
-    that of a loop over its spins, whatever the number of pairs in the
-    round; the draws are committed with one np.put. Proposal uniforms are
-    hashed for the scheduled pairs alone.
+    the product). On 0/1 tables inst.slot_table is None: the rows are the
+    byte rows of inst.slot_bits and the step is an AND; the numerator is
+    then each pair's vertex activities times the mask's bits. The pairs
+    come from the selection's flat indices, in np.nonzero's order. The
+    denominator and CDF add whole rows in spin order (mrf.spin_major_cdf),
+    so each pair's arithmetic is that of a loop over its spins, whatever
+    the number of pairs in the round; the draws are committed with one
+    np.put. Proposal uniforms are hashed for the scheduled pairs alone.
 
     When inst.mask_cdf is set (one byte row of slot bits, q <= 8, and one
     activity vector shared by every vertex), the pair's byte mask is the
@@ -415,7 +415,7 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     the (runs, m) coins are compared against the (m, runs, k) filter
     probabilities through a transposed view.
 
-    When every A_norm entry is 0 or 1 (inst.A_pass is set), each pass
+    When every A entry is 0 or 1 (inst.A_pass is set), each pass
     probability is 0 or 1 and every coin lies in [0, 1), so coin < pe is
     implied by pe alone: the edge passes exactly when its three factors
     are 1. The coins are then not hashed and the edges are decided from
@@ -507,8 +507,7 @@ def check_filter_positivity(inst: MrfInstance, state_cap: int = 1 << 12,
     for v in range(n):
         vals = np.broadcast_to(inst.b[v][:, None], (q, len(X))).copy()
         for slot in range(g.nbr_ptr[v], g.nbr_ptr[v + 1]):
-            u = g.nbr_flat[slot]
-            A = inst.slot_table[:, slot * q:(slot + 1) * q]
+            u, A = g.nbr_flat[slot], inst.A[g.nbr_edge[slot]]
             S = A @ (inst.b[u][:, None] * A)
             vals *= A[:, X[:, u]] * S[:, X[:, v]]
         total = vals.sum(axis=0)

@@ -35,6 +35,8 @@ def list_coloring(graph: Graph, q: int, lists) -> MrfInstance:
     """
     if q < 2:
         raise ValueError("list coloring needs q >= 2")
+    if len(lists := list(lists)) != graph.n:
+        raise ValueError(f"{len(lists)} color lists for {graph.n} vertices")
     b = np.zeros((graph.n, q))
     for v, lst in enumerate(lists):
         spins = list(lst)

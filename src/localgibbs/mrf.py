@@ -73,24 +73,22 @@ class MrfInstance:
     Attributes:
         A: (m, q, q) stacked edge matrices.
         b: (n, q) stacked vertex activities.
-        A_norm: per-edge matrices scaled to maximum entry 1 (the acceptance
-            probabilities of the parallel Metropolis filter).
-        A_pass: the boolean table A_norm > 0 when every A_norm entry is
-            exactly 0.0 or 1.0 (colorings, list colorings, hardcore), else
-            None. The filter then passes an edge exactly when its factors
-            are all 1, whatever its coin in [0, 1).
-        b_prop: per-vertex proposal distributions, b normalized to sum 1.
+        A_norm: A scaled to maximum entry 1 per edge, the Metropolis filter's
+            acceptance probabilities; A itself when no edge needs scaling.
+        A_pass: A > 0 when every A entry is exactly 0.0 or 1.0 (colorings,
+            list colorings, hardcore), else None; every 0/1 table below
+            follows this one test. The filter then passes an edge exactly
+            when its factors are all 1, whatever its coin in [0, 1).
         slot_table: (q, F * q) spin-major table of the edge matrices at
             the F adjacency slots (aligned with graph.nbr_flat): entry
             [c, slot * q + j] is A_e(c, j) for the slot's edge e, so the
             column block slot * q:(slot + 1) * q is that edge's matrix.
             Resampling gathers one column per (run, vertex) pair from each
-            row, so its conditionals come out spin-major.
-        slot_bits: slot_table > 0 packed along the spins, (ceil(q / 8),
-            F * q) uint8, spin c at bit c % 8 of byte row c // 8, when every
-            A entry is exactly 0.0 or 1.0, else None. The test is on A, not
-            A_norm as for A_pass, since a conditional multiplies entries of
-            A itself: entries 0 and 2.5 set A_pass but not slot_bits.
+            row, so its conditionals come out spin-major. None on 0/1
+            instances, whose round reads slot_bits instead.
+        slot_bits: A_pass in the slot_table layout, packed along the spins,
+            (ceil(q / 8), F * q) uint8, spin c at bit c % 8 of byte row
+            c // 8; None with A_pass.
         mask_cdf: when slot_bits is a single byte row (q <= 8) and every
             row of b is equal (colorings, hardcore), the (q - 1, 256) table
             whose column m holds the CDF of a conditional with AND mask m:
@@ -134,33 +132,32 @@ class MrfInstance:
         self.b = np.array(vb)
         _check_activities(self.b, "vertex")
 
-        self.A_norm = self.A / self.A.max(axis=(1, 2), keepdims=True)
-        # exact equality: any fractional entry keeps the coins
-        self.A_pass = self.A_norm > 0 \
-            if np.all((self.A_norm == 0) | (self.A_norm == 1)) else None
-        self.b_prop = self.b / self.b.sum(axis=1, keepdims=True)
-        self.b_cdf = np.cumsum(self.b_prop, axis=1)
+        top = self.A.max(axis=(1, 2), keepdims=True)
+        # x / 1.0 == x: no copy where every edge already peaks at 1
+        self.A_norm = self.A if np.all(top == 1) else self.A / top
+        self.b_cdf = np.cumsum(self.b / self.b.sum(1, keepdims=True), 1)
         self.b_cdf[:, -1] = 1.0
+        # the one 0/1 test, on exact equality: any fractional entry keeps
+        # the float slot table and the filter's coins
+        zero_one = np.all((self.A == 0) | (self.A == 1))
+        self.A_pass = self.A > 0 if zero_one else None
         # the matrices are symmetric, so the rows of A[nbr_edge] stacked
         # into columns are the matrices themselves
-        self.slot_table = np.ascontiguousarray(
-            self.A[graph.nbr_edge].reshape(-1, self.q).T)
-        self.slot_bits = np.packbits(self.slot_table > 0, axis=0,
-                                     bitorder="little") \
-            if np.all((self.A == 0) | (self.A == 1)) else None
+        slots = (self.A_pass if zero_one else self.A)[graph.nbr_edge]
+        slots = slots.reshape(-1, self.q).T
+        self.slot_table = None if zero_one else np.ascontiguousarray(slots)
+        self.slot_bits = np.packbits(slots, axis=0, bitorder="little") \
+            if zero_one else None
         # one byte of bits and one activity vector: a conditional depends
         # on its mask alone, so all 256 are tabulated once
         self.mask_cdf = self.mask_dead = None
-        if self.slot_bits is not None and len(self.slot_bits) == 1 \
-                and np.all(self.b == self.b[0]):
+        if zero_one and self.q <= 8 and np.all(self.b == self.b[0]):
             cdf = self.b[0][:, None] * (
                 (np.arange(256) >> np.arange(self.q)[:, None]) & 1)
             self.mask_dead = spin_major_cdf(cdf)
             self.mask_cdf = cdf[:-1].copy()
-        for arr in (self.A, self.b, self.A_norm, self.A_pass, self.b_prop,
-                    self.b_cdf, self.slot_table, self.slot_bits,
-                    self.mask_cdf, self.mask_dead):
-            if arr is not None:
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
 
     @property
@@ -194,12 +191,13 @@ def spin_major_cdf(p: np.ndarray) -> np.ndarray:
 
 
 def validate_configuration(inst: MrfInstance, sigma) -> np.ndarray:
-    """sigma as an int64 array, after checking its length and that every
-    spin is a whole number in [0, q); a float array of whole numbers
-    passes."""
+    """sigma as an int64 array, after checking that its shape is (n,) or
+    (rows, n) and that every spin is a whole number in [0, q); a float
+    array of whole numbers passes."""
     sigma = np.asarray(sigma)
-    if sigma.shape[-1] != inst.n:
-        raise ValueError(f"configuration length {sigma.shape[-1]} != {inst.n} vertices")
+    if sigma.ndim not in (1, 2) or sigma.shape[-1] != inst.n:
+        raise ValueError(f"configuration shape {sigma.shape} is neither "
+                         f"({inst.n},) nor (rows, {inst.n})")
     # NaN fails here too: the bounds test below cannot see it
     if sigma.dtype.kind not in "biu" and not np.all(sigma == np.floor(sigma)):
         raise ValueError("spins must be whole numbers")
@@ -264,7 +262,7 @@ def marginal(inst: MrfInstance, v: int, x) -> np.ndarray:
     lo, hi = g.nbr_ptr[v], g.nbr_ptr[v + 1]
     numer = inst.b[v].copy()
     for slot in range(lo, hi):
-        numer *= inst.slot_table[:, slot * inst.q + x[g.nbr_flat[slot]]]
+        numer *= inst.A[g.nbr_edge[slot], x[g.nbr_flat[slot]]]
     total = numer.sum()
     if total <= 0:
         raise ZeroMarginal(v)

@@ -201,7 +201,8 @@ def _metropolis_matrix(inst: MrfInstance) -> np.ndarray:
     K = q ** n
     pows = q ** np.arange(n, dtype=np.int64)
     props = all_configs(n, q)
-    prop_prob = np.prod(inst.b_prop[np.arange(n), props], axis=1)
+    b_prop = inst.b / inst.b.sum(axis=1, keepdims=True)
+    prop_prob = np.prod(b_prop[np.arange(n), props], axis=1)
     P = np.zeros((K, K))
     for x_rank in range(K):
         x = config_of_rank(x_rank, n, q)

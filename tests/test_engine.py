@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ def test_initial_presets():
         initial_config(inst, [2, 0, 0, 0])  # spin out of range
     with pytest.raises(ValueError):
         initial_config(inst, [0, 0, 0])  # wrong length
+
+
+@pytest.mark.parametrize("x0", [np.int64(0), np.zeros((1, 2, 4), np.int64)],
+                         ids=["scalar", "3d"])
+def test_starts_must_be_one_configuration_or_a_batch(x0):
+    # a (1, 2, n) start is neither one configuration nor a batch of them
+    inst = coloring(cycle(4), 3)
+    shape = re.escape(f"shape {np.shape(x0)}")
+    with pytest.raises(ValueError, match=shape):
+        initial_config(inst, x0)
+    with pytest.raises(ValueError, match=shape):
+        run_batch(inst, luby_glauber(), x0, 1, RandomTape(0), np.arange(1))
 
 
 def _check_greedy(inst):

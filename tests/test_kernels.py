@@ -167,20 +167,20 @@ def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
 
 
 _LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
-# one positive level: every normalized edge activity is exactly 0 or 1, so
-# the Metropolis filter decides its edges without coins
-_ZERO_ONE = st.sampled_from([0.0, 2.5])
-# every edge activity itself 0 or 1: the resampling round ANDs packed bits
+# every edge activity 0 or 1: the Metropolis filter decides its edges
+# without coins and the resampling round ANDs packed bits
 _BITS = st.sampled_from([0.0, 1.0])
 
 
 @st.composite
-def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4):
+def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4,
+                 shared_vertex=False):
     """A random tiny instance, batch and round: a multigraph on 1-max_n
     vertices (parallel edges and isolated vertices allowed), q in 2..max_q,
     symmetric edge activities from edge_levels and vertex activities, both
     with zeros, any scheduler, and 1-3 starts per run (k rows per run,
-    run-major)."""
+    run-major). With shared_vertex, most examples give every vertex one
+    activity vector."""
     n = draw(st.integers(1, max_n))
     q = draw(st.integers(2, max_q))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -198,8 +198,11 @@ def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4):
             for j in range(i, q):
                 a[i, j] = a[j, i] = next(upper)
         edge.append(a)
+    shared = shared_vertex and draw(st.integers(0, 3)) > 0
     vertex = [draw(st.lists(_LEVELS, min_size=q, max_size=q).filter(any))
-              for _ in range(n)]
+              for _ in range(1 if shared else n)]
+    if shared:
+        vertex = vertex[0]
     inst = MrfInstance(Graph(n, edges), q, edge, vertex)
     runs = np.array(draw(st.lists(st.integers(0, 999), min_size=1,
                                   max_size=4, unique=True)))
@@ -220,9 +223,10 @@ _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
-# both product paths: the float rows and the packed 0/1 bits
+# every product path: the float rows, the packed 0/1 bits and, with one
+# vertex activity vector, the per-mask CDF table
 @settings(_PROPERTY, max_examples=150)
-@given(st.one_of(_tiny_rounds(), _tiny_rounds(_BITS)))
+@given(st.one_of(_tiny_rounds(_BITS, shared_vertex=True), _tiny_rounds()))
 def test_resampling_round_matches_loop_on_tiny_instances(case):
     inst, x, sched, t, runs = case
     g, tape = inst.graph, RandomTape(17)
@@ -253,7 +257,7 @@ def test_resampling_round_matches_loop_on_tiny_instances(case):
 
 
 @_PROPERTY
-@given(st.one_of(_tiny_rounds(), _tiny_rounds(_ZERO_ONE)))
+@given(st.one_of(_tiny_rounds(), _tiny_rounds(_BITS)))
 def test_metropolis_round_matches_loop_on_tiny_instances(case):
     # both filter paths: naive_metropolis reads the coins either way
     inst, x, _, t0, runs = case

@@ -67,6 +67,16 @@ def test_list_coloring_empty_list_rejected():
         list_coloring(path(2), 2, [[0], []])
 
 
+@pytest.mark.parametrize("count", [3, 5])
+def test_list_coloring_needs_one_list_per_vertex(count):
+    # checked before any list is read: too few lists would surface as a
+    # DegenerateActivity on the last vertex, too many as an IndexError
+    with pytest.raises(ValueError) as err:
+        list_coloring(cycle(4), 3, [[0, 1]] * count)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{count} color lists for 4 vertices"
+
+
 def test_hardcore_p3_five_independent_sets():
     inst = hardcore(path(3), 1.0)
     sets = independent_sets(_edges(inst.graph), 3)

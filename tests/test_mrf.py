@@ -1,9 +1,12 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from _naive import naive_marginal, naive_weight
 
 from localgibbs.graphs import Graph, complete, cycle, path
-from localgibbs.models import coloring, hardcore, ising
+from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
 from localgibbs.mrf import (DegenerateActivity, MrfInstance, ZeroMarginal,
                             feasible_batch, is_feasible, marginal,
                             validate_configuration, weight, weight_batch)
@@ -224,6 +227,17 @@ def test_validate_configuration_bounds():
         validate_configuration(inst, [0, -1, 0])
 
 
+@pytest.mark.parametrize("sigma", [0, np.zeros((1, 2, 3), np.int64),
+                                   np.zeros((0, 3, 3), np.int64)],
+                         ids=["scalar", "3d", "3d-empty"])
+def test_validate_configuration_rejects_other_shapes(sigma):
+    # only (n,) and (rows, n): a check of the last axis alone would pass
+    # a (1, 2, n) array on as a batch
+    inst = coloring(path(3), 3)
+    with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(sigma)}")):
+        validate_configuration(inst, sigma)
+
+
 def test_validate_configuration_rejects_fractional_spins():
     inst = coloring(path(3), 3)
     for sigma in ([0.5, 1.9, 2.7], [0.0, 1.0, np.nan], [[0, 1, 2], [0, 1, 1.5]]):
@@ -270,9 +284,12 @@ def test_weight_and_feasible_batch_match_naive(inst):
     np.testing.assert_array_equal(feasible_batch(inst, sigmas), want > 0)
 
 
-@pytest.mark.parametrize("inst", [coloring(Graph(4, [(0, 1), (1, 2), (0, 1)]), 3),
-                                  ising(Graph(2, []), 0.5)],
-                         ids=["multigraph", "edgeless"])
+@pytest.mark.parametrize("inst", [
+    coloring(Graph(4, [(0, 1), (1, 2), (0, 1)]), 3), ising(Graph(2, []), 0.5),
+    hardcore(cycle(5), 0.5), list_coloring(cycle(4), 3, [[0, 1], [1, 2]] * 2),
+    potts(cycle(4), 3, 1.7), coloring(cycle(5), 9)],
+    ids=["multigraph", "edgeless", "hardcore", "list-coloring", "potts",
+         "coloring-q9"])
 def test_array_tables_are_read_only(inst):
     for owner in (inst, inst.graph):
         tables = {k: v for k, v in vars(owner).items()
@@ -280,3 +297,30 @@ def test_array_tables_are_read_only(inst):
         assert tables
         for name, arr in tables.items():
             assert not arr.flags.writeable, f"{type(owner).__name__}.{name}"
+
+
+_STAR = Graph(251, [(0, leaf) for leaf in range(1, 251)])
+_STAR_LISTS = [[c for c in range(137) if c != v % 137] for v in range(251)]
+
+
+@pytest.mark.parametrize("make", [lambda: coloring(_STAR, 137),
+                                  lambda: list_coloring(_STAR, 137,
+                                                        _STAR_LISTS)],
+                         ids=["coloring", "list-coloring"])
+def test_zero_one_instance_holds_about_one_copy_of_a(make):
+    # a 0/1 instance keeps A and its bit tables and no other float copy of
+    # A: A_norm is A, and a float slot table alone would be 2 x A.nbytes
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        inst = make()
+        held, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    held, peak = held / inst.A.nbytes, peak / inst.A.nbytes
+    assert held <= 1.5, f"holds {held:.2f} x A.nbytes"
+    assert peak <= 2, f"peaks at {peak:.2f} x A.nbytes"

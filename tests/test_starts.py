@@ -164,8 +164,8 @@ def _outcome(fn, inst, x, t):
 
 
 # instance -> whether every edge activity is 0 or 1. That matches the
-# filter flags above except on the scaled coloring: its normalized
-# activities are 0 or 1, so it sets A_pass, but its own entries are 0 or 2
+# filter flags above: the scaled coloring's entries are 0 or 2, so it sets
+# neither 0/1 table, though its normalized activities are 0 or 1
 _TABLES = {**_FILTERS, "scaled-coloring": (lambda: MrfInstance(
     _RR, 4, 2 * (1 - np.eye(4)), np.ones(4)), False)}
 
@@ -176,22 +176,28 @@ def test_resampling_packs_only_zero_one_tables(name, k):
     # a fractional table sent down the packed path would change the law
     make, zero_one = _TABLES[name]
     inst = make()
+    g, q = inst.graph, inst.q
+    assert (inst.A_pass is not None) == zero_one
     assert (inst.slot_bits is not None) == zero_one
-    if name == "scaled-coloring":
-        assert inst.A_pass is not None
+    assert (inst.slot_table is None) == zero_one
     if not zero_one:
         return
+    assert inst.A_norm is inst.A
     assert not inst.slot_bits.flags.writeable
+    support = (inst.A[g.nbr_edge] > 0).reshape(-1, q).T
     np.testing.assert_array_equal(
-        np.unpackbits(inst.slot_bits, axis=0, count=inst.q,
-                      bitorder="little"), inst.slot_table > 0)
-    # a round that fell back to the float rows would read the NaNs
-    blind = copy.copy(inst)
-    blind.slot_table = np.full_like(inst.slot_table, np.nan)
-    fn = round_function(_chain("luby", inst.graph))
+        np.unpackbits(inst.slot_bits, axis=0, count=q, bitorder="little"),
+        support)
+    # the packed round against the float rows it replaces, on a copy that
+    # keeps only those rows
+    floats = copy.copy(inst)
+    floats.slot_bits = floats.mask_cdf = floats.mask_dead = None
+    floats.slot_table = np.ascontiguousarray(
+        inst.A[g.nbr_edge].reshape(-1, q).T)
+    fn = round_function(_chain("luby", g))
     for t in range(1, 4):
         x = _batch(inst, k, t)
-        assert _outcome(fn, blind, x, t) == _outcome(fn, inst, x, t)
+        assert _outcome(fn, floats, x, t) == _outcome(fn, inst, x, t)
 
 
 # instance -> whether the resampling round draws from the per-mask CDF
@@ -222,7 +228,6 @@ def test_resampling_draws_from_mask_table_only_when_it_applies(name, k):
     # a round that built the conditionals would read the NaNs
     blind = copy.copy(inst)
     blind.b = np.full_like(inst.b, np.nan)
-    blind.slot_table = np.full_like(inst.slot_table, np.nan)
     fn = round_function(_chain("luby", inst.graph))
     outcomes = [_outcome(fn, inst, _batch(inst, k, t), t) for t in range(1, 9)]
     for t, want in enumerate(outcomes, 1):
