@@ -136,26 +136,36 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     return x, snaps
 
 
-# Per-thread byte budget of one chunk. The row size below counts
+# Byte budget of one chunk. The row size below counts
 # (n + 2m) * q float64 values per row: the resampling round's per-pair
 # conditionals and slot products, and per-edge filter factors. The
 # Metropolis round holds less than that: narrow flat indices per edge, and
 # one boolean pass per edge on 0/1 tables (float64 factors only on the
 # coin path). Sites per chunk are capped as well: past about 2**17
 # sites a chunk's (rows, n) arrays fall out of cache and time per site
-# grows. The counter-based tape makes outputs independent of the split, so
-# both bounds move only memory and speed.
+# grows. Below about half that cap a chunk's rounds are too short to pay
+# for sharing the GIL with a second worker. On a 2-core machine, two
+# threads ran Luby and Metropolis jobs on a 4-cycle and a 3-regular
+# 256-vertex graph at 0.44-0.87x the speed of one thread at 8k-16k sites
+# per chunk, 0.80-1.14x at 32k and 1.18-1.98x at 64k. So a job is split
+# across threads only into chunks of at least CHUNK_SITES // 2 sites. The
+# counter-based tape makes outputs independent of the split, so these
+# bounds move only memory and speed.
 CHUNK_BYTES = 64 << 20
 CHUNK_SITES = 1 << 17
 
 
 def chunk_runs(inst: MrfInstance, n_runs: int, n_starts: int = 1,
                threads: int = 1) -> int:
-    """Runs per chunk: their rows fit CHUNK_BYTES and CHUNK_SITES, no thread
-    gets more than an even share of n_runs, and there is at least one."""
+    """Runs per chunk: their rows fit CHUNK_BYTES and CHUNK_SITES, and there
+    is at least one. Within those bounds a chunk takes an even share of
+    n_runs per thread, but no fewer runs than fill half of CHUNK_SITES (or
+    all n_runs), so a job of at most half the sites budget is one chunk and
+    runs without a pool."""
     row_bytes = (inst.n + 2 * inst.graph.m) * inst.q * 8 * n_starts
-    return max(1, min(CHUNK_BYTES // row_bytes,
-                      CHUNK_SITES // (inst.n * n_starts), -(-n_runs // threads)))
+    sites_cap = CHUNK_SITES // (inst.n * n_starts)
+    share = max(-(-n_runs // threads), min(n_runs, sites_cap // 2))
+    return max(1, min(CHUNK_BYTES // row_bytes, sites_cap, share))
 
 
 def _usable_cores() -> int:
@@ -170,7 +180,7 @@ def _usable_cores() -> int:
 def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
                 tape: RandomTape, starts, observe, snapshot_rounds=None,
                 threads: int = 1) -> Iterator[dict]:
-    """n_runs runs of T rounds from each start, in memory-budgeted chunks.
+    """n_runs runs of T rounds from each start, in chunks of chunk_runs runs.
 
     A chunk is one batch of (run, start) rows, run-major: row i * len(starts)
     + s is run runs[i] from starts[s] and reads the tape at runs[i], so the
@@ -180,9 +190,11 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     After each snapshot round t (default: the last) the worker keeps only
     observe(runs, batch). Yields one {t: observe result} dict per chunk, in
     run order. Chunks run concurrently on min(threads, chunks,
-    usable cores) worker threads when that is more than one; at most twice
-    that many chunks are in flight ahead of the consumer, so a slow consumer
-    holds a bounded number of results. n_runs and the start count are
+    usable cores) worker threads when that is more than one; a job of at
+    most half the sites budget is one chunk, so it runs on the calling
+    thread whatever threads is. At most twice the worker count of chunks
+    are in flight ahead of the consumer, so a slow consumer holds a bounded
+    number of results. n_runs and the start count are
     checked and every start except "random" resolved before the iterator is
     returned, so a bad start fails at the call.
 

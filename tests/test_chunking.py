@@ -108,15 +108,41 @@ def test_reported_zero_marginal_does_not_depend_on_the_split(
 def test_chunk_rows_stay_within_budget():
     inst = coloring(random_regular(1024, 3, seed=7), 8)
     row_bytes = (inst.n + 2 * inst.graph.m) * inst.q * 8
-    for n_runs in (1, 7, 1000, 100000):
+    for n_runs in (1, 7, 64, 100, 1000, 100000):
         for threads in (1, 2, 3, 4):
             for starts in (1, 2, 4):
                 size = chunk_runs(inst, n_runs, starts, threads)
-                assert size >= 1
+                assert 1 <= size <= n_runs
                 assert size * starts * row_bytes <= engine.CHUNK_BYTES
                 assert size * starts * inst.n <= engine.CHUNK_SITES
-                # there are at least as many chunks as threads, runs allowing
-                assert size <= -(-n_runs // threads)
+                cap = min(engine.CHUNK_BYTES // (starts * row_bytes),
+                          engine.CHUNK_SITES // (starts * inst.n))
+                half = engine.CHUNK_SITES // (2 * starts * inst.n)
+                share = -(-n_runs // threads)
+                # a chunk falls below an even share per thread only at a
+                # budget, and grows past one only up to half the sites
+                # budget, so a job within that half is one chunk
+                assert size >= min(share, cap)
+                assert size <= max(share, min(n_runs, half))
+                if n_runs <= half:
+                    assert size == n_runs
+
+
+# (instance, runs, starts, threads) -> (chunks, runs per chunk): the three
+# benchmark workloads, and rr256 luby on two threads
+_RR256 = coloring(random_regular(256, 3, seed=1702), 8)
+_C4 = coloring(cycle(4), 3)
+
+
+@pytest.mark.parametrize("inst,n_runs,starts,threads,plan", [
+    (_RR256, 512, 1, 1, (1, 512)),      # sample-rr256-luby
+    (_RR256, 8192, 1, 2, (16, 512)),    # sample-rr256-metropolis
+    (_C4, 4096, 4, 2, (1, 4096)),       # mixscan-c4-luby
+    (_RR256, 512, 1, 2, (2, 256)),
+], ids=["rr256-luby", "rr256-metropolis", "mixscan-c4", "rr256-luby-2t"])
+def test_chunk_plans(inst, n_runs, starts, threads, plan):
+    size = chunk_runs(inst, n_runs, starts, threads)
+    assert (-(-n_runs // size), size) == plan
 
 
 def test_one_run_per_chunk_when_a_run_exceeds_a_bound(monkeypatch):

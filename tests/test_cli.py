@@ -280,14 +280,9 @@ _HARDCORE_RUNS = dict(HARDCORE_SAMPLE, n_runs="200")
 del _HARDCORE_RUNS["rounds"]
 
 
-@pytest.mark.parametrize("command,keys,files", [
-    ("sample", {"rounds": "50"}, ("samples.jsonl", "marginals.csv")),
-    ("mix-scan", {"rounds_grid": "0, 5, 20"}, ("mixing.csv",)),
-    ("coupling", {"rounds": "20", "initial_pair": "zeros, max"},
-     ("coupling.csv",)),
-], ids=["sample", "mix-scan", "coupling"])
-def test_threads_flag_does_not_change_files(tmp_path, monkeypatch, command,
-                                            keys, files):
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """The engine's real thread pool, recording the width of each pool."""
     workers = []
 
     class CountingPool(engine.ThreadPoolExecutor):
@@ -296,8 +291,24 @@ def test_threads_flag_does_not_change_files(tmp_path, monkeypatch, command,
             super().__init__(max_workers)
 
     monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+    return workers
+
+
+@pytest.mark.parametrize("command,keys,files", [
+    ("sample", {"rounds": "50"}, ("samples.jsonl", "marginals.csv")),
+    ("mix-scan", {"rounds_grid": "0, 5, 20"}, ("mixing.csv",)),
+    ("coupling", {"rounds": "20", "initial_pair": "zeros, max"},
+     ("coupling.csv",)),
+], ids=["sample", "mix-scan", "coupling"])
+def test_threads_flag_does_not_change_files(tmp_path, monkeypatch,
+                                            counting_pool, command, keys,
+                                            files):
+    workers = counting_pool
     # the pool is capped at the usable cores; pretend there are enough
     monkeypatch.setattr(engine, "_usable_cores", lambda: 8)
+    # at the default budget a 200-run job on 5 vertices is one chunk; a
+    # 200-site budget cuts it into at least four, one per thread
+    monkeypatch.setattr(engine, "CHUNK_SITES", 200)
     cfg = write_cfg(tmp_path, "s.cfg", dict(_HARDCORE_RUNS, **keys))
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main([command, "--config", cfg, "--output", str(a),
@@ -307,6 +318,26 @@ def test_threads_flag_does_not_change_files(tmp_path, monkeypatch, command,
                      "--threads", "4"]) == 0
     assert workers == [4]
     for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_large_job_splits_across_threads_at_the_default_budget(
+        tmp_path, monkeypatch, counting_pool):
+    # 22,000 runs of a 6-cycle are 132,000 sites, past engine.CHUNK_SITES:
+    # two chunks of at least half the budget each, one per thread
+    monkeypatch.setattr(engine, "_usable_cores", lambda: 2)
+    cfg = write_cfg(tmp_path, "s.cfg", {
+        "model": "coloring", "model.q": "3", "graph": "cycle", "graph.n": "6",
+        "chain": "luby_glauber", "rounds": "3", "n_runs": "22000",
+        "seed": "9"})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["sample", "--config", cfg, "--output", str(a),
+                     "--threads", "1"]) == 0
+    assert counting_pool == []
+    assert cli.main(["sample", "--config", cfg, "--output", str(b),
+                     "--threads", "2"]) == 0
+    assert counting_pool == [2]
+    for name in ("samples.jsonl", "marginals.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -354,11 +385,14 @@ def test_thread_count_is_capped_at_chunks_and_cores(tmp_path, monkeypatch,
                                                     serial_pool):
     pools, chunks = serial_pool["pools"], serial_pool["chunks"]
     monkeypatch.setattr(engine, "_usable_cores", lambda: 3)
+    # 100 runs of 5 sites fit the budget, so a chunk holds at least 50 runs
+    monkeypatch.setattr(engine, "CHUNK_SITES", 500)
     cfg = write_cfg(tmp_path, "s.cfg", dict(_HARDCORE_RUNS, rounds="5"))
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["sample", "--config", cfg, "--output", str(a),
                      "--threads", "100000"]) == 0
     # chunks are sized for the 3 usable cores, not for 100000 threads
+    # (which would give four 50-run chunks)
     assert pools == [3]
     assert chunks == [(0, 67), (67, 134), (134, 200)]
     assert cli.main(["sample", "--config", cfg, "--output", str(b),
@@ -366,8 +400,9 @@ def test_thread_count_is_capped_at_chunks_and_cores(tmp_path, monkeypatch,
     for name in ("samples.jsonl", "marginals.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    # fewer chunks than cores: one worker per chunk
+    # fewer chunks than cores: one worker per chunk (of one run each)
     monkeypatch.setattr(engine, "_usable_cores", lambda: 64)
+    monkeypatch.setattr(engine, "CHUNK_SITES", 5)
     pools.clear()
     cfg = write_cfg(tmp_path, "t.cfg", dict(_HARDCORE_RUNS, rounds="5",
                                             n_runs="5"))
