@@ -9,17 +9,16 @@ verifies their one-round laws and stationarity on tiny instances, and
 diagnostics for influence, mixing, coupling decay, and correlation decay.
 """
 
-from .chains import (ChainSpec, SchedulerSpec, check_filter_positivity,
-                     chromatic_classes, local_metropolis, luby_glauber,
-                     sequential_glauber)
+from .chains import (ChainSpec, SchedulerSpec, chromatic_classes,
+                     local_metropolis, luby_glauber, sequential_glauber)
 from .config import (ConfigError, ExperimentConfig, build_chain, build_graph,
                      build_instance, load_config, parse_config_text,
                      validate_config)
 from .diagnostics import (DecayCurve, GammaReport, InfluenceMatrix,
-                          MixingCurve, correlation_length, coupling_decay,
-                          crossing_round, dobrushin_alpha_coloring,
-                          influence_matrix_numeric, luby_gamma_estimate,
-                          mixing_scan)
+                          MixingCurve, check_filter_positivity,
+                          correlation_length, coupling_decay, crossing_round,
+                          dobrushin_alpha_coloring, influence_matrix_numeric,
+                          luby_gamma_estimate, mixing_scan)
 from .engine import initial_config, run_batch
 from .graphs import (EndpointOutOfRange, GenerationFailed, Graph, ParseError,
                      complete, cycle, grid, load_edge_list, path,

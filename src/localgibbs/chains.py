@@ -11,13 +11,15 @@ per run):
   single-site conditionals, simultaneously; conditionals are built for the
   scheduled (run, vertex) pairs only; the sequential baseline is this chain
   with the single-site scheduler (one uniformly random vertex per round);
-* parallel Metropolis: every vertex proposes from its activity vector, every
-  edge tosses one shared coin against a three-factor acceptance probability
-  on normalized activities, and a vertex commits its proposal only when all
-  incident edges passed. Where every edge activity is 0 or 1
-  (MrfInstance.A_pass), the probability is 0 or 1 and a coin in [0, 1)
-  passes exactly when it is 1: the coin's outcome is implied, so it is not
-  hashed, and the outputs are bitwise those of the coin-reading filter.
+* parallel Metropolis: every vertex proposes from its activity vector's
+  CDF (MrfInstance.b_cdf, summed in spin order by mrf.spin_major_cdf like
+  the resampling conditionals), every edge tosses one shared coin against
+  a three-factor acceptance probability on normalized activities, and a
+  vertex commits its proposal only when all incident edges passed. Where
+  every edge activity is 0 or 1 (MrfInstance.A_pass), the probability is 0
+  or 1 and a coin in [0, 1) passes exactly when it is 1: the coin's outcome
+  is implied, so it is not hashed, and the outputs are bitwise those of the
+  coin-reading filter.
 
 Every neighbourhood reduction (the local-maximum test, the product of a
 selected vertex's slot matrices, the AND of a vertex's edge passes) walks
@@ -229,8 +231,7 @@ def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
     classes = scheduler.color_classes
     members = np.zeros(graph.n, dtype=bool)
     members[graph.degree_pos[list(classes[round_ % len(classes)])]] = True
-    return np.broadcast_to(members[:, None],
-                           (graph.n, len(np.atleast_1d(runs)))).copy()
+    return np.broadcast_to(members[:, None], (graph.n, len(runs))).copy()
 
 
 def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
@@ -470,48 +471,3 @@ def round_function(chain: ChainSpec):
         return luby_glauber_round_batch(inst, x, sched, round_, tape, runs)
     return fn
 
-
-@dataclass(frozen=True)
-class SupportReport:
-    ok: bool
-    mode: str
-    checked: int
-    witness: tuple[np.ndarray, int] | None
-
-
-def check_filter_positivity(inst: MrfInstance, state_cap: int = 1 << 12,
-                            samples: int = 500, seed: int = 0) -> SupportReport:
-    """Certify the parallel filter cannot strand a vertex.
-
-    For every configuration x and vertex v the quantity
-
-        sum_i b_v(i) * prod_{u in N(v)} [ A(i, x_u) * sum_j b_u(j) A(x_v, j) A(i, j) ]
-
-    must be positive: some proposal at v passes its own checks jointly with
-    some neighbor proposals, whatever the current state. Exhaustive below
-    state_cap configurations, spot-sampled above it.
-    """
-    from .oracle import all_configs  # deferred: oracle imports this module
-
-    n, q, g = inst.n, inst.q, inst.graph
-    exhaustive = q ** n <= state_cap
-    if exhaustive:
-        X = all_configs(n, q)
-        mode = "exhaustive"
-    else:
-        words = RandomTape(seed).node_uniforms(
-            KIND_NODE_BETA, np.arange(n), 0, np.arange(samples, dtype=np.int64))
-        X = np.minimum((words * q).astype(np.int64), q - 1)
-        mode = "sampled"
-    # S[i, xv] = sum_j b_u(j) A(i, j) A(xv, j), one matrix per adjacency slot
-    for v in range(n):
-        vals = np.broadcast_to(inst.b[v][:, None], (q, len(X))).copy()
-        for slot in range(g.nbr_ptr[v], g.nbr_ptr[v + 1]):
-            u, A = g.nbr_flat[slot], inst.A[g.nbr_edge[slot]]
-            S = A @ (inst.b[u][:, None] * A)
-            vals *= A[:, X[:, u]] * S[:, X[:, v]]
-        total = vals.sum(axis=0)
-        if np.any(total <= 0):
-            bad = int(np.argmax(total <= 0))
-            return SupportReport(False, mode, len(X), (X[bad].copy(), v))
-    return SupportReport(True, mode, len(X), None)

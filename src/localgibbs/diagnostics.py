@@ -1,7 +1,8 @@
 """Quantitative instruments over the chains and the oracle.
 
-Influence/contraction diagnostics (the Dobrushin-style matrix and its
-closed coloring form), empirical mixing curves against exact ground truth,
+Regime checks (the closed-form Dobrushin influence of colorings and the
+positivity of the parallel Metropolis filter), the numeric Dobrushin-style
+influence matrix, empirical mixing curves against exact ground truth,
 identical-tape coupling decay with the degree-weighted disagreement
 distance, conditional-correlation decay (enumerated, or by message
 passing on forests past the enumeration cap), and selection-rate
@@ -23,9 +24,9 @@ from .chains import ChainSpec, local_max_select
 from .engine import PRESETS, run_chunked
 from .graphs import Graph
 from .mrf import MrfInstance, marginal
-from .oracle import (ENUM_CAP, Distribution, all_configs, enumerate_gibbs,
-                     exact_conditional_marginal, forest_conditional_marginal,
-                     tv_distance)
+from .oracle import (ENUM_CAP, Distribution, all_configs, config_of_rank,
+                     enumerate_gibbs, exact_conditional_marginal,
+                     forest_conditional_marginal, tv_distance)
 from .randomness import KIND_NODE_BETA, RandomTape
 
 
@@ -86,6 +87,50 @@ def dobrushin_alpha_coloring(graph: Graph, q_lists) -> float:
     return float((d / (q - d)).max())
 
 
+@dataclass(frozen=True)
+class SupportReport:
+    ok: bool
+    mode: str
+    checked: int
+    witness: tuple[np.ndarray, int] | None
+
+
+def check_filter_positivity(inst: MrfInstance, state_cap: int = 1 << 12,
+                            samples: int = 500, seed: int = 0) -> SupportReport:
+    """Certify the parallel filter cannot strand a vertex.
+
+    For every configuration x and vertex v the quantity
+
+        sum_i b_v(i) * prod_{u in N(v)} [ A(i, x_u) * sum_j b_u(j) A(x_v, j) A(i, j) ]
+
+    must be positive: some proposal at v passes its own checks jointly with
+    some neighbor proposals, whatever the current state. Exhaustive below
+    state_cap configurations, spot-sampled above it.
+    """
+    n, q, g = inst.n, inst.q, inst.graph
+    exhaustive = q ** n <= state_cap
+    if exhaustive:
+        X = all_configs(n, q)
+        mode = "exhaustive"
+    else:
+        words = RandomTape(seed).node_uniforms(
+            KIND_NODE_BETA, np.arange(n), 0, np.arange(samples, dtype=np.int64))
+        X = np.minimum((words * q).astype(np.int64), q - 1)
+        mode = "sampled"
+    # S[i, xv] = sum_j b_u(j) A(i, j) A(xv, j), one matrix per adjacency slot
+    for v in range(n):
+        vals = np.broadcast_to(inst.b[v][:, None], (q, len(X))).copy()
+        for slot in range(g.nbr_ptr[v], g.nbr_ptr[v + 1]):
+            u, A = g.nbr_flat[slot], inst.A[g.nbr_edge[slot]]
+            S = A @ (inst.b[u][:, None] * A)
+            vals *= A[:, X[:, u]] * S[:, X[:, v]]
+        total = vals.sum(axis=0)
+        if np.any(total <= 0):
+            bad = int(np.argmax(total <= 0))
+            return SupportReport(False, mode, len(X), (X[bad].copy(), v))
+    return SupportReport(True, mode, len(X), None)
+
+
 def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> InfluenceMatrix:
     """Influence matrix by enumeration of feasible single-vertex-differing pairs.
 
@@ -98,7 +143,7 @@ def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> Influenc
     n, q, g = inst.n, inst.q, inst.graph
     mu, _ = enumerate_gibbs(inst, cap)  # raises on oversize/empty models
     feas = np.flatnonzero(mu.probs > 0)
-    configs = all_configs(n, q)[feas]
+    configs = config_of_rank(feas[:, None], n, q)
     pows = q ** np.arange(n, dtype=np.int64)
     rho = np.zeros((n, n))
 

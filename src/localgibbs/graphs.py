@@ -116,9 +116,6 @@ class Graph:
     def max_degree(self) -> int:
         return int(self.degrees.max())
 
-    def neighbors(self, v: int):
-        return self.adjacency[v]
-
     def distances(self, source: int) -> np.ndarray:
         """BFS hop distances from source; -1 marks unreachable vertices."""
         dist = np.full(self.n, -1, dtype=np.int64)
@@ -249,7 +246,4 @@ def load_edge_list(path_: str) -> Graph:
     n, m = header
     if len(edges) != m:
         raise ParseError(0, f"header promised {m} edges, file has {len(edges)}")
-    try:
-        return Graph(n, edges)
-    except EndpointOutOfRange as exc:
-        raise EndpointOutOfRange(str(exc)) from None
+    return Graph(n, edges)

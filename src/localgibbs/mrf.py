@@ -73,6 +73,8 @@ class MrfInstance:
     Attributes:
         A: (m, q, q) stacked edge matrices.
         b: (n, q) stacked vertex activities.
+        b_cdf: (n, q) CDFs of the rows of b through spin_major_cdf, the
+            LocalMetropolis proposal laws.
         A_norm: A scaled to maximum entry 1 per edge, the Metropolis filter's
             acceptance probabilities; A itself when no edge needs scaling.
         A_pass: A > 0 when every A entry is exactly 0.0 or 1.0 (colorings,
@@ -135,8 +137,9 @@ class MrfInstance:
         top = self.A.max(axis=(1, 2), keepdims=True)
         # x / 1.0 == x: no copy where every edge already peaks at 1
         self.A_norm = self.A if np.all(top == 1) else self.A / top
-        self.b_cdf = np.cumsum(self.b / self.b.sum(1, keepdims=True), 1)
-        self.b_cdf[:, -1] = 1.0
+        cdf = self.b.T.copy()  # no column is dead: no b row is all zero
+        spin_major_cdf(cdf)
+        self.b_cdf = cdf.T.copy()
         # the one 0/1 test, on exact equality: any fractional entry keeps
         # the float slot table and the filter's coins
         zero_one = np.all((self.A == 0) | (self.A == 1))

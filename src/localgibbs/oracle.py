@@ -65,9 +65,6 @@ class Distribution:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -181,9 +178,6 @@ def _glauber_matrix(inst: MrfInstance, scheduler: SchedulerSpec) -> np.ndarray:
         x = config_of_rank(x_rank, n, q)
         for sel, pr_sel in sets.items():
             vs = sorted(sel)
-            if not vs:
-                P[x_rank, x_rank] += pr_sel
-                continue
             # selected vertices resample independently from their conditionals
             margs = [marginal(inst, v, x) for v in vs]
             vals = all_configs(len(vs), q)

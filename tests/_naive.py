@@ -136,37 +136,114 @@ def naive_draw(cdf, u):
     return (cdf <= u[..., None]).sum(axis=-1)
 
 
+def naive_proposal_cdf(b):
+    """The CDF of one vertex's normalized activity vector b, summed in spin
+    order. The last entry is forced to exactly 1.0."""
+    total = 0.0
+    for w in b:
+        total += w
+    cdf, cum = [], 0.0
+    for w in b:
+        cum += w / total
+        cdf.append(cum)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def naive_metropolis(edges, A_per_edge, b_per_vertex, q, x, u, coins):
     """One LocalMetropolis round for one run.
 
-    Vertex v proposes the spin its normalized activity's inverse CDF gives
-    for its uniform u[v]. Edge e, taken as (lower, higher) endpoint, passes
-    when coins[e] is below the product of three normalized activities:
-    both proposals, the lower endpoint's current spin against the higher's
-    proposal, and the lower's proposal against the higher's current spin.
-    A vertex commits its proposal when every incident edge passed.
+    Vertex v proposes the spin its normalized activity's inverse CDF
+    (naive_proposal_cdf) gives for its uniform u[v]. Edge e passes when
+    coins[e] is below its pass probability (naive_pass_probability). A
+    vertex commits its proposal when every incident edge passed.
     """
     n = len(x)
     sigma = []
     for v in range(n):
-        total = 0.0
-        for w in b_per_vertex[v]:
-            total += w
-        cdf, cum = [], 0.0
-        for w in b_per_vertex[v]:
-            cum += w / total
-            cdf.append(cum)
-        cdf[-1] = 1.0
+        cdf = naive_proposal_cdf(b_per_vertex[v])
         sigma.append(sum(1 for c in cdf if c <= u[v]))
     ok = [True] * n
     for (a, b), A, coin in zip(edges, A_per_edge, coins):
-        a, b = min(a, b), max(a, b)
-        top = max(max(row) for row in A)
-        p = A[sigma[a]][sigma[b]] / top * (A[x[a]][sigma[b]] / top)
-        p *= A[sigma[a]][x[b]] / top
-        if not coin < p:
+        if not coin < naive_pass_probability(a, b, A, x, sigma):
             ok[a] = ok[b] = False
     return [sigma[v] if ok[v] else x[v] for v in range(n)]
+
+
+def naive_pass_probability(a, b, A, x, sigma):
+    """LocalMetropolis's pass probability of edge (a, b) with matrix A, from
+    the current spins x and the proposals sigma. Taking the edge as (lower,
+    higher) endpoint, it is the product of three normalized activities:
+    both proposals, the lower endpoint's current spin against the higher's
+    proposal, and the lower's proposal against the higher's current spin."""
+    a, b = min(a, b), max(a, b)
+    top = max(max(row) for row in A)
+    p = A[sigma[a]][sigma[b]] / top * (A[x[a]][sigma[b]] / top)
+    p *= A[sigma[a]][x[b]] / top
+    return p
+
+
+def naive_transition_matrix(edges, A_per_edge, b_per_vertex, n, q, kind):
+    """The one-round transition matrix of a chain kind, as a list of rows
+    indexed in all_sigmas order; None when a resampling chain meets a
+    conditional with no mass.
+
+    "luby": every ordering of the n scores is equally likely and selects
+    the set naive_local_max gives on it; "single-site": each vertex alone,
+    with probability 1/n. The selected vertices redraw from their
+    conditionals (naive_marginal), independently. "metropolis": a sum over
+    every proposal vector (vertex v proposes c with probability b_v(c) over
+    the sum of b_v) and every pattern of edge coins passing or failing
+    (naive_pass_probability); a vertex commits its proposal when all of its
+    edges passed.
+    """
+    states = list(all_sigmas(n, q))
+    index = {s: i for i, s in enumerate(states)}
+    P = [[0.0] * len(states) for _ in states]
+    if kind == "metropolis":
+        for x in states:
+            for sigma in states:
+                pr = 1.0
+                for v in range(n):
+                    pr *= b_per_vertex[v][sigma[v]] / sum(b_per_vertex[v])
+                patterns = [(pr, ())]
+                for (a, b), A in zip(edges, A_per_edge):
+                    p = naive_pass_probability(a, b, A, x, sigma)
+                    patterns = [(w * f, bits + (bit,)) for w, bits in patterns
+                                for bit, f in ((True, p), (False, 1 - p))
+                                if f > 0]
+                for w, bits in patterns:
+                    ok = [True] * n
+                    for (a, b), passed in zip(edges, bits):
+                        if not passed:
+                            ok[a] = ok[b] = False
+                    y = tuple(sigma[v] if ok[v] else x[v] for v in range(n))
+                    P[index[x]][index[y]] += w
+        return P
+    if kind == "luby":
+        orders = list(itertools.permutations(range(n)))
+        sets = []
+        for order in orders:
+            keys = [0] * n
+            for rank, v in enumerate(order):
+                keys[v] = n - rank  # order lists vertices by falling score
+            sel = naive_local_max(edges, n, keys)
+            sets.append(([v for v in range(n) if sel[v]], 1 / len(orders)))
+    else:
+        sets = [([v], 1 / n) for v in range(n)]
+    for x in states:
+        margs = [naive_marginal(edges, A_per_edge, b_per_vertex, q, v, x)
+                 for v in range(n)]
+        if None in margs:
+            return None
+        for sel, pr in sets:
+            for y in states:
+                if all(y[v] == x[v] for v in range(n) if v not in sel):
+                    w = pr
+                    for v in sel:
+                        w *= margs[v][y[v]]
+                    P[index[x]][index[y]] += w
+    return P
 
 
 def naive_greedy(edges, A_per_edge, b_per_vertex, q):

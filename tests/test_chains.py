@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from _naive import all_sigmas
 
-from localgibbs.chains import (ChainSpec, SchedulerSpec,
-                               check_filter_positivity, chromatic_classes,
+from localgibbs.chains import (ChainSpec, SchedulerSpec, chromatic_classes,
                                local_max_select, local_metropolis,
                                local_metropolis_round_batch,
                                luby_glauber, luby_glauber_round_batch,
                                luby_select_batch, round_function,
                                scheduled_set_batch, sequential_glauber)
+from localgibbs.diagnostics import check_filter_positivity
 from localgibbs.engine import initial_config, run_batch
 from localgibbs.graphs import Graph, complete, cycle, path, random_regular
 from localgibbs.models import coloring, hardcore, ising, potts

@@ -207,6 +207,28 @@ def test_correlation_unreachable_distance(tmp_path, capsys):
     assert "distances" in capsys.readouterr().err
 
 
+def test_correlation_vertex_out_of_range_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "r.cfg", {
+        "model": "ising", "model.beta": "0.5", "graph": "path", "graph.n": "3",
+        "seed": "0", "u": "3", "distances": "1"})
+    assert cli.main(["correlation", "--config", cfg,
+                     "--output", str(tmp_path / "o")]) == 2
+    assert "config error: u: vertex 3 out of range" in capsys.readouterr().err
+
+
+def test_coupling_without_disagreement_fits_no_rate(tmp_path, capsys):
+    # phi weighs a disagreement by degree: on one isolated vertex it is 0
+    cfg = write_cfg(tmp_path, "c.cfg", {
+        "model": "coloring", "model.q": "2", "graph": "path", "graph.n": "1",
+        "chain": "local_metropolis", "rounds": "5", "n_runs": "20",
+        "seed": "4", "initial_pair": "zeros, max"})
+    out = tmp_path / "out"
+    assert cli.main(["coupling", "--config", cfg, "--output", str(out)]) == 0
+    lines = (out / "coupling.csv").read_text(encoding="utf-8").splitlines()
+    assert [float(line.split(",")[1]) for line in lines[1:]] == [0.0] * 6
+    assert "no rate fit" in capsys.readouterr().out
+
+
 def test_gamma_cli(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "g.cfg", {
         "graph": "cycle", "graph.n": "8", "rounds": "2000", "seed": "6"})
@@ -263,6 +285,54 @@ def test_json_format(tmp_path):
     assert len(data["frequencies"]) == 5
     for row in data["frequencies"]:
         assert sum(row) == pytest.approx(1.0)
+
+
+# command -> (result file stem, config, the JSON document's counterpart of
+# the CSV value column)
+_JSON_RESULTS = {
+    "mix-scan": ("mixing",
+                 {"model": "coloring", "model.q": "3", "graph": "cycle",
+                  "graph.n": "4", "chain": "luby_glauber",
+                  "rounds_grid": "0, 5", "n_runs": "200", "seed": "1"},
+                 lambda doc: doc["tv"]),
+    "coupling": ("coupling",
+                 {"model": "coloring", "model.q": "4", "graph": "cycle",
+                  "graph.n": "6", "chain": "local_metropolis", "rounds": "10",
+                  "n_runs": "100", "seed": "4", "initial_pair": "zeros, max"},
+                 lambda doc: doc["phi"]),
+    "balance-check": ("balance",
+                      {"model": "coloring", "model.q": "3", "graph": "path",
+                       "graph.n": "2", "chain": "local_metropolis",
+                       "seed": "0"},
+                      lambda doc: [doc["max_residual"],
+                                   doc["stationarity_gap"]]),
+    "correlation": ("correlation",
+                    {"model": "ising", "model.beta": "0.6", "graph": "path",
+                     "graph.n": "6", "seed": "0", "u": "0",
+                     "distances": "1, 2"},
+                    lambda doc: doc["correlation"]),
+    "gamma": ("gamma",
+              {"graph": "cycle", "graph.n": "8", "rounds": "50", "seed": "6"},
+              lambda doc: doc["per_vertex"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_JSON_RESULTS))
+def test_json_result_holds_the_csv_values(tmp_path, command):
+    stem, keys, values = _JSON_RESULTS[command]
+    out = []
+    for i, fmt in enumerate(("csv", "json", "json")):
+        cfg = write_cfg(tmp_path, "r.cfg", dict(keys, format=fmt))
+        out_dir = tmp_path / str(i)
+        assert cli.main([command, "--config", cfg,
+                         "--output", str(out_dir)]) == 0
+        assert {p.name for p in out_dir.iterdir()} \
+            == {"manifest.json", f"{stem}.{fmt}"}
+        out.append((out_dir / f"{stem}.{fmt}").read_bytes())
+    csv, doc, rerun = out
+    rows = csv.decode("utf-8").splitlines()[1:]
+    assert values(json.loads(doc)) == [float(r.split(",")[1]) for r in rows]
+    assert doc == rerun
 
 
 def test_bad_thread_settings_exit_2(tmp_path, monkeypatch, capsys):

@@ -161,6 +161,10 @@ def test_crossing_round_interpolation():
     assert crossing_round(curve, 8.0) == pytest.approx(1.0)
     assert crossing_round(curve, 40.0) == 0.0
     assert crossing_round(curve, 0.1) == math.inf
+    # the log of phi = 0 is undefined: the crossing is the round itself
+    onto_zero = DecayCurve(np.arange(3), np.array([3.0, 2.0, 0.0]),
+                           np.zeros(3), 1, 0, 1.0, (0, 1))
+    assert crossing_round(onto_zero, 1.0) == 2.0
 
 
 def test_correlation_positive_at_distance_one():

@@ -1,7 +1,8 @@
-"""No module imports a name it never reads.
+"""No module imports a name it never reads, and the package's own imports
+form no cycle.
 
-Package __init__.py files are skipped: their imports are the re-exported
-public API.
+Package __init__.py files are skipped by the unused-import check: their
+imports are the re-exported public API.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "localgibbs"
 MODULES = sorted(p for d in ("src/localgibbs", "tests")
                  for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
 
@@ -39,3 +41,73 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Module name -> the package modules it imports, relative or absolute,
+    at any depth (inside functions too). "__init__" is the package itself;
+    `from . import engine` is an import of engine, and `from . import
+    __version__` one of __init__."""
+    graph = {}
+    for name, source in sources.items():
+        deps = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                path = (node.module or "").split(".")
+                if node.level == 0:
+                    if path[0] != "localgibbs":
+                        continue
+                    path = path[1:]
+                if path and path[0]:
+                    deps.add(path[0])
+                else:
+                    deps.update(a.name if a.name in sources else "__init__"
+                                for a in node.names)
+            elif isinstance(node, ast.Import):
+                deps.update((a.name.split(".") + ["__init__"])[1]
+                            for a in node.names
+                            if a.name.split(".")[0] == "localgibbs")
+        graph[name] = deps & set(sources)
+    return graph
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One import cycle as [a, b, ..., a], or [] when the graph has none."""
+    state = dict.fromkeys(graph, 0)  # 0 new, 1 on the stack, 2 done
+    stack: list[str] = []
+
+    def visit(v):
+        state[v] = 1
+        stack.append(v)
+        for w in sorted(graph[v]):
+            if state[w] == 1:
+                return stack[stack.index(w):] + [w]
+            if state[w] == 0 and (found := visit(w)):
+                return found
+        stack.pop()
+        state[v] = 2
+        return []
+
+    for v in sorted(graph):
+        if state[v] == 0 and (found := visit(v)):
+            return found
+    return []
+
+
+def test_checker_finds_an_import_cycle():
+    sources = {"a": "def f():\n    from .b import g\n",
+               "b": "from . import a\n", "c": "from .a import f\n",
+               "d": "import localgibbs.c\nfrom . import __version__\n",
+               "__init__": "from localgibbs.a import f\nimport numpy\n"}
+    assert _package_imports(sources) == {
+        "a": {"b"}, "b": {"a"}, "c": {"a"}, "d": {"c", "__init__"},
+        "__init__": {"a"}}
+    assert _cycle(_package_imports(sources)) == ["a", "b", "a"]
+    assert _cycle(_package_imports({"a": "from . import b\n", "b": ""})) \
+        == []
+
+
+def test_package_imports_are_acyclic():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    assert _cycle(_package_imports(sources)) == []

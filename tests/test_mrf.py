@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _naive import naive_marginal, naive_weight
+from _naive import naive_marginal, naive_proposal_cdf, naive_weight
 
 from localgibbs.graphs import Graph, complete, cycle, path
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
@@ -163,6 +163,16 @@ def test_normalized_idempotent_preserves_argmax():
     np.testing.assert_array_equal(again, norm)
     assert np.argmax(norm) == np.argmax(a)
     assert norm.max() == 1.0
+
+
+@pytest.mark.parametrize("q", [2, 3, 8, 9, 16])
+def test_proposal_cdf_sums_in_spin_order(q):
+    # numpy's row sum adds 8 or more entries pairwise, not in spin order;
+    # the proposal CDFs must be the loop's bytes all the same
+    b = np.random.default_rng(0).random((3, q)) + 0.05
+    inst = MrfInstance(path(3), q, np.ones((q, q)), b)
+    want = np.array([naive_proposal_cdf(row) for row in b.tolist()])
+    assert inst.b_cdf.tobytes() == want.tobytes()
 
 
 def test_asymmetric_activity_rejected():

@@ -2,15 +2,15 @@ import copy
 
 import numpy as np
 import pytest
-from _naive import all_sigmas, naive_gibbs, naive_tv
+from _naive import all_sigmas, naive_gibbs, naive_transition_matrix, naive_tv
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_digests import _hub_and_tail_lists, _hub_and_tail_wide
 from test_kernels import _BITS, _PROPERTY, _tiny_rounds
 
-from localgibbs.chains import (SchedulerSpec, check_filter_positivity,
-                               local_metropolis, luby_glauber,
+from localgibbs.chains import (SchedulerSpec, local_metropolis, luby_glauber,
                                sequential_glauber)
+from localgibbs.diagnostics import check_filter_positivity
 from localgibbs.graphs import Graph, cycle, path
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
 from localgibbs.mrf import MrfInstance, ZeroMarginal, marginal
@@ -310,6 +310,26 @@ def test_exact_matrices_keep_gibbs_on_random_tiny_instances(case):
         report = check_detailed_balance(
             TransitionMatrix(rows[:, feasible]), mu_f)
         assert report.ok, report
+
+
+# budget: about 2 s. n <= 3 and q <= 3 keep the loops at 27 states, and
+# the Metropolis loop at 27 proposals per state
+@settings(_PROPERTY, max_examples=120)
+@given(st.one_of(_tiny_rounds(max_n=3, max_q=3),
+                 _tiny_rounds(_BITS, max_n=3, max_q=3)))
+def test_exact_matrices_match_naive_loops_on_random_tiny_instances(case):
+    inst = case[0]
+    g, A, b = inst.graph, inst.A.tolist(), inst.b.tolist()
+    for chain, kind in ((luby_glauber(), "luby"),
+                        (sequential_glauber(), "single-site"),
+                        (local_metropolis(), "metropolis")):
+        want = naive_transition_matrix(g.edges, A, b, g.n, inst.q, kind)
+        if want is None:
+            with pytest.raises(ZeroMarginal):
+                exact_transition_matrix(chain, inst)
+        else:
+            got = exact_transition_matrix(chain, inst).rows
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_conditional_no_pinning_is_marginal():
