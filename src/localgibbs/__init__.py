@@ -32,7 +32,7 @@ from .oracle import (BalanceReport, Distribution, StateSpaceTooLarge,
                      ZeroPartitionFunction, ZeroProbabilityCondition,
                      check_detailed_balance, enumerate_gibbs,
                      exact_conditional_marginal, exact_transition_matrix,
-                     forest_conditional_marginal, tv_distance)
+                     elimination_conditional_marginal, tv_distance)
 from .randomness import RandomTape
 
 __version__ = "0.1.0"

@@ -4,9 +4,9 @@ Regime checks (the closed-form Dobrushin influence of colorings and the
 positivity of the parallel Metropolis filter), the numeric Dobrushin-style
 influence matrix, empirical mixing curves against exact ground truth,
 identical-tape coupling decay with the degree-weighted disagreement
-distance, conditional-correlation decay (enumerated, or by message
-passing on forests past the enumeration cap), and selection-rate
-scans for the local-maximum scheduler.
+distance, conditional-correlation decay (by bucket elimination wherever
+its tables fit the enumeration cap, with enumeration as its judge), and
+selection-rate scans for the local-maximum scheduler.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .chains import ChainSpec, local_max_select
 from .engine import PRESETS, run_chunked
 from .graphs import Graph
 from .mrf import MrfInstance, marginal
-from .oracle import (ENUM_CAP, Distribution, all_configs, config_of_rank,
-                     enumerate_gibbs, exact_conditional_marginal,
-                     forest_conditional_marginal, tv_distance)
+from .oracle import (ENUM_CAP, Distribution, _check_query, all_configs,
+                     config_of_rank, elimination_conditional_marginal,
+                     enumerate_gibbs, exact_conditional_marginal, tv_distance)
 from .randomness import KIND_NODE_BETA, RandomTape
 
 
@@ -287,24 +287,27 @@ def crossing_round(curve: DecayCurve, level: float) -> float:
 
 
 def correlation_length(inst: MrfInstance, u: int, v: int, pinnings=None,
-                       delta: float = 0.1, method: str = "auto",
+                       delta: float = 0.1, method: str = "transfer",
                        cap: int = ENUM_CAP) -> float:
     """Worst conditional shift at v between two pinned spins at u.
 
     Candidate pins are the spins of u whose exact marginal mass reaches
     delta (or an explicit iterable of spins); the result is the maximum
     total variation distance between the conditionals at v over pin pairs.
-    method "enumerate" forces full enumeration, "transfer" the forest
-    message passing of forest_conditional_marginal (any n, but the graph
-    must have no cycle), "auto" enumeration when the state space is within
-    cap and message passing otherwise.
+    method "transfer" computes each conditional by the bucket elimination
+    of elimination_conditional_marginal, on any graph whose tables fit
+    ENUM_CAP; "enumerate" by full enumeration within cap, the independent
+    judge of the elimination.
+
+    Raises:
+        ValueError: u or v is out of range, or method is unknown.
     """
-    if method not in ("auto", "enumerate", "transfer"):
+    if method not in ("enumerate", "transfer"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "enumerate" if inst.q ** inst.n <= cap else "transfer"
+    for w in (u, v):
+        _check_query(inst, w, {})
     cond = (functools.partial(exact_conditional_marginal, cap=cap)
-            if method == "enumerate" else forest_conditional_marginal)
+            if method == "enumerate" else elimination_conditional_marginal)
     if pinnings is None:
         mass = cond(inst, u, {}).probs
         pinnings = [s for s in range(inst.q) if mass[s] >= delta]

@@ -1,13 +1,13 @@
-"""Exact ground truth: brute force on small instances, message passing on forests.
+"""Exact ground truth: brute force on small instances, elimination past them.
 
 Almost everything here trades exponential cost for exactness: the full
 Gibbs distribution by enumerating all q^n configurations, exact one-round
 transition matrices for each chain by integrating out their randomness,
 detailed-balance and stationarity residuals, and exact conditional
-marginals by enumeration. The one exception is the conditional marginal on
-forests, which sum-product message passing computes exactly in O(m q^2)
-for any n; it cross-checks the enumeration and reaches past its cap. The
-simulator is validated against these outputs.
+marginals by enumeration. The exception, bucket elimination of a
+conditional marginal, is exponential only in its order's width: it reaches
+every instance enumeration reaches, and long paths, cycles and ladders
+far past them. The simulator is validated against these outputs.
 
 Configurations are ranked little-endian mixed radix: rank(sigma) =
 sum_v sigma_v * q**v, so vertex 0 is the fastest-moving digit.
@@ -15,6 +15,7 @@ sum_v sigma_v * q**v, so vertex 0 is the fastest-moving digit.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -260,13 +261,27 @@ def check_detailed_balance(P: TransitionMatrix, mu: Distribution,
     return BalanceReport(float(R[pair]), (int(pair[0]), int(pair[1])), gap, tol)
 
 
+def _check_query(inst: MrfInstance, v: int, pinned: dict[int, int]) -> None:
+    """Refuse a vertex outside [0, n) or a pinned spin outside [0, q); a
+    negative vertex would otherwise index from the end."""
+    for u in (v, *pinned):
+        if not 0 <= u < inst.n:
+            raise ValueError(f"vertex {u} out of range for n={inst.n}")
+    for u, s in pinned.items():
+        if not 0 <= s < inst.q:
+            raise ValueError(f"spin {s} pinned at vertex {u} out of range for q={inst.q}")
+
+
 def exact_conditional_marginal(inst: MrfInstance, v: int, pinned: dict[int, int],
                                cap: int = ENUM_CAP) -> Distribution:
     """Exact single-vertex marginal given pinned spins, by full enumeration.
 
     Raises:
+        ValueError: v, a pinned vertex or a pinned spin is out of range.
+        StateSpaceTooLarge: q**n exceeds cap.
         ZeroProbabilityCondition: the pinning has zero total weight.
     """
+    _check_query(inst, v, pinned)
     _check_cap(inst.n, inst.q, cap)
     configs = all_configs(inst.n, inst.q)
     w = weight_batch(inst, configs)
@@ -282,52 +297,51 @@ def exact_conditional_marginal(inst: MrfInstance, v: int, pinned: dict[int, int]
     return Distribution(out / total)
 
 
-def forest_conditional_marginal(inst: MrfInstance, v: int,
-                                pinned: dict[int, int]) -> Distribution:
-    """Same quantity as exact_conditional_marginal, by sum-product on a forest.
+def elimination_conditional_marginal(inst: MrfInstance, v: int,
+                                     pinned: dict[int, int]) -> Distribution:
+    """Same quantity as exact_conditional_marginal, by bucket elimination.
 
-    Vertices are ordered breadth-first from v, then from each vertex not yet
-    reached, neighbours in adjacency order. One upward pass in reverse order
-    multiplies each vertex's belief (its activity row, zero off a pinned
-    spin, times its children's messages) into its parent through the edge
-    matrix; parallel edges multiply entrywise into one matrix. The parent's
-    belief is rescaled to maximum 1 after each multiply, so long paths and
-    large stars neither overflow nor underflow. O(m q^2) for any n.
+    Vertices leave in min-degree order (ties by smaller id, v last), making
+    their remaining neighbours adjacent. A vertex's bucket holds its activity
+    row (zero off a pinned spin), its edge matrices to later vertices and the
+    tables sent to it; their product, summed over the vertex and rescaled to
+    maximum 1, goes to the next neighbour to leave.
 
     Raises:
-        ValueError: the graph has a cycle.
+        ValueError: v, a pinned vertex or a pinned spin is out of range.
+        StateSpaceTooLarge: some table would exceed ENUM_CAP entries.
         ZeroProbabilityCondition: the pinning has zero total weight.
     """
-    g = inst.graph
-    nbr, edge, ptr = g.nbr_flat.tolist(), g.nbr_edge.tolist(), g.nbr_ptr.tolist()
-    parent, link, seen = [-1] * g.n, [None] * g.n, [False] * g.n
-    order: list[int] = []
-    head = 0  # order[head:] is the breadth-first queue
-    for root in itertools.chain([v], range(g.n)):
-        if not seen[root]:
-            seen[root] = True
-            order.append(root)
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for w, e in zip(nbr[ptr[u]:ptr[u + 1]], edge[ptr[u]:ptr[u + 1]]):
-                if w == parent[u]:
-                    continue
-                if not seen[w]:
-                    seen[w], parent[w], link[w] = True, u, inst.A[e]
-                    order.append(w)
-                elif parent[w] == u:
-                    link[w] = link[w] * inst.A[e]
-                else:
-                    raise ValueError("graph has a cycle")
-    belief = inst.b.copy()
-    for u, s in pinned.items():
-        belief[u, np.arange(inst.q) != s] = 0.0
-    for u in reversed(order):
-        if not belief[u].any():
+    _check_query(inst, v, pinned)
+    n, q, edges = inst.n, inst.q, inst.graph.edges
+    nbrs = [set(a) for a in inst.graph.adjacency]
+    heap = sorted((len(s), u) for u, s in enumerate(nbrs) if u != v)  # sorted, so a heap
+    pos: dict[int, int] = {}  # vertex -> step at which it leaves
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x in pos or d != len(nbrs[x]):
+            continue  # stale entry
+        if q ** (d + 1) > ENUM_CAP:
+            raise StateSpaceTooLarge(f"vertex {x} needs a table of {q}**{d + 1} entries")
+        pos[x] = len(pos)
+        for w in nbrs[x]:
+            nbrs[w] = (nbrs[w] | nbrs[x]) - {w, x}
+            if w != v:
+                heapq.heappush(heap, (len(nbrs[w]), w))
+    pos[v] = n - 1
+    # a factor is (table, scope), its axes in the order its scope leaves
+    bucket = [[(inst.b[u] * (np.arange(q) == pinned[u]) if u in pinned
+                else inst.b[u], [u])] for u in range(n)]
+    for e, ab in enumerate(edges):  # symmetric matrices need no transpose
+        bucket[min(ab, key=pos.get)].append((inst.A[e], sorted(ab, key=pos.get)))
+    for x in pos:
+        scope = [x, *sorted(nbrs[x], key=pos.get)]
+        table = np.ones((q,) * len(scope))
+        for f, fs in bucket[x]:
+            table *= f.reshape([q if w in fs else 1 for w in scope])
+        if not table.any():
             raise ZeroProbabilityCondition(f"pinning {pinned} carries no weight")
-        p = parent[u]
-        if p >= 0:
-            belief[p] *= link[u] @ belief[u]
-            belief[p] /= belief[p].max() or 1.0  # a zero belief raises at p
-    return Distribution(belief[v] / belief[v].sum())
+        if len(scope) > 1:
+            sent = table.sum(axis=0)
+            bucket[scope[1]].append((sent / sent.max(), scope[1:]))
+    return Distribution(table / table.sum())

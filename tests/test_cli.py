@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from localgibbs import cli, engine
@@ -168,8 +169,8 @@ def test_correlation_cli(tmp_path, capsys):
 
 
 def test_correlation_cli_past_the_enumeration_cap_on_a_path(tmp_path):
-    # 3**1200 states: "auto" takes message passing; a proper 3-coloring of a
-    # path forgets half its pin per hop
+    # 3**1200 states, far past enumeration; a proper 3-coloring of a path
+    # forgets half its pin per hop
     cfg = write_cfg(tmp_path, "r.cfg", {
         "model": "coloring", "model.q": "3", "graph": "path",
         "graph.n": "1200", "seed": "0", "u": "0", "distances": "1, 2, 4"})
@@ -196,6 +197,54 @@ def test_correlation_cli_past_the_enumeration_cap_on_a_tree(tmp_path):
     lines = (out / "correlation.csv").read_text(encoding="utf-8").splitlines()
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert vals == pytest.approx([1 / 3, 1 / 9, 1 / 27], rel=0, abs=1e-12)
+
+
+def _correlation_values(tmp_path, mapping):
+    cfg = write_cfg(tmp_path, "r.cfg", mapping)
+    out = tmp_path / "out"
+    assert cli.main(["correlation", "--config", cfg, "--output", str(out)]) == 0
+    lines = (out / "correlation.csv").read_text(encoding="utf-8").splitlines()
+    return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+def _worst_tv(cond):
+    """Largest total variation distance between the rows of cond, each
+    row a conditional law given one pin, normalised here."""
+    cond = cond / cond.sum(axis=1, keepdims=True)
+    return max(0.5 * np.abs(a - b).sum() for a in cond for b in cond)
+
+
+def test_correlation_cli_on_a_cycle_past_the_enumeration_cap(tmp_path):
+    # 3**30 states. On C_30 with M = J - I, P(x_d = c | x_0 = s) is
+    # proportional to (M**d)[s, c] (M**(30 - d))[c, s]
+    vals = _correlation_values(tmp_path, {
+        "model": "coloring", "model.q": "3", "graph": "cycle",
+        "graph.n": "30", "seed": "0", "u": "0", "distances": "1, 2, 4"})
+    M = np.ones((3, 3)) - np.eye(3)
+    power = np.linalg.matrix_power
+    want = [_worst_tv(power(M, d) * power(M, 30 - d).T) for d in (1, 2, 4)]
+    assert vals == pytest.approx(want, rel=0, abs=1e-12)
+    assert vals[0] > vals[1] > vals[2] > 0
+
+
+def test_correlation_cli_on_a_ladder_past_the_enumeration_cap(tmp_path):
+    # hardcore, lambda = 1, on grid(2, 30): 2**60 states. Columns take the
+    # states empty, top, bottom, and K says which follow each other; the
+    # first vertex at distance d from vertex 0 is the top of column d
+    vals = _correlation_values(tmp_path, {
+        "model": "hardcore", "model.lambda": "1", "graph": "grid",
+        "graph.rows": "2", "graph.cols": "30", "seed": "0", "u": "0",
+        "distances": "1, 2, 4"})
+    K = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
+    top = np.array([[1, 0], [0, 1], [1, 0]], dtype=float)  # state -> top spin
+    power = np.linalg.matrix_power
+    want = []
+    for d in (1, 2, 4):
+        # joint weight of (column 0, column d) times the columns right of d
+        joint = power(K, d) * (power(K, 29 - d) @ np.ones(3))[None, :]
+        want.append(_worst_tv(top.T @ joint @ top))
+    assert vals == pytest.approx(want, rel=0, abs=1e-12)
+    assert vals[0] > vals[1] > vals[2] > 0
 
 
 def test_correlation_unreachable_distance(tmp_path, capsys):

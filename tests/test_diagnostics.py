@@ -199,6 +199,24 @@ def test_correlation_pinning_mass_filter():
     assert correlation_length(inst, 0, 2, pinnings=[0, 1]) > 0.0
 
 
+@pytest.mark.parametrize("method", ["enumerate", "transfer"])
+@pytest.mark.parametrize("u, v, pinnings, match", [
+    (-1, 2, None, "vertex -1 "), (0, 3, None, "vertex 3 "),
+    (0, -2, None, "vertex -2 "), (-1, 2, [], "vertex -1 "),
+    (0, 2, [0, 5], "spin 5 pinned at vertex 0"),
+])
+def test_correlation_rejects_out_of_range_input(method, u, v, pinnings, match):
+    # at n = 3 a negative vertex would index from the end
+    inst = coloring(path(3), 3)
+    with pytest.raises(ValueError, match=match):
+        correlation_length(inst, u, v, pinnings=pinnings, method=method)
+
+
+def test_correlation_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'auto'"):
+        correlation_length(coloring(path(3), 3), 0, 2, method="auto")
+
+
 def test_gamma_isolated_vertices_always_selected():
     rep = luby_gamma_estimate(Graph(3, []), 50, RandomTape(8))
     np.testing.assert_array_equal(rep.per_vertex, 1.0)

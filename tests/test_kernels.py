@@ -181,7 +181,9 @@ def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4,
     with zeros, any scheduler, and 1-3 starts per run (k rows per run,
     run-major). With shared_vertex, most examples give every vertex one
     activity vector."""
-    n = draw(st.integers(1, max_n))
+    # n >= 2 save about one example in eight: an n = 1 instance has no
+    # edge, so it checks little beyond the activity rows
+    n = 1 if draw(st.integers(0, 7)) == 3 else draw(st.integers(2, max_n))
     q = draw(st.integers(2, max_q))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     # n > 1 draws an edge, so that the product and the filter are tested,

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,17 +12,17 @@ from test_kernels import _BITS, _PROPERTY, _tiny_rounds
 from localgibbs.chains import (SchedulerSpec, local_metropolis, luby_glauber,
                                sequential_glauber)
 from localgibbs.diagnostics import check_filter_positivity
-from localgibbs.graphs import Graph, cycle, path
+from localgibbs.graphs import Graph, complete, cycle, path, random_regular
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
 from localgibbs.mrf import MrfInstance, ZeroMarginal, marginal
-from localgibbs.oracle import (Distribution, StateSpaceTooLarge,
+from localgibbs.oracle import (ENUM_CAP, Distribution, StateSpaceTooLarge,
                                TransitionMatrix, UnsupportedScheduler,
                                ZeroPartitionFunction,
                                ZeroProbabilityCondition, all_configs,
                                check_detailed_balance, config_of_rank,
+                               elimination_conditional_marginal,
                                enumerate_gibbs, exact_conditional_marginal,
                                exact_transition_matrix,
-                               forest_conditional_marginal,
                                luby_set_distribution, rank_of_config,
                                tv_distance)
 
@@ -312,7 +313,7 @@ def test_exact_matrices_keep_gibbs_on_random_tiny_instances(case):
         assert report.ok, report
 
 
-# budget: about 2 s. n <= 3 and q <= 3 keep the loops at 27 states, and
+# budget: about 3 s. n <= 3 and q <= 3 keep the loops at 27 states, and
 # the Metropolis loop at 27 proposals per state
 @settings(_PROPERTY, max_examples=120)
 @given(st.one_of(_tiny_rounds(max_n=3, max_q=3),
@@ -358,22 +359,29 @@ def test_conditional_two_methods_agree_on_path6():
     inst = coloring(path(6), 3)
     for pin_spin in range(3):
         a = exact_conditional_marginal(inst, 5, {0: pin_spin})
-        b = forest_conditional_marginal(inst, 5, {0: pin_spin})
+        b = elimination_conditional_marginal(inst, 5, {0: pin_spin})
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
-
-
-def test_path_conditional_requires_path_graph():
-    inst = coloring(cycle(4), 3)
-    with pytest.raises(ValueError):
-        forest_conditional_marginal(inst, 0, {2: 1})
 
 
 def test_path_conditional_with_parallel_edges():
     g = Graph(3, [(0, 1), (0, 1), (1, 2)])
     inst = ising(g, 2.0)
     a = exact_conditional_marginal(inst, 2, {0: 0})
-    b = forest_conditional_marginal(inst, 2, {0: 0})
+    b = elimination_conditional_marginal(inst, 2, {0: 0})
     np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
+
+
+def _random_activities(rng, n, q, edges):
+    """Symmetric edge matrices and vertex rows, both with zeros."""
+    A = []
+    for _ in edges:
+        a = rng.random((q, q)) * (rng.random((q, q)) < 0.8)
+        a = a + a.T
+        a[0, 0] += not a.any()
+        A.append(a)
+    b = rng.random((n, q)) * (rng.random((n, q)) < 0.8)
+    b[:, 0] += ~b.any(axis=1)
+    return MrfInstance(Graph(n, edges), q, A if edges else [], b)
 
 
 def _random_forest_instance(rng):
@@ -390,22 +398,30 @@ def _random_forest_instance(rng):
                 pair = [int(relabel[parent]), int(relabel[child])]
                 rng.shuffle(pair)
                 edges.append(tuple(pair))
-    A = []
-    for _ in edges:
-        a = rng.random((q, q)) * (rng.random((q, q)) < 0.8)
-        a = a + a.T
-        a[0, 0] += not a.any()
-        A.append(a)
-    b = rng.random((n, q)) * (rng.random((n, q)) < 0.8)
-    b[:, 0] += ~b.any(axis=1)
-    return MrfInstance(Graph(n, edges), q, A if edges else [], b)
+    return _random_activities(rng, n, q, edges)
 
 
-def test_forest_conditional_matches_enumeration_on_random_forests():
-    rng = np.random.default_rng(1709)
+def _random_cyclic_instance(rng):
+    """A random multigraph with a cycle: a ring through 3 or more of its
+    vertices, random chords, some edges doubled in reverse, any vertex on
+    neither left isolated, and zero activities."""
+    n = int(rng.integers(3, 9))
+    q = int(rng.integers(2, 4)) if n <= 7 else 2
+    ring = rng.permutation(n)[:int(rng.integers(3, n + 1))].tolist()
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    edges += [tuple(rng.choice(n, 2, replace=False).tolist())
+              for _ in range(int(rng.integers(0, n + 1)))]
+    edges += [(b, a) for a, b in edges if rng.random() < 0.2]
+    return _random_activities(rng, n, q, edges)
+
+
+def _compare_with_enumeration(rng, make, trials):
+    """Conditionals of random instances at a random vertex under random
+    pins, by elimination and by enumeration: agreement within 1e-12 or
+    ZeroProbabilityCondition from both. Returns (compared, raised)."""
     compared = raised = 0
-    for _ in range(300):
-        inst = _random_forest_instance(rng)
+    for _ in range(trials):
+        inst = make(rng)
         n, q = inst.n, inst.q
         v = int(rng.integers(n))
         pins = rng.permutation(n)[:int(rng.integers(0, n))]
@@ -414,40 +430,127 @@ def test_forest_conditional_matches_enumeration_on_random_forests():
             want = exact_conditional_marginal(inst, v, pinned)
         except ZeroProbabilityCondition:
             with pytest.raises(ZeroProbabilityCondition):
-                forest_conditional_marginal(inst, v, pinned)
+                elimination_conditional_marginal(inst, v, pinned)
             raised += 1
             continue
-        got = forest_conditional_marginal(inst, v, pinned)
+        got = elimination_conditional_marginal(inst, v, pinned)
         np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-12)
         compared += 1
+    return compared, raised
+
+
+def test_forest_conditional_matches_enumeration_on_random_forests():
+    compared, raised = _compare_with_enumeration(
+        np.random.default_rng(1709), _random_forest_instance, 300)
     assert compared >= 150 and raised >= 30
 
 
+def test_elimination_matches_enumeration_on_random_multigraphs_with_cycles():
+    compared, raised = _compare_with_enumeration(
+        np.random.default_rng(2203), _random_cyclic_instance, 400)
+    assert compared >= 150 and raised >= 30
+
+
+# a cycle alone, with a pendant vertex, and beside a tree
 @pytest.mark.parametrize("graph", [
     cycle(4),
     Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
     Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)]),
 ], ids=["cycle4", "triangle-pendant", "forest-plus-cycle"])
-def test_forest_conditional_rejects_cycles(graph):
-    with pytest.raises(ValueError, match="cycle"):
-        forest_conditional_marginal(coloring(graph, 3), 0, {})
+def test_elimination_conditional_on_cycles_matches_enumeration(graph):
+    inst = coloring(graph, 3)
+    for v in range(graph.n):
+        for pinned in ({}, {(v + 1) % graph.n: 0}, {(v + 2) % graph.n: 1}):
+            want = exact_conditional_marginal(inst, v, pinned)
+            got = elimination_conditional_marginal(inst, v, pinned)
+            np.testing.assert_allclose(got.probs, want.probs, rtol=0,
+                                       atol=1e-12)
+
+
+def test_elimination_refuses_an_oversized_table_before_allocating():
+    # min degree 3 at the start, and the fill-in soon needs 8**8 entries
+    inst = coloring(random_regular(64, 3, seed=0), 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge,
+                           match=r"vertex \d+ needs a table of 8\*\*\d+ entries"):
+            elimination_conditional_marginal(inst, 0, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_elimination_table_may_reach_the_cap_but_not_pass_it():
+    # the first vertex of K_11 leaves with a table of 4**11 entries, as
+    # enumeration takes 4**11 configurations; K_12 would need 4**12
+    assert 4 ** 11 == ENUM_CAP
+    got = elimination_conditional_marginal(potts(complete(11), 4, 0.5), 10, {})
+    np.testing.assert_allclose(got.probs, 0.25, rtol=0, atol=1e-12)
+    with pytest.raises(StateSpaceTooLarge,
+                       match=r"vertex 0 needs a table of 4\*\*12 entries"):
+        elimination_conditional_marginal(potts(complete(12), 4, 0.5), 11, {})
+
+
+@pytest.mark.parametrize("v, pinned, match", [
+    (-1, {}, "vertex -1 "), (3, {}, "vertex 3 "), (0, {-1: 0}, "vertex -1 "),
+    (0, {-3: 0}, "vertex -3 "), (0, {3: 0}, "vertex 3 "),
+    (0, {2: 5}, "spin 5 pinned at vertex 2"),
+    (0, {2: -1}, "spin -1 pinned at vertex 2"),
+])
+@pytest.mark.parametrize("conditional", [exact_conditional_marginal,
+                                         elimination_conditional_marginal])
+def test_conditional_rejects_out_of_range_query(conditional, v, pinned, match):
+    # at n = 3 a negative vertex would index from the end
+    with pytest.raises(ValueError, match=match) as err:
+        conditional(coloring(path(3), 3), v, pinned)
+    assert not isinstance(err.value, ZeroProbabilityCondition)
+
+
+# budget: about 1.5 s; n <= 5 and q <= 4 keep enumeration at 1024 states
+@settings(_PROPERTY, max_examples=100)
+@given(st.one_of(_tiny_rounds(), _tiny_rounds(_BITS)))
+def test_elimination_matches_enumeration_on_random_tiny_instances(case):
+    inst, x = case[0], case[1]
+    for v in range(inst.n):
+        # no pin, then the first row's spins below v
+        for pinned in ({}, {u: int(x[0, u]) for u in range(v)}):
+            try:
+                want = exact_conditional_marginal(inst, v, pinned)
+            except ZeroProbabilityCondition:
+                with pytest.raises(ZeroProbabilityCondition):
+                    elimination_conditional_marginal(inst, v, pinned)
+                continue
+            got = elimination_conditional_marginal(inst, v, pinned)
+            np.testing.assert_allclose(got.probs, want.probs, rtol=0,
+                                       atol=1e-12)
 
 
 def test_forest_conditional_on_large_star_is_uniform():
     # messages scaled to sum 1 would multiply to 3**-2000 at the hub
     star = Graph(2001, [(0, leaf) for leaf in range(1, 2001)])
-    got = forest_conditional_marginal(coloring(star, 3), 0, {})
+    got = elimination_conditional_marginal(coloring(star, 3), 0, {})
     np.testing.assert_allclose(got.probs, 1 / 3, rtol=0, atol=1e-12)
 
 
 def test_forest_conditional_hardcore_star_hub_occupancy():
     star = Graph(301, [(0, leaf) for leaf in range(1, 301)])
-    got = forest_conditional_marginal(hardcore(star, 1.0), 0, {})
+    got = elimination_conditional_marginal(hardcore(star, 1.0), 0, {})
     assert got.probs[1] == pytest.approx(1 / (1 + 2.0 ** 300), rel=1e-12, abs=0)
 
 
+def test_elimination_takes_leaves_before_their_hub():
+    # min degree: the hub of a 300-leaf star leaves last but for v, where
+    # leaving first would need a table of 2**301 entries; a leaf is
+    # occupied half the time its hub is empty
+    star = Graph(301, [(0, leaf) for leaf in range(1, 301)])
+    got = elimination_conditional_marginal(hardcore(star, 1.0), 7, {})
+    hub_empty = 2.0 ** 300 / (1 + 2.0 ** 300)
+    assert got.probs[1] == pytest.approx(hub_empty / 2, rel=1e-12, abs=0)
+
+
 def test_forest_conditional_long_path_is_finite_and_uniform():
-    got = forest_conditional_marginal(coloring(path(2000), 3), 1000, {0: 2})
+    got = elimination_conditional_marginal(coloring(path(2000), 3), 1000, {0: 2})
     assert np.isfinite(got.probs).all()
     np.testing.assert_allclose(got.probs, 1 / 3, rtol=0, atol=1e-12)
 
