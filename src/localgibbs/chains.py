@@ -48,8 +48,13 @@ chosen so that every step is a contiguous row operation:
 
 The Metropolis round is vertex-major too: its spins are (n, rows) in the
 narrowest unsigned dtype for q and its filter is edge-major, (m, rows), so
-every endpoint gather and the acceptance AND move whole rows; only the
-returned batch is (rows, n) int64.
+every endpoint gather and the acceptance AND move whole rows.
+
+Every round function takes its batch in any integer dtype and returns the
+new batch in the same one: engine.run_batch carries it in the narrowest
+unsigned dtype for q (uint8 up to q = 256). The function that
+round_function binds keeps its per-round arrays of fixed shape (score
+words, local-maximum scratch, proposal words) in buffers for the batch.
 
 All round functions are pure maps from the previous round's snapshot to the
 next; a vertex's update reads its own streams, its neighbors' previous
@@ -150,22 +155,41 @@ def _sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return count
 
 
-def _local_max_rows(graph: Graph, keys: np.ndarray) -> np.ndarray:
+def _buffer(work: dict, name: str, shape: tuple, dtype) -> np.ndarray:
+    """work[name] when it is an array of that shape and dtype, else a new
+    uninitialised one, kept there for the next round."""
+    buf = work.get(name)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = work[name] = np.empty(shape, dtype)
+    return buf
+
+
+def _local_max_rows(graph: Graph, keys: np.ndarray, work: dict) -> np.ndarray:
     """The local-maximum rule in the vertex-major layout.
 
     keys is (n, R): row i holds the score words of vertex by_degree[i]. The
     result is the (n, R) indicator array in the same layout. Rank k's
-    neighbors are gathered as whole rows and folded into the prefix of rows
-    of the vertices with a k-th slot.
+    neighbors are gathered as whole rows (rank 0 straight into the
+    running maximum, later ranks into a scratch block, both kept in work)
+    and folded into the prefix of rows of the vertices with a k-th slot;
+    rows past rank 0's prefix, isolated vertices, stay 0. The gathers read
+    internal, in-range positions in np.take's "clip" mode, since the
+    checked mode copies out before writing it.
     """
     g = graph
     ptr = g.rank_ptr.tolist()
     spans = list(zip(ptr[:-1], ptr[1:]))
     nbr_pos = np.take(g.degree_pos, g.rank_nbr)
-    nbr_max = np.zeros_like(keys)
-    for lo, hi in spans:
+    nbr_max = _buffer(work, "nbr_max", keys.shape, keys.dtype)
+    rows = _buffer(work, "nbr_rows", keys.shape, keys.dtype)
+    nbr_max[ptr[1] if spans else 0:] = 0
+    for rank, (lo, hi) in enumerate(spans):
         head = nbr_max[:hi - lo]
-        np.maximum(head, np.take(keys, nbr_pos[lo:hi], 0), out=head)
+        if rank:
+            np.maximum(head, np.take(keys, nbr_pos[lo:hi], 0, rows[:hi - lo],
+                                     "clip"), out=head)
+        else:
+            np.take(keys, nbr_pos[lo:hi], 0, head, "clip")
     sel = keys > nbr_max
     ties = keys == nbr_max
     if ties.any():
@@ -190,20 +214,32 @@ def local_max_select(graph: Graph, keys: np.ndarray) -> np.ndarray:
     selected.
     """
     g = graph
-    sel = _local_max_rows(g, np.take(keys, g.by_degree, 1).T.copy())
+    sel = _local_max_rows(g, np.take(keys, g.by_degree, 1).T.copy(), {})
     return np.take(sel, g.degree_pos, 0).T
 
 
+def _score_words(graph: Graph, round_: int, tape: RandomTape,
+                 runs: np.ndarray, work: dict) -> np.ndarray:
+    """The round's (n, len(runs)) score words, vertex-major, hashed into
+    work's key buffer."""
+    return tape.node_words(KIND_NODE_BETA, graph.by_degree, round_, runs,
+                           out=_buffer(work, "keys", (graph.n, len(runs)),
+                                       np.uint64))
+
+
 def luby_select_batch(graph: Graph, round_: int, tape: RandomTape,
-                      runs: np.ndarray) -> np.ndarray:
+                      runs: np.ndarray, work: dict | None = None) -> np.ndarray:
     """Local-maximum selection for one round, vertex-major: shape
-    (n, len(runs)) boolean, row i for vertex by_degree[i]."""
-    keys = tape.node_words(KIND_NODE_BETA, graph.by_degree, round_, runs)
-    return _local_max_rows(graph, keys)
+    (n, len(runs)) boolean, row i for vertex by_degree[i]. work holds the
+    score words and scratch between rounds (see round_function)."""
+    work = {} if work is None else work
+    keys = _score_words(graph, round_, tape, runs, work)
+    return _local_max_rows(graph, keys, work)
 
 
 def single_site_select_batch(graph: Graph, round_: int, tape: RandomTape,
-                             runs: np.ndarray) -> np.ndarray:
+                             runs: np.ndarray,
+                             work: dict | None = None) -> np.ndarray:
     """One uniformly random vertex per run, as a vertex-major one-hot
     (n, len(runs)) boolean array, row i for vertex by_degree[i].
 
@@ -211,7 +247,7 @@ def single_site_select_batch(graph: Graph, round_: int, tape: RandomTape,
     with i.i.d. scores the argmax is uniform, and reusing the stream keeps
     the scheduler family on one randomness footprint.
     """
-    keys = tape.node_words(KIND_NODE_BETA, graph.by_degree, round_, runs)
+    keys = _score_words(graph, round_, tape, runs, {} if work is None else work)
     is_top = keys == keys.max(axis=0)
     # highest vertex id among maxima, consistent with the local tie rule
     pick = np.where(is_top, graph.by_degree[:, None], -1).argmax(axis=0)
@@ -221,13 +257,15 @@ def single_site_select_batch(graph: Graph, round_: int, tape: RandomTape,
 
 
 def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
-                        tape: RandomTape, runs: np.ndarray) -> np.ndarray:
+                        tape: RandomTape, runs: np.ndarray,
+                        work: dict | None = None) -> np.ndarray:
     """The round's independent sets, vertex-major: (n, len(runs)) boolean,
-    row i for vertex by_degree[i], column j for run runs[j]."""
+    row i for vertex by_degree[i], column j for run runs[j]. work is passed
+    to the score-word schedulers."""
     if scheduler.variant == "luby":
-        return luby_select_batch(graph, round_, tape, runs)
+        return luby_select_batch(graph, round_, tape, runs, work=work)
     if scheduler.variant == "single-site":
-        return single_site_select_batch(graph, round_, tape, runs)
+        return single_site_select_batch(graph, round_, tape, runs, work=work)
     classes = scheduler.color_classes
     members = np.zeros(graph.n, dtype=bool)
     members[graph.degree_pos[list(classes[round_ % len(classes)])]] = True
@@ -236,13 +274,16 @@ def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
 
 def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                              scheduler: SchedulerSpec, round_: int,
-                             tape: RandomTape, runs: np.ndarray):
+                             tape: RandomTape, runs: np.ndarray,
+                             work: dict | None = None):
     """One independent-set resampling round.
 
-    x holds k = len(x) // len(runs) rows per run, run-major (see
-    round_function). The selection and the proposal uniforms read only the
-    tape, so they are computed once per run and each selected (vertex, run)
-    pair is then expanded to the run's k rows.
+    x holds k = len(x) // len(runs) rows per run, run-major, in any integer
+    dtype, and the new batch comes back in x's dtype; work holds the
+    selection's buffers between rounds (see round_function). The selection
+    and the proposal uniforms read only the tape, so they are computed once
+    per run and each selected (vertex, run) pair is then expanded to the
+    run's k rows.
 
     Conditionals are built for the scheduled (row, vertex) pairs only,
     spin-major: a (q, pairs) array whose rows are contiguous. The pairs are
@@ -250,36 +291,44 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     whose vertex has a given adjacency slot form a prefix; the product over
     slots is then, per rank and in slot order, one flat gather from each
     row of inst.slot_table and one multiply (rank 0 gathers straight into
-    the product). On 0/1 tables inst.slot_table is None: the rows are the
-    byte rows of inst.slot_bits and the step is an AND; the numerator is
-    then each pair's vertex activities times the mask's bits. The pairs
+    the product), at the slot's offset slot * q plus the neighbour's spin,
+    added into one wide index array. On 0/1 tables inst.slot_table is
+    None: the rows are the byte rows of inst.slot_bits and the step is an
+    AND; the numerator is then each pair's vertex activities times the
+    mask's bits. The pairs
     come from the selection's flat indices, in np.nonzero's order. The
     denominator and CDF add whole rows in spin order (mrf.spin_major_cdf),
     so each pair's arithmetic is that of a loop over its spins, whatever
     the number of pairs in the round; the draws are committed with one
-    np.put. Proposal uniforms are hashed for the scheduled pairs alone.
+    flat assignment. Proposal uniforms are hashed for the scheduled pairs
+    alone.
 
     When inst.mask_cdf is set (one byte row of slot bits, q <= 8, and one
     activity vector shared by every vertex), the pair's byte mask is the
-    key: inst.mask_dead[key] marks the empty conditionals and the draw
-    counts the table rows inst.mask_cdf[c][key] <= u. Each column of the
-    table is the arithmetic above on that mask, so the draws are bitwise
-    the same; no numerator, denominator or CDF is built.
+    key, cast to intp once for all its gathers: inst.mask_dead[key] marks
+    the empty conditionals and the draw counts the table rows
+    inst.mask_cdf[c][key] <= u. Each column of the table is the arithmetic
+    above on that mask, so the draws are bitwise the same; no numerator,
+    denominator or CDF is built.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
             smallest such (run, vertex) pair is named.
     """
     g, q = inst.graph, inst.q
-    k = len(x) // len(runs)
-    flat = np.flatnonzero(scheduled_set_batch(g, scheduler, round_, tape, runs))
+    n_runs = len(runs)
+    k = len(x) // n_runs
+    work = {} if work is None else work
+    flat = np.flatnonzero(scheduled_set_batch(g, scheduler, round_, tape, runs,
+                                              work=work))
     # pairs whose vertex has degree > rank: those at a by_degree position
     # below that rank's vertex count c, i.e. at a flat index below
     # c * len(runs); k rows each
-    heads = (np.searchsorted(flat, np.diff(g.rank_ptr) * len(runs))
-             * k).tolist()
-    vu = np.take(g.by_degree, flat // len(runs))
-    ru = np.remainder(flat, len(runs), out=flat)  # in place: no third array
+    heads = (np.searchsorted(flat, np.diff(g.rank_ptr) * n_runs) * k).tolist()
+    pos = flat // n_runs
+    vu = np.take(g.by_degree, pos)
+    pos *= n_runs
+    ru = np.subtract(flat, pos, out=flat)  # in place: no third array
     ri, vi = ru, vu
     if k > 1:
         # each pair's k rows, in the vertex-major order np.nonzero would
@@ -298,8 +347,8 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     prod[:, heads[0] if heads else 0:] = 0xFF if packed else 1.0
     for rank, p in enumerate(heads):
         slot = base[:p] + rank
-        col = np.take(xf, row_base[:p] + np.take(g.nbr_flat, slot))
-        col += slot * q
+        col = slot * q
+        col += np.take(xf, row_base[:p] + np.take(g.nbr_flat, slot))
         # one flat gather per table row runs faster than one along axis 1
         for c, row in enumerate(table):
             if rank:
@@ -308,7 +357,7 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                 np.take(row, col, out=prod[c, :p])
     if inst.mask_cdf is not None:
         # one byte row and one activity vector: the mask keys the tables
-        key = prod[0]
+        key = prod[0].astype(np.intp)
         dead = np.take(inst.mask_dead, key)
     elif packed:
         # prod becomes the numerator, then, in place, the CDF; spin c's
@@ -337,7 +386,7 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
         for row in inst.mask_cdf:
             draw += np.take(row, key) <= u
     new_x = x.copy()
-    np.put(new_x, row_base + vi, draw)
+    new_x.reshape(-1)[row_base + vi] = draw
     return new_x, None
 
 
@@ -403,9 +452,11 @@ def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
 
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  round_: int, tape: RandomTape,
-                                 runs: np.ndarray):
+                                 runs: np.ndarray, work: dict | None = None):
     """One parallel Metropolis round on k = len(x) // len(runs) rows per
-    run, run-major (see round_function).
+    run, run-major, in any integer dtype; the new batch comes back in x's
+    dtype, and work holds the proposal words between rounds (see
+    round_function).
 
     The round works vertex-major: x is transposed once into an (n, rows)
     array of spins in the narrowest unsigned dtype for q, so every endpoint
@@ -426,9 +477,12 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     n_runs = len(runs)
     k = len(x) // n_runs
     xt = _spins_by_vertex(inst, x)
+    words = _buffer({} if work is None else work, "words", (inst.n, n_runs),
+                    np.uint64)
     # u is a temporary: not held through the filter
     sigma = _sample_from_cdf(inst.b_cdf.T[:, :, None], uniform_from_bits(
-        tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs)))
+        tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs,
+                        out=words)))
     if k > 1:
         sigma = np.repeat(sigma, k, 1)
     if inst.A_pass is not None:
@@ -446,28 +500,42 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
         head = acc[:hi - lo]
         head &= np.take(passed, g.rank_edge[lo:hi], 0)
     new_x = np.where(np.take(acc, g.degree_pos, 0), sigma, xt)
-    # a fresh C-ordered (rows, n) int64 batch: an F-ordered one would make
-    # every later ravel copy
-    return np.ascontiguousarray(new_x.T, dtype=np.int64), None
+    # a fresh C-ordered (rows, n) batch: an F-ordered one would make every
+    # later ravel copy
+    return np.ascontiguousarray(new_x.T, dtype=x.dtype), None
 
 
 def round_function(chain: ChainSpec):
-    """Bind a chain spec to its batched round function.
+    """Bind a chain spec to its batched round function, for one batch.
 
     The bound function maps (inst, x, round, tape, runs) to (round-t batch,
     None). x is the round-(t-1) batch of k = len(x) // len(runs) rows per
     run, run-major: row i * k + s is run runs[i] from its s-th start, and
     every row of a run reads the tape at runs[i]. The tape's variates are
     computed once per run and shared by its k rows, so they are hashed
-    per run, not per row. x is only read, so it may be a read-only view,
-    and the result is a fresh array.
+    per run, not per row. x may be of any integer dtype (run_batch passes
+    the narrowest unsigned one for q) and is only read, so it may be a
+    read-only view; the result is a fresh array in x's dtype.
+
+    The bound function owns a work dict of buffers that keep their size
+    from round to round: the score words and local-maximum scratch of the
+    selection, and the Metropolis proposal words. Call round_function once
+    per batch and the function from one thread at a time; each chunk of
+    run_chunked binds its own.
     """
-    # every round function returns a pair: bench/spans.py reads out[0]
+    work: dict = {}
+    # every round function returns a pair: bench/spans.py reads out[0]; the
+    # module-level round functions are looked up at each call, so a traced
+    # round is one span
     if chain.kind == "local_metropolis":
-        return local_metropolis_round_batch
+        def fn(inst, x, round_, tape, runs):
+            return local_metropolis_round_batch(inst, x, round_, tape, runs,
+                                                work=work)
+        return fn
     sched = chain.scheduler
 
     def fn(inst, x, round_, tape, runs):
-        return luby_glauber_round_batch(inst, x, sched, round_, tape, runs)
+        return luby_glauber_round_batch(inst, x, sched, round_, tape, runs,
+                                        work=work)
     return fn
 

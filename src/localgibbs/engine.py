@@ -101,15 +101,19 @@ def initial_config(inst: MrfInstance, initial, tape: RandomTape | None = None,
 
 def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
               tape: RandomTape, runs: np.ndarray, snapshot_rounds=None,
-              snapshot=np.copy) -> tuple[np.ndarray, dict]:
+              snapshot=lambda x: x) -> tuple[np.ndarray, dict]:
     """Advance a batch T rounds; optionally snapshot named rounds.
 
     x0 is one (n,) configuration shared by every run, or a (rows, n) batch
     of k = rows // len(runs) rows per run, run-major: row i * k + s is run
     runs[i] from its s-th start. The k rows of a run read the same tape
-    variates, which each round computes once per run. Returns the final
-    batch and {t: snapshot(batch after round t)} for each requested t (0
-    means the initial batch); the default snapshot is a copy.
+    variates, which each round computes once per run. Between rounds the
+    batch is carried in the narrowest unsigned dtype that holds q - 1
+    (uint8 up to q = 256), and one round function, bound here, keeps its
+    buffers for the whole batch. Returns the final batch and {t:
+    snapshot(batch after round t)} for each requested t (0 means the
+    initial batch): the returned batch and every batch snapshot sees are
+    fresh (rows, n) int64 arrays, so the default snapshot keeps it as is.
 
     Raises:
         ValueError: rounds < 0, or the row count is not a positive multiple
@@ -120,20 +124,21 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     runs = np.asarray(runs, dtype=np.int64)
     x = validate_configuration(inst, x0)
     if x.ndim == 1:
-        x = np.broadcast_to(x, (len(runs), inst.n)).copy()
+        x = np.broadcast_to(x, (len(runs), inst.n))
     if len(runs) == 0 or len(x) == 0 or len(x) % len(runs):
         raise ValueError(f"{len(x)} rows is not a positive multiple of "
                          f"{len(runs)} runs")
+    x = x.astype(np.min_scalar_type(inst.q - 1))
     fn = round_function(chain)
     wanted = set() if snapshot_rounds is None else set(int(t) for t in snapshot_rounds)
     snaps: dict[int, np.ndarray] = {}
     if 0 in wanted:
-        snaps[0] = snapshot(x)
+        snaps[0] = snapshot(x.astype(np.int64))
     for t in range(1, rounds + 1):
         x, _ = fn(inst, x, t, tape, runs)
         if t in wanted:
-            snaps[t] = snapshot(x)
-    return x, snaps
+            snaps[t] = snapshot(x.astype(np.int64))
+    return x.astype(np.int64), snaps
 
 
 # Byte budget of one chunk. The row size below counts

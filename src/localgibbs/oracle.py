@@ -304,13 +304,18 @@ def elimination_conditional_marginal(inst: MrfInstance, v: int,
     Vertices leave in min-degree order (ties by smaller id, v last), making
     their remaining neighbours adjacent. A vertex's bucket holds its activity
     row (zero off a pinned spin), its edge matrices to later vertices and the
-    tables sent to it; their product, summed over the vertex and rescaled to
-    maximum 1, goes to the next neighbour to leave.
+    tables sent to it; their product, rescaled to maximum 1 after each
+    factor, is summed over the vertex, rescaled again and sent to the next
+    neighbour to leave.
 
     Raises:
         ValueError: v, a pinned vertex or a pinned spin is out of range.
         StateSpaceTooLarge: some table would exceed ENUM_CAP entries.
-        ZeroProbabilityCondition: the pinning has zero total weight.
+        ZeroProbabilityCondition: the pinning has zero total weight; the
+            vertex whose bucket product vanished is named.
+        FloatingPointError: some bucket's rescaled product underflows
+            float64 (its vertex is named); only tables in log scale would
+            keep it.
     """
     _check_query(inst, v, pinned)
     n, q, edges = inst.n, inst.q, inst.graph.edges
@@ -337,11 +342,24 @@ def elimination_conditional_marginal(inst: MrfInstance, v: int,
     for x in pos:
         scope = [x, *sorted(nbrs[x], key=pos.get)]
         table = np.ones((q,) * len(scope))
-        for f, fs in bucket[x]:
-            table *= f.reshape([q if w in fs else 1 for w in scope])
-        if not table.any():
-            raise ZeroProbabilityCondition(f"pinning {pinned} carries no weight")
-        if len(scope) > 1:
-            sent = table.sum(axis=0)
-            bucket[scope[1]].append((sent / sent.max(), scope[1:]))
+        # an entry rescaled below float64's normal range may matter again
+        # after later factors, so underflow is refused, not rounded to 0
+        try:
+            with np.errstate(under="raise"):
+                for f, fs in bucket[x]:
+                    table *= f.reshape([q if w in fs else 1 for w in scope])
+                    # rescaled after each factor, so that many factors
+                    # whose maxima sit on different spins keep the
+                    # product in range
+                    top = table.max()
+                    if top == 0:
+                        raise ZeroProbabilityCondition(
+                            f"the pinning leaves vertex {x}'s bucket no weight")
+                    table /= top
+                if len(scope) > 1:
+                    sent = table.sum(axis=0)
+                    bucket[scope[1]].append((sent / sent.max(), scope[1:]))
+        except FloatingPointError:
+            raise FloatingPointError(
+                f"vertex {x}'s bucket product underflows float64") from None
     return Distribution(table / table.sum())

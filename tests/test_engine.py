@@ -130,6 +130,26 @@ def test_snapshots_first_and_last():
     assert not np.shares_memory(snaps[8], final)
 
 
+@pytest.mark.parametrize("q", [3, 257])
+@pytest.mark.parametrize("chain", [luby_glauber(), local_metropolis()],
+                         ids=["luby", "metropolis"])
+def test_run_batch_hands_out_int64_batches(chain, q):
+    # the rounds carry the batch in uint8 or uint16; the returned batch and
+    # every batch a snapshot sees are (rows, n) int64
+    inst = coloring(cycle(6), q)
+    seen = []
+
+    def snapshot(x):
+        seen.append((x.dtype, x.shape))
+        return x
+    final, snaps = run_batch(inst, chain, np.array([0, 1, 0, 1, 0, 2]), 4,
+                             RandomTape(5), np.arange(3), [0, 2, 4], snapshot)
+    assert seen == [(np.int64, (3, 6))] * 3
+    assert final.dtype == np.int64
+    assert all(snap.dtype == np.int64 for snap in snaps.values())
+    np.testing.assert_array_equal(snaps[4], final)
+
+
 def test_fixed_seed_reproducible():
     inst = coloring(cycle(8), 4)
     for chain in (luby_glauber(), local_metropolis(), sequential_glauber()):

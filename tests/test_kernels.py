@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from _naive import (naive_conditional_cdf, naive_draw, naive_local_max,
                     naive_marginal, naive_metropolis, naive_resample)
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_chains import selection_rows
 from test_digests import _hub_and_tail_wide, _multigraph_instance
@@ -23,7 +23,7 @@ from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
                                luby_glauber_round_batch, scheduled_set_batch)
 from localgibbs.cli import _marginals_csv, _samples_jsonl, _write_csv
 from localgibbs.graphs import Graph, cycle, path
-from localgibbs.models import coloring, potts
+from localgibbs.models import coloring, list_coloring, potts
 from localgibbs.mrf import MrfInstance, ZeroMarginal
 from localgibbs.randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
 
@@ -180,11 +180,14 @@ def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4,
     symmetric edge activities from edge_levels and vertex activities, both
     with zeros, any scheduler, and 1-3 starts per run (k rows per run,
     run-major). With shared_vertex, most examples give every vertex one
-    activity vector."""
+    activity vector. Three examples in four have an anchor spin, positive
+    in every vertex activity row and against every spin in every edge
+    table, so that no conditional is empty."""
     # n >= 2 save about one example in eight: an n = 1 instance has no
     # edge, so it checks little beyond the activity rows
     n = 1 if draw(st.integers(0, 7)) == 3 else draw(st.integers(2, max_n))
     q = draw(st.integers(2, max_q))
+    anchor = draw(st.integers(0, q - 1)) if draw(st.integers(0, 3)) else None
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     # n > 1 draws an edge, so that the product and the filter are tested,
     # save about one example in eight, which keeps m = 0 with n > 1
@@ -199,10 +202,16 @@ def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4,
         for i in range(q):
             for j in range(i, q):
                 a[i, j] = a[j, i] = next(upper)
+        if anchor is not None:
+            zero = a[anchor] == 0
+            a[anchor, zero] = a[zero, anchor] = 1.0
         edge.append(a)
     shared = shared_vertex and draw(st.integers(0, 3)) > 0
     vertex = [draw(st.lists(_LEVELS, min_size=q, max_size=q).filter(any))
               for _ in range(1 if shared else n)]
+    if anchor is not None:
+        for row in vertex:
+            row[anchor] = row[anchor] or 1.0
     if shared:
         vertex = vertex[0]
     inst = MrfInstance(Graph(n, edges), q, edge, vertex)
@@ -218,6 +227,15 @@ def _tiny_rounds(draw, edge_levels=_LEVELS, max_n=5, max_q=4,
     return inst, x, sched, draw(st.integers(1, 50)), runs
 
 
+# A case with an empty conditional, which _tiny_rounds draws in few
+# examples: under a proper coloring, vertex 0 of path(2) may take only spin
+# 0, which its neighbour holds, and round 2 of the chromatic scheduler
+# resamples it
+_PATH2 = list_coloring(path(2), 2, [[0], [0, 1]])
+DEAD_CASE = (_PATH2, np.zeros((1, 2), dtype=np.int64),
+             SchedulerSpec("chromatic", chromatic_classes(_PATH2.graph)), 2,
+             np.array([5]))
+
 # budget: the two property tests below run 150 and 200 examples in about
 # 4 s together, inside 5 s
 _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
@@ -229,6 +247,7 @@ _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
 # vertex activity vector, the per-mask CDF table
 @settings(_PROPERTY, max_examples=150)
 @given(st.one_of(_tiny_rounds(_BITS, shared_vertex=True), _tiny_rounds()))
+@example(DEAD_CASE)
 def test_resampling_round_matches_loop_on_tiny_instances(case):
     inst, x, sched, t, runs = case
     g, tape = inst.graph, RandomTape(17)

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from _naive import all_sigmas, naive_gibbs, naive_transition_matrix, naive_tv
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_digests import _hub_and_tail_lists, _hub_and_tail_wide
-from test_kernels import _BITS, _PROPERTY, _tiny_rounds
+from test_kernels import _BITS, _PROPERTY, DEAD_CASE, _tiny_rounds
 
 from localgibbs.chains import (SchedulerSpec, local_metropolis, luby_glauber,
                                sequential_glauber)
@@ -318,6 +318,7 @@ def test_exact_matrices_keep_gibbs_on_random_tiny_instances(case):
 @settings(_PROPERTY, max_examples=120)
 @given(st.one_of(_tiny_rounds(max_n=3, max_q=3),
                  _tiny_rounds(_BITS, max_n=3, max_q=3)))
+@example(DEAD_CASE)
 def test_exact_matrices_match_naive_loops_on_random_tiny_instances(case):
     inst = case[0]
     g, A, b = inst.graph, inst.A.tolist(), inst.b.tolist()
@@ -547,6 +548,40 @@ def test_elimination_takes_leaves_before_their_hub():
     got = elimination_conditional_marginal(hardcore(star, 1.0), 7, {})
     hub_empty = 2.0 ** 300 / (1 + 2.0 ** 300)
     assert got.probs[1] == pytest.approx(hub_empty / 2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("zeros", [400, 401])
+def test_elimination_rescales_after_each_factor(zeros):
+    # the hub's bucket gets one table per leaf, [1, 1/20] from a leaf
+    # pinned 0 and [1/20, 1] from one pinned 1; multiplied out before a
+    # rescale, 800 of them underflow to zero. Pinned alternately, the
+    # running product stays within a factor 20**2 of its maximum, and
+    # P(0) / P(1) = 20 ** (zeros - ones)
+    star = Graph(801, [(0, leaf) for leaf in range(1, 801)])
+    pins = {leaf: leaf % 2 for leaf in range(1, 801)}
+    pins[799] = int(zeros == 400)
+    got = elimination_conditional_marginal(ising(star, 20.0), 0, pins)
+    ratio = 20.0 ** (2 * zeros - 800)
+    np.testing.assert_allclose(got.probs, np.array([ratio, 1]) / (1 + ratio),
+                               rtol=0, atol=1e-12)
+
+
+def test_elimination_refuses_a_bucket_that_underflows():
+    # leaves pinned 0, then 1: the running product reaches 20**-400 on spin
+    # 1 before the leaves pinned 1 bring it back, far below float64's range
+    star = Graph(801, [(0, leaf) for leaf in range(1, 801)])
+    pins = {leaf: int(leaf > 400) for leaf in range(1, 801)}
+    with pytest.raises(FloatingPointError, match=r"^vertex 0's bucket"):
+        elimination_conditional_marginal(ising(star, 20.0), 0, pins)
+
+
+def test_elimination_zero_weight_names_the_bucket_vertex():
+    # vertex 1 leaves first and its only spin of weight is not the pinned one
+    inst = list_coloring(path(2), 2, [[0, 1], [0]])
+    with pytest.raises(ZeroProbabilityCondition,
+                       match=r"^the pinning leaves vertex 1's bucket") as err:
+        elimination_conditional_marginal(inst, 0, {1: 1})
+    assert "{" not in str(err.value)
 
 
 def test_forest_conditional_long_path_is_finite_and_uniform():

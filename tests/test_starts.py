@@ -14,7 +14,7 @@ import copy
 
 import numpy as np
 import pytest
-from test_digests import _hub_and_tail_instance
+from test_digests import _hub_and_tail_instance, _hub_and_tail_lists
 
 from localgibbs.chains import (SchedulerSpec, chromatic_classes,
                                local_metropolis, local_metropolis_round_batch,
@@ -55,8 +55,8 @@ class _CountingTape(RandomTape):
         self.words = dict.fromkeys(("node_words", "node_uniforms",
                                     "node_uniforms_at", "edge_uniforms"), 0)
 
-    def node_words(self, *args):
-        out = super().node_words(*args)
+    def node_words(self, *args, **kwargs):
+        out = super().node_words(*args, **kwargs)
         self.words["node_words"] += out.size
         return out
 
@@ -89,6 +89,54 @@ def test_k_starts_equal_k_one_start_batches(name, k):
         for s in range(k):
             want, _ = fn(inst, x[s::k], t, tape, RUNS)
             np.testing.assert_array_equal(got[s::k], want)
+
+
+def _per_edge_rr40(zero_one: bool) -> MrfInstance:
+    # tables that differ from edge to edge on 2m * q = 480 > 255 slot
+    # entries, so that a slot offset wrapped in a spin's uint8 would read
+    # another edge's table; 0/1 tables with one activity vector take the
+    # per-mask CDF table, and spin 0 keeps every conditional alive
+    g, q = random_regular(40, 3, seed=2), 4
+    i, j = np.indices((q, q))
+    if zero_one:
+        edge = [((i + j + e) % 3 > 0) | (i * j == 0) for e in range(g.m)]
+        return MrfInstance(g, q, edge, np.ones(q))
+    edge = [0.2 + ((i + j + e) % 4) * 0.45 for e in range(g.m)]
+    return MrfInstance(g, q, edge, [0.5 + (v + np.arange(q)) % 3
+                                    for v in range(g.n)])
+
+
+# the round paths: float slot products (on a multigraph with isolated
+# vertices, and past 255 slot entries), the per-mask CDF table, packed
+# bits over two byte rows with per-vertex activities, and q = 257, whose
+# spins need uint16
+_NARROW = {
+    "hub-tail": _hub_and_tail_instance,
+    "float-rr40": lambda: _per_edge_rr40(False),
+    "mask-table-rr40": lambda: _per_edge_rr40(True),
+    "lists-q9": lambda: _hub_and_tail_lists(9),
+    "coloring-q257": lambda: coloring(path(6), 257),
+}
+
+
+@pytest.mark.parametrize("k", (1, 4))
+@pytest.mark.parametrize("model", list(_NARROW))
+@pytest.mark.parametrize("name", CHAINS)
+def test_narrow_batch_rounds_equal_int64_rounds(name, model, k):
+    inst = _NARROW[model]()
+    narrow = np.min_scalar_type(inst.q - 1)
+    assert narrow == (np.uint16 if inst.q == 257 else np.uint8)
+    chain = _chain(name, inst.graph)
+    # one bound function for the narrow rounds, so its buffers are reused
+    fn, tape = round_function(chain), RandomTape(11)
+    x = _batch(inst, k, 7)
+    y = x.astype(narrow)
+    for t in range(1, 4):
+        want, _ = round_function(chain)(inst, x, t, tape, RUNS)
+        got, _ = fn(inst, y, t, tape, RUNS)
+        assert (want.dtype, got.dtype) == (np.int64, narrow)
+        np.testing.assert_array_equal(got, want)
+        x, y = want, got
 
 
 @pytest.mark.parametrize("k", STARTS)
