@@ -304,18 +304,17 @@ def elimination_conditional_marginal(inst: MrfInstance, v: int,
     Vertices leave in min-degree order (ties by smaller id, v last), making
     their remaining neighbours adjacent. A vertex's bucket holds its activity
     row (zero off a pinned spin), its edge matrices to later vertices and the
-    tables sent to it; their product, rescaled to maximum 1 after each
-    factor, is summed over the vertex, rescaled again and sent to the next
-    neighbour to leave.
+    tables sent to it. Every table is kept in log scale, so a product of
+    many factors whose maxima sit on different spins neither underflows nor
+    loses an entry that later factors bring back: a bucket's factors are
+    added, the sum is log-sum-exp'd over the vertex, shifted to maximum 0
+    and sent to the next neighbour to leave.
 
     Raises:
         ValueError: v, a pinned vertex or a pinned spin is out of range.
         StateSpaceTooLarge: some table would exceed ENUM_CAP entries.
         ZeroProbabilityCondition: the pinning has zero total weight; the
-            vertex whose bucket product vanished is named.
-        FloatingPointError: some bucket's rescaled product underflows
-            float64 (its vertex is named); only tables in log scale would
-            keep it.
+            vertex whose bucket has no weight is named.
     """
     _check_query(inst, v, pinned)
     n, q, edges = inst.n, inst.q, inst.graph.edges
@@ -334,32 +333,31 @@ def elimination_conditional_marginal(inst: MrfInstance, v: int,
             if w != v:
                 heapq.heappush(heap, (len(nbrs[w]), w))
     pos[v] = n - 1
-    # a factor is (table, scope), its axes in the order its scope leaves
-    bucket = [[(inst.b[u] * (np.arange(q) == pinned[u]) if u in pinned
-                else inst.b[u], [u])] for u in range(n)]
-    for e, ab in enumerate(edges):  # symmetric matrices need no transpose
-        bucket[min(ab, key=pos.get)].append((inst.A[e], sorted(ab, key=pos.get)))
-    for x in pos:
-        scope = [x, *sorted(nbrs[x], key=pos.get)]
-        table = np.ones((q,) * len(scope))
-        # an entry rescaled below float64's normal range may matter again
-        # after later factors, so underflow is refused, not rounded to 0
-        try:
-            with np.errstate(under="raise"):
-                for f, fs in bucket[x]:
-                    table *= f.reshape([q if w in fs else 1 for w in scope])
-                    # rescaled after each factor, so that many factors
-                    # whose maxima sit on different spins keep the
-                    # product in range
-                    top = table.max()
-                    if top == 0:
-                        raise ZeroProbabilityCondition(
-                            f"the pinning leaves vertex {x}'s bucket no weight")
-                    table /= top
-                if len(scope) > 1:
-                    sent = table.sum(axis=0)
-                    bucket[scope[1]].append((sent / sent.max(), scope[1:]))
-        except FloatingPointError:
-            raise FloatingPointError(
-                f"vertex {x}'s bucket product underflows float64") from None
-    return Distribution(table / table.sum())
+    # a factor is (log table, scope), its axes in the order its scope leaves;
+    # a zero weight is log 0 = -inf, and no sum below meets +inf, so none
+    # is nan
+    with np.errstate(divide="ignore"):
+        log_b, log_a = np.log(inst.b), np.log(inst.A)
+        bucket = [[(np.log(inst.b[u] * (np.arange(q) == pinned[u]))
+                    if u in pinned else log_b[u], [u])] for u in range(n)]
+        for e, ab in enumerate(edges):  # symmetric: no transpose needed
+            bucket[min(ab, key=pos.get)].append((log_a[e],
+                                                 sorted(ab, key=pos.get)))
+        for x in pos:
+            scope = [x, *sorted(nbrs[x], key=pos.get)]
+            table = np.zeros((q,) * len(scope))
+            for f, fs in bucket[x]:
+                table += f.reshape([q if w in fs else 1 for w in scope])
+            if table.max() == -np.inf:
+                raise ZeroProbabilityCondition(
+                    f"the pinning leaves vertex {x}'s bucket no weight")
+            if len(scope) > 1:
+                # log-sum-exp over x, each column shifted by its own
+                # maximum (0 where the column has no weight, whose sum
+                # stays -inf)
+                top = table.max(axis=0)
+                top[top == -np.inf] = 0
+                sent = top + np.log(np.exp(table - top).sum(axis=0))
+                bucket[scope[1]].append((sent - sent.max(), scope[1:]))
+    probs = np.exp(table - table.max())
+    return Distribution(probs / probs.sum())

@@ -110,12 +110,12 @@ class RandomTape:
       from one hashed prefix per entity id up to the largest listed;
     * node_words_over_rounds: (len(rounds), len(entities)) for one run.
 
-    The round-free part of an address is hashed once and kept: per node
-    kind, the (kind, entity, salt) state of every entity id up to the
-    largest asked for, and the (kind, eu, ev, emult) state of the last edge
-    list. An accessor then folds only its round and run words. The tables
-    are built on first use; threads that share the tape and build one at
-    the same time compute equal values, so either copy may be kept.
+    The round-free part of a node address is hashed once and kept: per
+    node kind, the (kind, entity, salt) state of every entity id up to the
+    largest asked for. A node accessor then folds only its round and run
+    words. The tables are built on first use; threads that share the tape
+    and build one at the same time compute equal values, so either copy
+    may be kept.
     """
 
     def __init__(self, master_seed: int, node_salts: np.ndarray | None = None):
@@ -123,7 +123,6 @@ class RandomTape:
         self._base = fold(U64(0), U64(self.master_seed % (1 << 64)))
         self.node_salts = None if node_salts is None else np.asarray(node_salts, dtype=U64)
         self._node_tables: dict[int, np.ndarray] = {}
-        self._edge_table: tuple | None = None
 
     def with_node_salt(self, vertex: int, salt: int, n: int) -> "RandomTape":
         """A tape identical to this one except vertex's node streams are
@@ -198,13 +197,13 @@ class RandomTape:
         so both endpoints derive the same coin and parallel edges get
         independent ones. Node salts deliberately do not enter.
         """
-        edges = tuple(np.array(a, dtype=U64) for a in (eu, ev, emult))
-        kept = self._edge_table
-        if kept is None or not all(map(np.array_equal, kept[0], edges)):
-            h = fold(self._base, KIND_EDGE_COIN)
-            for words in edges:
-                h = fold(h, words)
-            kept = self._edge_table = (edges, h)
+        eu = np.asarray(eu, dtype=U64)
+        ev = np.asarray(ev, dtype=U64)
+        emult = np.asarray(emult, dtype=U64)
         runs = np.asarray(runs, dtype=U64)
-        return uniform_from_bits(fold(fold(kept[1], U64(round_))[None, :],
-                                      runs[:, None]))
+        h = fold(self._base, KIND_EDGE_COIN)
+        h = fold(h, eu[None, :])
+        h = fold(h, ev[None, :])
+        h = fold(h, emult[None, :])
+        h = fold(h, U64(round_))
+        return uniform_from_bits(fold(h, runs[:, None]))

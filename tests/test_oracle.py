@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -550,29 +551,40 @@ def test_elimination_takes_leaves_before_their_hub():
     assert got.probs[1] == pytest.approx(hub_empty / 2, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("zeros", [400, 401])
-def test_elimination_rescales_after_each_factor(zeros):
-    # the hub's bucket gets one table per leaf, [1, 1/20] from a leaf
-    # pinned 0 and [1/20, 1] from one pinned 1; multiplied out before a
-    # rescale, 800 of them underflow to zero. Pinned alternately, the
-    # running product stays within a factor 20**2 of its maximum, and
-    # P(0) / P(1) = 20 ** (zeros - ones)
-    star = Graph(801, [(0, leaf) for leaf in range(1, 801)])
-    pins = {leaf: leaf % 2 for leaf in range(1, 801)}
-    pins[799] = int(zeros == 400)
-    got = elimination_conditional_marginal(ising(star, 20.0), 0, pins)
-    ratio = 20.0 ** (2 * zeros - 800)
-    np.testing.assert_allclose(got.probs, np.array([ratio, 1]) / (1 + ratio),
-                               rtol=0, atol=1e-12)
+@pytest.mark.parametrize("beta,pins", [
+    (20.0, {leaf: leaf % 2 for leaf in range(1, 801)}),
+    (20.0, {leaf: int(leaf % 2 and leaf != 799) for leaf in range(1, 801)}),
+    (20.0, {leaf: int(leaf > 400) for leaf in range(1, 801)}),
+    (20.0, {leaf: 0 for leaf in range(1, 301)}),
+    (2.0, {leaf: 0 for leaf in range(1, 1101)}),
+], ids=["alternate", "401-to-399", "blocks", "all-0-beta20", "all-0-beta2"])
+def test_elimination_answers_stars_of_many_pinned_leaves(beta, pins):
+    # the hub's bucket gets one table per leaf, [1, 1/beta] from a leaf
+    # pinned 0 and [1/beta, 1] from one pinned 1; their product reaches
+    # beta**-400 or less on some spin, far below float64's range, before
+    # the later leaves (if any) bring it back. In log scale nothing is lost:
+    # P(0) / P(1) = beta ** (zeros - ones)
+    star = Graph(len(pins) + 1, [(0, leaf) for leaf in pins])
+    zeros = sum(p == 0 for p in pins.values())
+    got = elimination_conditional_marginal(ising(star, beta), 0, pins)
+    log_ratio = (2 * zeros - len(pins)) * math.log(beta)
+    p0 = 1 / (1 + math.exp(-log_ratio))
+    np.testing.assert_allclose(got.probs, [p0, 1 - p0], rtol=0, atol=1e-12)
 
 
-def test_elimination_refuses_a_bucket_that_underflows():
-    # leaves pinned 0, then 1: the running product reaches 20**-400 on spin
-    # 1 before the leaves pinned 1 bring it back, far below float64's range
-    star = Graph(801, [(0, leaf) for leaf in range(1, 801)])
-    pins = {leaf: int(leaf > 400) for leaf in range(1, 801)}
-    with pytest.raises(FloatingPointError, match=r"^vertex 0's bucket"):
-        elimination_conditional_marginal(ising(star, 20.0), 0, pins)
+def test_elimination_keeps_a_column_far_below_the_maximum():
+    # z and w share 400 neighbours pinned 0, and w has 400 leaves pinned 1.
+    # The shared neighbours leave first and send z's bucket 400 tables
+    # over (z, w), so its column w = 1 sits 20**400 below column w = 0;
+    # w's leaves bring it back. Shifted by one maximum for the whole
+    # table, that column would round to 0 and w would come out [1, 0]
+    z, w = 0, 1
+    shared, leaves = range(2, 402), range(402, 802)
+    g = Graph(802, [(u, t) for u in shared for t in (z, w)]
+              + [(w, leaf) for leaf in leaves])
+    pins = {u: 0 for u in shared} | {leaf: 1 for leaf in leaves}
+    got = elimination_conditional_marginal(ising(g, 20.0), w, pins)
+    np.testing.assert_allclose(got.probs, [0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_elimination_zero_weight_names_the_bucket_vertex():

@@ -4,9 +4,8 @@ import threading
 import numpy as np
 import pytest
 
-from localgibbs.randomness import (KIND_EDGE_COIN, KIND_NODE_BETA,
-                                   KIND_NODE_PROPOSAL, RandomTape, hash_words,
-                                   uniform_from_bits)
+from localgibbs.randomness import (KIND_NODE_BETA, KIND_NODE_PROPOSAL,
+                                   RandomTape, hash_words, uniform_from_bits)
 
 
 def test_same_address_same_value():
@@ -148,14 +147,12 @@ def _hashed(*words):
 
 
 def test_every_accessor_equals_the_uncached_hash():
-    # each tape keeps its round-free prefixes; querying more entities than
-    # the table holds, fewer, in another order, or another edge list must
-    # not change a bit, and a re-salted copy keeps its own table
+    # each tape keeps its round-free node prefixes; querying more entities
+    # than the table holds, fewer or in another order must not change a
+    # bit, and a re-salted copy keeps its own table
     seed, runs = 58, np.array([0, 7, 3])
-    eu, ev, em = [0, 1, 1], [1, 2, 2], [0, 0, 1]
     tape = RandomTape(seed)
     tape.node_words(KIND_NODE_BETA, np.arange(4), 1, runs)
-    tape.edge_uniforms([0], [2], [0], 1, runs)
     salted = tape.with_node_salt(5, 99, 9)
     for t, salts in ((tape, [0] * 9), (salted, [0] * 5 + [99] + [0] * 3)):
         for kind, ents, round_ in ((KIND_NODE_BETA, [8, 0, 5, 2], 3),
@@ -178,27 +175,16 @@ def test_every_accessor_equals_the_uncached_hash():
                 t.node_words_over_rounds(kind, ents, [round_, 9], 7),
                 [[_hashed(seed, kind, v, salts[v], r, 7) for v in ents]
                  for r in (round_, 9)])
-        for edges in ((eu, ev, em), (eu[:2], ev[:2], em[:2]), (eu, ev, em)):
-            want = [[_hashed(seed, KIND_EDGE_COIN, a, b, m, 6, r)
-                     for a, b, m in zip(*edges)] for r in runs]
-            np.testing.assert_array_equal(
-                t.edge_uniforms(*edges, 6, runs),
-                uniform_from_bits(np.array(want, dtype=np.uint64)))
 
 
 def test_threads_sharing_a_tape_read_the_uncached_words():
-    # threads that share a fresh tape build, grow and replace its prefix
-    # tables at the same time, each asking for another size; every read
-    # must still equal the uncached hash, whichever thread's table it finds
+    # threads that share a fresh tape build and grow its prefix table at
+    # the same time, each asking for another size; every read must still
+    # equal the uncached hash, whichever thread's table it finds
     runs = np.array([1, 4])
     nodes = [np.array([[_hashed(5, KIND_NODE_BETA, v, 0, 3, r) for r in runs]
                        for v in range(n)], dtype=np.uint64)
              for n in (3, 17, 40)]
-    edge_lists = [([0] * m, list(range(1, m + 1)), [0] * m) for m in (2, 9)]
-    coins = [uniform_from_bits(np.array(
-        [[_hashed(5, KIND_EDGE_COIN, a, b, c, 3, r)
-          for a, b, c in zip(*edges)] for r in runs], dtype=np.uint64))
-        for edges in edge_lists]
     tapes = [RandomTape(5) for _ in range(40)]
     barrier, wrong = threading.Barrier(8, timeout=60), []
 
@@ -209,10 +195,7 @@ def test_threads_sharing_a_tape_read_the_uncached_words():
                 want = nodes[i % 3]
                 if not np.array_equal(tape.node_words(
                         KIND_NODE_BETA, np.arange(len(want)), 3, runs), want):
-                    wrong.append(("node", len(want)))
-                if not np.array_equal(tape.edge_uniforms(
-                        *edge_lists[i % 2], 3, runs), coins[i % 2]):
-                    wrong.append(("edge", i % 2))
+                    wrong.append(len(want))
         except Exception as exc:  # reported by the assert below
             wrong.append(exc)
 
