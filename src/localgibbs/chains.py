@@ -24,7 +24,15 @@ per run):
 Every neighbourhood reduction (the local-maximum test, the product of a
 selected vertex's slot matrices, the AND of a vertex's edge passes) walks
 the graph's rank-major slot table: one gather and one elementwise step per
-adjacency rank, each over a prefix of the vertices sorted by degree.
+adjacency rank, each over a prefix of the vertices sorted by degree. Rank
+r's slot of the vertex at by_degree position i is rank_ptr[r] + i, in the
+graph's rank tables and in the instance's slot tables alike.
+
+Each round states the layout of its tape variates in the shapes of the
+addresses it passes (RandomTape broadcasts them like randomness.fold):
+by_degree[:, None] against the runs for the vertex-major score words, the
+1-D (vertex, run) pair arrays for the resampling proposals, and edge
+columns against the runs for the edge-major Metropolis coins.
 
 The resampling round works in two layouts besides the (rows, n) batch,
 chosen so that every step is a contiguous row operation:
@@ -35,7 +43,8 @@ chosen so that every step is a contiguous row operation:
   (position, run) pairs in the by_degree order the conditional product
   needs; each pair then expands to its run's k rows;
 * spin-major conditionals: the per-pair conditionals are (q, pairs), one
-  contiguous row per spin, gathered from MrfInstance.slot_table; the
+  contiguous row per spin, gathered from the rank-major
+  MrfInstance.slot_table; the
   denominator and running sum add whole rows in spin order, and the draw
   compares whole rows. On 0/1 edge tables (A_pass set, slot_table None)
   the slot product is a byte mask ANDed from MrfInstance.slot_bits, one
@@ -222,9 +231,9 @@ def _score_words(graph: Graph, round_: int, tape: RandomTape,
                  runs: np.ndarray, work: dict) -> np.ndarray:
     """The round's (n, len(runs)) score words, vertex-major, hashed into
     work's key buffer."""
-    return tape.node_words(KIND_NODE_BETA, graph.by_degree, round_, runs,
-                           out=_buffer(work, "keys", (graph.n, len(runs)),
-                                       np.uint64))
+    keys = _buffer(work, "keys", (graph.n, len(runs)), np.uint64)
+    return tape.node_words(KIND_NODE_BETA, graph.by_degree[:, None], round_,
+                           runs, out=keys)
 
 
 def luby_select_batch(graph: Graph, round_: int, tape: RandomTape,
@@ -288,20 +297,20 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     Conditionals are built for the scheduled (row, vertex) pairs only,
     spin-major: a (q, pairs) array whose rows are contiguous. The pairs are
     taken vertex-major over the vertices in by_degree order, so the pairs
-    whose vertex has a given adjacency slot form a prefix; the product over
-    slots is then, per rank and in slot order, one flat gather from each
-    row of inst.slot_table and one multiply (rank 0 gathers straight into
-    the product), at the slot's offset slot * q plus the neighbour's spin,
-    added into one wide index array. On 0/1 tables inst.slot_table is
-    None: the rows are the byte rows of inst.slot_bits and the step is an
-    AND; the numerator is then each pair's vertex activities times the
-    mask's bits. The pairs
-    come from the selection's flat indices, in np.nonzero's order. The
-    denominator and CDF add whole rows in spin order (mrf.spin_major_cdf),
-    so each pair's arithmetic is that of a loop over its spins, whatever
-    the number of pairs in the round; the draws are committed with one
-    flat assignment. Proposal uniforms are hashed for the scheduled pairs
-    alone.
+    whose vertex has a given adjacency rank form a prefix; the product over
+    slots is then, per rank, one flat gather from each row of the
+    rank-major inst.slot_table and one multiply (rank 0 gathers straight
+    into the product). A pair at by_degree position i reads rank r's slot
+    rank_ptr[r] + i, at offset slot * q plus the spin of its neighbour
+    graph.rank_nbr[slot], added into one wide index array. On 0/1 tables
+    inst.slot_table is None: the rows are the byte rows of inst.slot_bits
+    and the step is an AND; the numerator is then each pair's vertex
+    activities times the mask's bits. The pairs come from the selection's
+    flat indices, in np.nonzero's order. The denominator and CDF add whole
+    rows in spin order (mrf.spin_major_cdf), so each pair's arithmetic is
+    that of a loop over its spins, whatever the number of pairs in the
+    round; the draws are committed with one flat assignment. Proposal uniforms are hashed for the scheduled pairs
+    alone, one per (vertex, run) pair, from their 1-D arrays.
 
     When inst.mask_cdf is set (one byte row of slot bits, q <= 8, and one
     activity vector shared by every vertex), the pair's byte mask is the
@@ -325,18 +334,16 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     # below that rank's vertex count c, i.e. at a flat index below
     # c * len(runs); k rows each
     heads = (np.searchsorted(flat, np.diff(g.rank_ptr) * n_runs) * k).tolist()
-    pos = flat // n_runs
+    pos, ru = np.divmod(flat, n_runs)
     vu = np.take(g.by_degree, pos)
-    pos *= n_runs
-    ru = np.subtract(flat, pos, out=flat)  # in place: no third array
-    ri, vi = ru, vu
+    ri, vi, pi = ru, vu, pos
     if k > 1:
         # each pair's k rows, in the vertex-major order np.nonzero would
         # give on a selection with every run repeated k times
         ri = (ru[:, None] * k + np.arange(k)).ravel()
         vi = np.repeat(vu, k)
+        pi = np.repeat(pos, k)
     row_base = ri * g.n
-    base = np.take(g.nbr_ptr, vi)
     xf = np.ravel(x)
     # 0/1 tables: AND one byte row per 8 spins instead of multiplying q rows
     packed = inst.slot_bits is not None
@@ -346,9 +353,10 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     # isolated vertices' pairs, past every rank's prefix: the empty product
     prod[:, heads[0] if heads else 0:] = 0xFF if packed else 1.0
     for rank, p in enumerate(heads):
-        slot = base[:p] + rank
+        # rank r's slot of the vertex at by_degree position i
+        slot = pi[:p] + g.rank_ptr[rank]
         col = slot * q
-        col += np.take(xf, row_base[:p] + np.take(g.nbr_flat, slot))
+        col += np.take(xf, row_base[:p] + np.take(g.rank_nbr, slot))
         # one flat gather per table row runs faster than one along axis 1
         for c, row in enumerate(table):
             if rank:
@@ -375,7 +383,7 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
         i = np.flatnonzero(dead)[np.lexsort((vi[dead], run[dead]))[0]]
         raise ZeroMarginal(int(vi[i]), run=int(run[i]), round=round_)
     # hashed last, so that u is not held in memory through the product
-    u = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vu, round_, runs[ru])
+    u = tape.node_uniforms(KIND_NODE_PROPOSAL, vu, round_, runs[ru])
     if k > 1:
         u = np.repeat(u, k)
     if inst.mask_cdf is None:
@@ -464,8 +472,8 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     edge coins read only the tape, so they are drawn once per run: the
     proposal uniforms are hashed as (n, runs) words, the draw keeps its
     narrow counter and each run's column is repeated over its k rows, and
-    the (runs, m) coins are compared against the (m, runs, k) filter
-    probabilities through a transposed view.
+    the coins are hashed for edge columns against the runs, (m, runs), and
+    compared against the (m, runs, k) filter probabilities.
 
     When every A entry is 0 or 1 (inst.A_pass is set), each pass
     probability is 0 or 1 and every coin lies in [0, 1), so coin < pe is
@@ -481,16 +489,17 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                     np.uint64)
     # u is a temporary: not held through the filter
     sigma = _sample_from_cdf(inst.b_cdf.T[:, :, None], uniform_from_bits(
-        tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n), round_, runs,
-                        out=words)))
+        tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n)[:, None], round_,
+                        runs, out=words)))
     if k > 1:
         sigma = np.repeat(sigma, k, 1)
     if inst.A_pass is not None:
         passed = _filter_factors(inst, inst.A_pass.reshape(-1), sigma, xt)
     else:
         pe = _filter_factors(inst, inst.A_norm.reshape(-1), sigma, xt)
-        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, round_, runs)
-        passed = (coins.T[:, :, None] < pe.reshape(g.m, n_runs, k)
+        coins = tape.edge_uniforms(g.eu[:, None], g.ev[:, None],
+                                   g.emult[:, None], round_, runs)
+        passed = (coins[:, :, None] < pe.reshape(g.m, n_runs, k)
                   ).reshape(g.m, len(x))
     # a vertex accepts when every incident edge passed: rank r ANDs its
     # slots' passes into the prefix of the rows in by_degree order

@@ -114,7 +114,8 @@ def check_filter_positivity(inst: MrfInstance, state_cap: int = 1 << 12,
         mode = "exhaustive"
     else:
         words = RandomTape(seed).node_uniforms(
-            KIND_NODE_BETA, np.arange(n), 0, np.arange(samples, dtype=np.int64))
+            KIND_NODE_BETA, np.arange(n), 0,
+            np.arange(samples, dtype=np.int64)[:, None])
         X = np.minimum((words * q).astype(np.int64), q - 1)
         mode = "sampled"
     # S[i, xv] = sum_j b_u(j) A(i, j) A(xv, j), one matrix per adjacency slot

@@ -93,7 +93,8 @@ def initial_config(inst: MrfInstance, initial, tape: RandomTape | None = None,
         if initial == "random":
             if tape is None or runs is None:
                 raise ValueError("random initial needs a tape and run indices")
-            u = tape.node_uniforms(KIND_INIT_CONFIG, np.arange(inst.n), 0, runs)
+            u = tape.node_uniforms(KIND_INIT_CONFIG, np.arange(inst.n), 0,
+                                   runs[:, None])
             return np.minimum((u * inst.q).astype(np.int64), inst.q - 1)
         raise ValueError(f"unknown initial preset {initial!r}")
     return validate_configuration(inst, np.asarray(initial))

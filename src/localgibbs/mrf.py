@@ -82,9 +82,10 @@ class MrfInstance:
             follows this one test. The filter then passes an edge exactly
             when its factors are all 1, whatever its coin in [0, 1).
         slot_table: (q, F * q) spin-major table of the edge matrices at
-            the F adjacency slots (aligned with graph.nbr_flat): entry
-            [c, slot * q + j] is A_e(c, j) for the slot's edge e, so the
-            column block slot * q:(slot + 1) * q is that edge's matrix.
+            the F adjacency slots in rank-major order (aligned with
+            graph.rank_edge): entry [c, slot * q + j] is A_e(c, j) for the
+            slot's edge e, so the column block slot * q:(slot + 1) * q is
+            that edge's matrix.
             Resampling gathers one column per (run, vertex) pair from each
             row, so its conditionals come out spin-major. None on 0/1
             instances, whose round reads slot_bits instead.
@@ -144,9 +145,9 @@ class MrfInstance:
         # the float slot table and the filter's coins
         zero_one = np.all((self.A == 0) | (self.A == 1))
         self.A_pass = self.A > 0 if zero_one else None
-        # the matrices are symmetric, so the rows of A[nbr_edge] stacked
+        # the matrices are symmetric, so the rows of A[rank_edge] stacked
         # into columns are the matrices themselves
-        slots = (self.A_pass if zero_one else self.A)[graph.nbr_edge]
+        slots = (self.A_pass if zero_one else self.A)[graph.rank_edge]
         slots = slots.reshape(-1, self.q).T
         self.slot_table = None if zero_one else np.ascontiguousarray(slots)
         self.slot_bits = np.packbits(slots, axis=0, bitorder="little") \

@@ -103,8 +103,7 @@ def config_of_rank(rank: int, n: int, q: int) -> np.ndarray:
 
 def all_configs(n: int, q: int) -> np.ndarray:
     """All q**n configurations in rank order, shape (q**n, n), row r = config of rank r."""
-    ranks = np.arange(q ** n, dtype=np.int64)
-    return (ranks[:, None] // q ** np.arange(n, dtype=np.int64)[None, :]) % q
+    return config_of_rank(np.arange(q ** n, dtype=np.int64)[:, None], n, q)
 
 
 def _check_cap(n: int, q: int, cap: int) -> int:

@@ -99,23 +99,19 @@ class RandomTape:
     perturbation is what the locality experiments use.
 
     Every accessor hashes one variate per addressed (entity, round, run)
-    triple; the layouts differ by consumer:
-
-    * node_words: (len(entities), len(runs)), one row per vertex, as the
-      local-maximum selection and the Metropolis proposals read them,
-      written into out when given;
-    * node_uniforms and edge_uniforms: (len(runs), len(entities)), one row
-      per run, as the initial draw and the Metropolis coins read them;
-    * node_uniforms_at: (len(entities),), one per listed (entity, run) pair,
-      from one hashed prefix per entity id up to the largest listed;
-    * node_words_over_rounds: (len(rounds), len(entities)) for one run.
+    triple, and its address arguments broadcast against each other the way
+    fold's do: the result has their broadcast shape. A caller picks its
+    layout with the shapes it passes; entities[:, None] with a 1-D runs
+    gives one row per entity, runs[:, None] one row per run, and 1-D
+    entities and runs of one length give one variate per listed pair.
 
     The round-free part of a node address is hashed once and kept: per
     node kind, the (kind, entity, salt) state of every entity id up to the
     largest asked for. A node accessor then folds only its round and run
-    words. The tables are built on first use; threads that share the tape
-    and build one at the same time compute equal values, so either copy
-    may be kept.
+    words; a scalar round is folded once per entity id up to the largest
+    asked for, before the entities are taken. The tables are built on
+    first use; threads that share the tape and build one at the same time
+    compute equal values, so either copy may be kept.
     """
 
     def __init__(self, master_seed: int, node_salts: np.ndarray | None = None):
@@ -135,8 +131,9 @@ class RandomTape:
         salts[vertex] = U64(salt % (1 << 64))
         return RandomTape(self.master_seed, salts)
 
-    def _node_prefix(self, kind, entities, round_) -> np.ndarray:
-        """Hash state after kind, entity, salt and round; broadcasts like fold."""
+    def _words(self, kind, entities, round_, runs, out=None) -> np.ndarray:
+        """The node address path: the words of (kind, entities, round_,
+        runs), broadcast like fold, written into out when given."""
         ids = np.asarray(entities, dtype=np.int64)
         need = int(ids.max(initial=-1)) + 1
         table = self._node_tables.get(int(kind))
@@ -147,63 +144,40 @@ class RandomTape:
             table = fold(fold(fold(self._base, kind), np.arange(need, dtype=U64)),
                          salts)
             self._node_tables[int(kind)] = table
-        return fold(np.take(table, ids), round_)
+        if np.ndim(round_) == 0:
+            # once per id up to the largest, then taken
+            h = np.take(fold(table[:need], round_), ids)
+        else:
+            h = fold(np.take(table, ids), round_)
+        return fold(h, runs, out=out)
 
     def node_words(self, kind, entities, round_, runs, out=None) -> np.ndarray:
-        """Raw uint64 hash words, entity-major: shape (len(entities),
-        len(runs)), entry [i, j] for (entities[i], runs[j]); written into
+        """Raw uint64 hash words of the broadcast addresses, written into
         out when given.
 
         Full 64-bit words are what the local-maximum selection rule compares,
-        so ties carry no float rounding ambiguity; the selection works on
-        one row per vertex, hence the layout.
+        so ties carry no float rounding ambiguity.
         """
-        runs = np.asarray(runs, dtype=U64)
-        return fold(self._node_prefix(kind, entities, round_)[:, None],
-                    runs[None, :], out=out)
+        return self._words(kind, entities, round_, runs, out)
 
     def node_uniforms(self, kind, entities, round_, runs) -> np.ndarray:
-        """Uniforms in [0, 1), run-major: shape (len(runs), len(entities))."""
-        runs = np.asarray(runs, dtype=U64)
-        return uniform_from_bits(
-            fold(self._node_prefix(kind, entities, round_)[None, :],
-                 runs[:, None]))
-
-    def node_uniforms_at(self, kind, entities, round_, runs) -> np.ndarray:
-        """One uniform per (entities[i], runs[i]) pair, shape (len(entities),).
-
-        Entry i equals node_uniforms(kind, [entities[i]], round_,
-        [runs[i]])[0, 0]. The round word is folded once per entity id up to
-        max(entities), and the run word per pair.
-        """
-        ents = np.asarray(entities, dtype=np.int64)
-        prefix = self._node_prefix(kind, np.arange(ents.max(initial=-1) + 1), round_)
-        return uniform_from_bits(fold(np.take(prefix, ents), runs))
+        """Uniforms in [0, 1) of the broadcast addresses: node_words mapped
+        through uniform_from_bits."""
+        return uniform_from_bits(self._words(kind, entities, round_, runs))
 
     def node_words_over_rounds(self, kind, entities, rounds, run: int = 0) -> np.ndarray:
-        """Hash words for a fixed run across many rounds, shape (len(rounds), n).
-
-        Row t holds exactly the words that run would consume in round
-        rounds[t]; used by selection-frequency scans.
-        """
-        rounds = np.asarray(rounds, dtype=U64)
-        h = self._node_prefix(kind, entities, rounds[:, None])
-        return fold(h, U64(run))
+        """Words for one run across many rounds, shape (len(rounds),
+        len(entities)): row t holds what that run reads in round rounds[t]."""
+        return self._words(kind, entities, np.reshape(rounds, (-1, 1)), run)
 
     def edge_uniforms(self, eu, ev, emult, round_, runs) -> np.ndarray:
-        """Shared per-edge coins, shape (len(runs), n_edges).
+        """Shared per-edge coins of the broadcast addresses.
 
         The edge identity is (min endpoint, max endpoint, multiplicity index),
         so both endpoints derive the same coin and parallel edges get
         independent ones. Node salts deliberately do not enter.
         """
-        eu = np.asarray(eu, dtype=U64)
-        ev = np.asarray(ev, dtype=U64)
-        emult = np.asarray(emult, dtype=U64)
-        runs = np.asarray(runs, dtype=U64)
         h = fold(self._base, KIND_EDGE_COIN)
-        h = fold(h, eu[None, :])
-        h = fold(h, ev[None, :])
-        h = fold(h, emult[None, :])
-        h = fold(h, U64(round_))
-        return uniform_from_bits(fold(h, runs[:, None]))
+        for w in (eu, ev, emult, round_, runs):
+            h = fold(h, w)
+        return uniform_from_bits(h)

@@ -68,9 +68,9 @@ class _PairCountingTape(RandomTape):
 
     pairs = 0
 
-    def node_uniforms_at(self, kind, entities, round_, runs):
+    def node_uniforms(self, kind, entities, round_, runs):
         self.pairs += len(entities)
-        return super().node_uniforms_at(kind, entities, round_, runs)
+        return super().node_uniforms(kind, entities, round_, runs)
 
 
 @pytest.mark.parametrize("variant", chains.SCHEDULER_VARIANTS)
@@ -90,6 +90,33 @@ def test_selected_frac_counts_the_resampled_pairs(variant):
         assert out.dtype == bool
         assert out.size == g.n * len(runs)
         assert int(out.sum()) == tape.pairs
+
+
+@pytest.mark.parametrize("chain", ["luby_glauber", "local_metropolis"])
+def test_traced_words_count_each_hashed_variate_once(tmp_path, chain):
+    # one round from a fixed start: n score words (luby) or n proposal
+    # words (metropolis) per run, and one proposal word per selected pair;
+    # the 0/1 coloring filter hashes no coins. A tape accessor left out of
+    # TAPE_ACCESSORS would go uncounted; one public accessor calling
+    # another would be counted twice
+    n, n_runs = 4, 4
+    cfg = tmp_path / "sample.cfg"
+    cfg.write_text(f"model = coloring\nmodel.q = 3\ngraph = cycle\n"
+                   f"graph.n = {n}\nchain = {chain}\nrounds = 1\n"
+                   f"n_runs = {n_runs}\nseed = 1\ninitial = greedy\n",
+                   encoding="utf-8")
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["sample", "--config", str(cfg), "--output",
+                         str(tmp_path / "out"), "--threads", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    proposals = counts["chains.selected"] if chain == "luby_glauber" else 0
+    if chain == "luby_glauber":
+        assert proposals > 0
+    assert counts["randomness.words"] == n * n_runs + proposals
 
 
 def _bindings():

@@ -103,7 +103,7 @@ class _BoundaryTape(RandomTape):
         i = (v + r + round_) % (2 * len(below))
         return below[i // 2] if i % 2 else np.nextafter(below[i // 2], 0.0)
 
-    def node_uniforms_at(self, kind, entities, round_, runs):
+    def node_uniforms(self, kind, entities, round_, runs):
         return np.array([self._entry(v, r, round_)
                          for v, r in zip(np.asarray(entities).tolist(),
                                          np.asarray(runs).tolist())])
@@ -160,8 +160,8 @@ def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
             # naive_resample reads u only at the selected vertices
             vs = np.flatnonzero(sel[i])
             u = np.zeros(g.n)
-            u[vs] = tape.node_uniforms_at(KIND_NODE_PROPOSAL, vs, t,
-                                          np.full(len(vs), r))
+            u[vs] = tape.node_uniforms(KIND_NODE_PROPOSAL, vs, t,
+                                       np.full(len(vs), r))
             assert new_x[i].tolist() == naive_resample(
                 g.edges, A, b, q, x[i].tolist(), sel[i].tolist(), u.tolist())
 
@@ -254,7 +254,8 @@ def test_resampling_round_matches_loop_on_tiny_instances(case):
     k = len(x) // len(runs)
     sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, runs))
     if sched.variant == "luby":
-        keys = tape.node_words(KIND_NODE_BETA, np.arange(g.n), t, runs)
+        keys = tape.node_words(KIND_NODE_BETA, np.arange(g.n)[:, None], t,
+                               runs)
         for i in range(len(runs)):
             assert sel[i].tolist() == naive_local_max(
                 g.edges, g.n, [int(w) for w in keys[:, i]])
@@ -270,7 +271,8 @@ def test_resampling_round_matches_loop_on_tiny_instances(case):
             == (*min(dead), t)
         return
     new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, runs)
-    u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, runs)
+    u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
+                           runs[:, None])
     for row in range(len(x)):
         assert new_x[row].tolist() == naive_resample(
             g.edges, A, b, inst.q, x[row].tolist(), sel[row // k].tolist(),
@@ -289,8 +291,9 @@ def test_metropolis_round_matches_loop_on_tiny_instances(case):
     # the right and a wrong product, so each example runs four rounds
     for t in range(t0, t0 + 4):
         new_x, _ = local_metropolis_round_batch(inst, x, t, tape, runs)
-        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, runs)
-        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs)
+        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
+                               runs[:, None])
+        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs[:, None])
         for row in range(len(x)):
             assert new_x[row].tolist() == naive_metropolis(
                 g.edges, A, b, inst.q, x[row].tolist(), u[row // k].tolist(),
@@ -347,8 +350,9 @@ def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
     x[:, 0] = q - 1  # the widest spin is present
     for t in (1, 2, 3):
         new_x, _ = local_metropolis_round_batch(inst, x, t, tape, runs)
-        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, runs)
-        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs)
+        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
+                               runs[:, None])
+        coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs[:, None])
         for row in range(len(x)):
             assert new_x[row].tolist() == naive_metropolis(
                 g.edges, A, b, q, x[row].tolist(), u[row // k].tolist(),

@@ -83,9 +83,10 @@ def test_filter_and_matches_loop(inst):
     tape = RandomTape(5)
     x = _random_states(inst, 2)
     for t in range(1, 6):
-        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, RUNS)
+        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
+                               RUNS[:, None])
         sigma = naive_draw(inst.b_cdf, u)
-        passed = (tape.edge_uniforms(g.eu, g.ev, g.emult, t, RUNS)
+        passed = (tape.edge_uniforms(g.eu, g.ev, g.emult, t, RUNS[:, None])
                   < _filter_probs(inst, sigma, x))
         assert passed.shape == (len(RUNS), g.m)
         new_x, _ = local_metropolis_round_batch(inst, x, t, tape, RUNS)
@@ -106,7 +107,8 @@ def test_resampling_round_matches_loop(inst, variant):
         x = _random_states(inst, t)
         new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, RUNS)
         sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, RUNS))
-        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t, RUNS)
+        u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
+                               RUNS[:, None])
         for row in range(len(RUNS)):
             expect = naive_resample(g.edges, A, b, inst.q, x[row].tolist(),
                                     sel[row].tolist(), u[row].tolist())

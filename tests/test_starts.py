@@ -53,7 +53,7 @@ class _CountingTape(RandomTape):
     def __init__(self, seed):
         super().__init__(seed)
         self.words = dict.fromkeys(("node_words", "node_uniforms",
-                                    "node_uniforms_at", "edge_uniforms"), 0)
+                                    "edge_uniforms"), 0)
 
     def node_words(self, *args, **kwargs):
         out = super().node_words(*args, **kwargs)
@@ -63,11 +63,6 @@ class _CountingTape(RandomTape):
     def node_uniforms(self, *args):
         out = super().node_uniforms(*args)
         self.words["node_uniforms"] += out.size
-        return out
-
-    def node_uniforms_at(self, *args):
-        out = super().node_uniforms_at(*args)
-        self.words["node_uniforms_at"] += out.size
         return out
 
     def edge_uniforms(self, *args):
@@ -152,7 +147,7 @@ def test_tape_is_hashed_per_run_not_per_row(name, k):
         assert many.words == one.words
         # one start hashes at most one variate per (entity, run)
         per_run = {"node_words": g.n, "node_uniforms": g.n,
-                   "node_uniforms_at": g.n, "edge_uniforms": g.m}
+                   "edge_uniforms": g.m}
         for accessor, count in one.words.items():
             assert count <= per_run[accessor] * len(RUNS)
         assert sum(one.words.values()) > 0
@@ -232,7 +227,7 @@ def test_resampling_packs_only_zero_one_tables(name, k):
         return
     assert inst.A_norm is inst.A
     assert not inst.slot_bits.flags.writeable
-    support = (inst.A[g.nbr_edge] > 0).reshape(-1, q).T
+    support = (inst.A[g.rank_edge] > 0).reshape(-1, q).T
     np.testing.assert_array_equal(
         np.unpackbits(inst.slot_bits, axis=0, count=q, bitorder="little"),
         support)
@@ -241,7 +236,7 @@ def test_resampling_packs_only_zero_one_tables(name, k):
     floats = copy.copy(inst)
     floats.slot_bits = floats.mask_cdf = floats.mask_dead = None
     floats.slot_table = np.ascontiguousarray(
-        inst.A[g.nbr_edge].reshape(-1, q).T)
+        inst.A[g.rank_edge].reshape(-1, q).T)
     fn = round_function(_chain("luby", g))
     for t in range(1, 4):
         x = _batch(inst, k, t)
