@@ -83,6 +83,34 @@ def test_node_salt_touches_only_that_vertex():
     np.testing.assert_array_equal(ec_a, ec_b)
 
 
+def test_pair_uniforms_match_node_uniforms():
+    tape = RandomTape(77)
+    runs = np.array([0, 3, 5])
+    # (entities, rows of runs): every id; ids that skip vertex 0 and the
+    # highest id 5, as the per-entity prefix covers ids up to the largest
+    # listed; and no pairs at all
+    cases = [([0, 2, 5, 2, 1, 4], [0, 1, 2, 2, 0, 1]),
+             ([3, 1, 2, 3, 4], [2, 0, 1, 0, 1]),
+             ([], [])]
+    for t in (tape, tape.with_node_salt(2, 9, 6)):
+        for kind in (KIND_NODE_BETA, KIND_NODE_PROPOSAL):
+            grid = t.node_uniforms(kind, np.arange(6), 4, runs[:, None])
+            for ents, rows in cases:
+                ents, rows = np.array(ents, int), np.array(rows, int)
+                got = t.node_uniforms(kind, ents, 4, runs[rows])
+                assert got.dtype == np.float64 and got.shape == ents.shape
+                np.testing.assert_array_equal(got, grid[rows, ents])
+
+
+def test_words_over_rounds_matches_per_round_queries():
+    tape = RandomTape(31)
+    ents = np.arange(8)
+    block = tape.node_words_over_rounds(KIND_NODE_BETA, ents, [1, 2, 3])
+    for i, t in enumerate([1, 2, 3]):
+        np.testing.assert_array_equal(
+            block[i], tape.node_words(KIND_NODE_BETA, ents, t, 0))
+
+
 def test_hash_words_deterministic_and_spread():
     a = hash_words(1, 2, 3)
     b = hash_words(1, 2, 3)
@@ -101,6 +129,18 @@ def test_salt_vertex_out_of_range():
     assert tape.master_seed == 7
     with pytest.raises(ValueError):
         tape.with_node_salt(10, 1, 3)
+
+
+def test_node_words_are_entity_major():
+    # the selection reads one row per vertex, entities[:, None]; the
+    # uniforms one row per run, runs[:, None]
+    tape = RandomTape(13).with_node_salt(2, 5, 6)
+    ents, runs = np.array([4, 0, 2]), np.array([9, 1])
+    words = tape.node_words(KIND_NODE_BETA, ents[:, None], 3, runs)
+    assert words.shape == (3, 2)
+    np.testing.assert_array_equal(
+        uniform_from_bits(words).T,
+        tape.node_uniforms(KIND_NODE_BETA, ents, 3, runs[:, None]))
 
 
 def _hashed(*words):
