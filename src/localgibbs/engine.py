@@ -109,12 +109,13 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     of k = rows // len(runs) rows per run, run-major: row i * k + s is run
     runs[i] from its s-th start. The k rows of a run read the same tape
     variates, which each round computes once per run. Between rounds the
-    batch is carried in the narrowest unsigned dtype that holds q - 1
-    (uint8 up to q = 256), and one round function, bound here, keeps its
-    buffers for the whole batch. Returns the final batch and {t:
-    snapshot(batch after round t)} for each requested t (0 means the
-    initial batch): the returned batch and every batch snapshot sees are
-    fresh (rows, n) int64 arrays, so the default snapshot keeps it as is.
+    batch is carried vertex-major, (n, rows), in the narrowest unsigned
+    dtype that holds q - 1 (uint8 up to q = 256), and one round function,
+    bound here, keeps its buffers for the whole batch. Returns the final
+    batch and {t: snapshot(batch after round t)} for each requested t (0
+    means the initial batch): the returned batch and every batch snapshot
+    sees are fresh (rows, n) int64 arrays, so the default snapshot keeps it
+    as is.
 
     Raises:
         ValueError: rounds < 0, or the row count is not a positive multiple
@@ -129,17 +130,29 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     if len(runs) == 0 or len(x) == 0 or len(x) % len(runs):
         raise ValueError(f"{len(x)} rows is not a positive multiple of "
                          f"{len(runs)} runs")
-    x = x.astype(np.min_scalar_type(inst.q - 1))
+    x = np.ascontiguousarray(x.T, dtype=np.min_scalar_type(inst.q - 1))
     fn = round_function(chain)
+    # glibc returns the free top of its heap to the OS once it exceeds
+    # twice the largest mmap'd block freed so far, and every round's
+    # temporaries are then faulted in again (13k minor faults per
+    # sample-rr256-luby call on a 1 MB threshold). Freeing one untouched
+    # 4 MB block raises that bound to 8 MB without touching a page; a
+    # larger block kept more freed memory in the worker threads' heaps.
+    np.empty(1 << 19)
     wanted = set() if snapshot_rounds is None else set(int(t) for t in snapshot_rounds)
     snaps: dict[int, np.ndarray] = {}
     if 0 in wanted:
-        snaps[0] = snapshot(x.astype(np.int64))
+        snaps[0] = snapshot(_by_row(x))
     for t in range(1, rounds + 1):
         x, _ = fn(inst, x, t, tape, runs)
         if t in wanted:
-            snaps[t] = snapshot(x.astype(np.int64))
-    return x.astype(np.int64), snaps
+            snaps[t] = snapshot(_by_row(x))
+    return _by_row(x), snaps
+
+
+def _by_row(x: np.ndarray) -> np.ndarray:
+    """A carried (n, rows) batch as a fresh C-ordered (rows, n) int64 one."""
+    return np.ascontiguousarray(x.T, dtype=np.int64)
 
 
 # Byte budget of one chunk. The row size below counts

@@ -22,7 +22,7 @@ import pytest
 from localgibbs import chains, cli, engine
 from localgibbs.graphs import cycle, random_regular
 from localgibbs.models import coloring
-from localgibbs.randomness import RandomTape
+from localgibbs.randomness import KIND_NODE_PROPOSAL, RandomTape
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -56,21 +56,34 @@ def test_round_spans_return_the_batch_first(span):
              if "scheduler" in inspect.signature(fn).parameters else ())
     # three runs with one row each, then with four starts each
     for starts in (1, 4):
-        x = np.array([[0, 1, 0, 1], [2, 1, 2, 0]] * (2 * starts))[:3 * starts]
+        x = np.array([[0, 1, 0, 1], [2, 1, 2, 0]] * (2 * starts))[:3 * starts].T
         out = fn(inst, x, *sched, 1, RandomTape(3), np.arange(3))
         assert isinstance(out, tuple)
         assert out[0].shape == x.shape
 
 
 class _PairCountingTape(RandomTape):
-    """Counts the (vertex, run) pairs a round hashes proposal uniforms for:
-    one per resampled (vertex, run) pair, shared by the run's starts."""
+    """Counts the (vertex, run) pairs a round hashes proposal variates for:
+    one per resampled (vertex, run) pair, shared by the run's starts. The
+    tabulated draw reads proposal words, the comparison uniforms; calls
+    counts the proposal queries of each."""
 
     pairs = 0
 
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = {"node_words": 0, "node_uniforms": 0}
+
     def node_uniforms(self, kind, entities, round_, runs):
         self.pairs += len(entities)
+        self.calls["node_uniforms"] += 1
         return super().node_uniforms(kind, entities, round_, runs)
+
+    def node_words(self, kind, entities, round_, runs, out=None):
+        if kind == KIND_NODE_PROPOSAL:
+            self.pairs += len(entities)
+            self.calls["node_words"] += 1
+        return super().node_words(kind, entities, round_, runs, out=out)
 
 
 @pytest.mark.parametrize("variant", chains.SCHEDULER_VARIANTS)
@@ -86,7 +99,10 @@ def test_selected_frac_counts_the_resampled_pairs(variant):
         x = np.tile(np.arange(g.n) % inst.q, (len(runs) * starts, 1))
         tape = _PairCountingTape(3)
         out = chains.scheduled_set_batch(g, sched, t, tape, runs)
-        chains.luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+        chains.luby_glauber_round_batch(inst, x.T, sched, t, tape, runs)
+        # the 5-coloring draws its proposals through the mask table
+        assert inst.mask_table is not None
+        assert tape.calls == {"node_words": 1, "node_uniforms": 0}
         assert out.dtype == bool
         assert out.size == g.n * len(runs)
         assert int(out.sum()) == tape.pairs

@@ -34,8 +34,9 @@ def _select(g, t, tape, run=0):
 
 
 def _step(chain, inst, x, t, tape, run=0):
-    """One round of one run, as the one-row batch."""
-    return round_function(chain)(inst, x[None], t, tape, np.array([run]))[0][0]
+    """One round of one run, as the one-column batch."""
+    return round_function(chain)(inst, x[:, None], t, tape,
+                                 np.array([run]))[0][:, 0]
 
 
 def test_spec_validation():
@@ -221,7 +222,7 @@ def test_zero_marginal_names_first_dead_pair_in_run_major_order():
     x = np.array([[0, 1, 1, 1, 0, 0, 1],
                   [0, 0, 1, 0, 0, 1, 0]])
     with pytest.raises(ZeroMarginal) as info:
-        luby_glauber_round_batch(inst, x, sched, 2, RandomTape(3),
+        luby_glauber_round_batch(inst, x.T, sched, 2, RandomTape(3),
                                  np.array([10, 11]))
     assert (info.value.vertex, info.value.run, info.value.round) == (5, 10, 2)
 
@@ -350,11 +351,11 @@ def test_round_functions_do_not_mutate_input(name):
     # a single start reaches round 1 as a read-only broadcast view
     inst = coloring(cycle(4), 3)
     base = np.array([0, 1, 0, 1])
-    x = np.broadcast_to(base, (5, 4))
+    x = np.broadcast_to(base[:, None], (4, 5))
     out, _ = round_function(ROUND_CHAINS[name])(inst, x, 1, RandomTape(31),
                                                 np.arange(5))
     np.testing.assert_array_equal(base, [0, 1, 0, 1])
-    assert out.shape == (5, 4)
+    assert out.shape == (4, 5)
     assert out.flags.writeable
     assert not np.shares_memory(out, base)
 
@@ -372,13 +373,13 @@ def test_round_returns_a_fresh_c_ordered_int64_batch(name, inst, k):
     fn = round_function(ROUND_CHAINS[name])
     runs = np.array([3, 8, 11])
     rows, n = len(runs) * k, inst.n
-    spins = np.random.default_rng(k).integers(0, inst.q, (rows, n))
-    # round 1 of a single start is a read-only broadcast of one row
-    for x in (spins, np.broadcast_to(spins[0], (rows, n))):
+    spins = np.random.default_rng(k).integers(0, inst.q, (rows, n)).T.copy()
+    # round 1 of a single start is a read-only broadcast of one column
+    for x in (spins, np.broadcast_to(spins[:, :1], (n, rows))):
         before = x.copy()
         for t in (1, 2):
             out, _ = fn(inst, x, t, RandomTape(31), runs)
-            assert out.shape == (rows, n) and out.dtype == np.int64
+            assert out.shape == (n, rows) and out.dtype == np.int64
             assert out.flags.c_contiguous and out.flags.owndata
             assert not np.shares_memory(out, x)
             np.testing.assert_array_equal(x, before)
@@ -391,7 +392,7 @@ def test_metropolis_round_peak_allocation_is_bounded():
     # bound leaves about 40 % headroom and is not retuned
     inst = coloring(random_regular(256, 3, seed=1702), 8)
     runs = np.arange(512)
-    x = np.broadcast_to(initial_config(inst, "greedy"), (512, inst.n))
+    x = np.broadcast_to(initial_config(inst, "greedy")[:, None], (inst.n, 512))
     tape = RandomTape(1)
     local_metropolis_round_batch(inst, x, 1, tape, runs)  # warm caches
     was_tracing = tracemalloc.is_tracing()
@@ -405,5 +406,5 @@ def test_metropolis_round_peak_allocation_is_bounded():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert out.shape == (512, inst.n)
+    assert out.shape == (inst.n, 512)
     assert peak < 5_000_000

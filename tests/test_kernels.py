@@ -7,6 +7,7 @@ references, down to draws that land exactly on a CDF entry.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,14 +19,16 @@ from test_chains import selection_rows
 from test_digests import _hub_and_tail_wide, _multigraph_instance
 
 from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
-                               _filter_probs, _sample_from_cdf,
-                               chromatic_classes, local_metropolis_round_batch,
+                               _draw_tabulated, _filter_probs,
+                               _sample_from_cdf, chromatic_classes,
+                               local_metropolis_round_batch,
                                luby_glauber_round_batch, scheduled_set_batch)
 from localgibbs.cli import _marginals_csv, _samples_jsonl, _write_csv
 from localgibbs.graphs import Graph, cycle, path
 from localgibbs.models import coloring, list_coloring, potts
-from localgibbs.mrf import MrfInstance, ZeroMarginal
-from localgibbs.randomness import KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape
+from localgibbs.mrf import MrfInstance, ZeroMarginal, _bucket_table
+from localgibbs.randomness import (KIND_NODE_BETA, KIND_NODE_PROPOSAL,
+                                   RandomTape, uniform_from_bits)
 
 
 def _check_draw(cdf, u):
@@ -82,6 +85,95 @@ def test_draw_matches_reduction_on_random_rows(seed):
         _check_draw(cdf[:7], rng.random((11, 7)))
 
 
+def _check_table_draws(table):
+    # per column: the first and last word of every bucket, and for each CDF
+    # entry c the words k << 11 and (k - 1) << 11, k = ceil(c * 2**53),
+    # where they are words (entries of 1.0 or above have no k below 2**53)
+    shift = np.uint64(table.shift)
+    first = np.arange(1 << (64 - table.shift), dtype=np.uint64) << shift
+    ends = np.concatenate([first, first | ((np.uint64(1) << shift) - 1)])
+    for r in range(table.cdf.shape[1]):
+        cdf = table.cdf[:, r]
+        k = np.ceil(cdf[:-1] * 2.0 ** 53)
+        k = np.concatenate([k, k - 1])
+        k = k[(k >= 0) & (k < 2.0 ** 53)].astype(np.uint64)
+        words = np.concatenate([ends, k << np.uint64(11)])
+        got = _draw_tabulated(table, np.full(len(words), r, np.intp), words)
+        want = _sample_from_cdf(cdf[:, None], uniform_from_bits(words))
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+
+
+def _activity_rows(q, rows):
+    # rows with zeros, trailing zeros among them (which put entries of
+    # exactly 1.0 before the last), and a spin of mass below 2**-40, whose
+    # entries share a bucket with their neighbours'
+    b = np.random.default_rng(q).random((rows, q)) + 0.05
+    b[1::3, q // 2:] = 0.0
+    b[2::3, 1::2] = 0.0
+    b[3::4, q // 2] = 2.0 ** -42
+    return b
+
+
+# (instance, bucket bits): every mask at q = 3 and q = 8, activity rows at
+# q = 2, 8 and 256, a q = 256 row whose spin 255 holds most of the mass
+# (its buckets share the split marker, 255), and 256 distinct rows
+_TABLES = {
+    "masks-q3": (lambda: coloring(cycle(5), 3), 8),
+    "masks-q8": (lambda: coloring(cycle(5), 8), 8),
+    "rows-q2": (lambda: MrfInstance(path(6), 2, np.ones((2, 2)),
+                                    _activity_rows(2, 6)), 14),
+    "rows-q8": (lambda: MrfInstance(path(12), 8, np.ones((8, 8)),
+                                    _activity_rows(8, 12)), 12),
+    "rows-q256": (lambda: MrfInstance(path(5), 256, np.ones((256, 256)),
+                                      _activity_rows(256, 5)), 13),
+    "last-spin-q256": (lambda: MrfInstance(
+        path(2), 256, np.ones((256, 256)), np.r_[np.ones(255), 1e4]), 16),
+    "rows-256": (lambda: MrfInstance(Graph(256, []), 4, np.ones((4, 4)),
+                                     _activity_rows(4, 256)), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLES))
+def test_table_draws_match_the_comparison(name):
+    make, bits = _TABLES[name]
+    inst = make()
+    table = inst.mask_table if name.startswith("masks") else inst.b_table
+    assert 64 - table.shift == bits
+    # within the byte budget, and no larger than it needs to be
+    assert table.spins.shape == (table.cdf.shape[1] << bits,)
+    assert table.spins.nbytes <= 1 << 16 < 2 * table.spins.nbytes
+    if table is inst.b_table:
+        np.testing.assert_array_equal(table.cdf[:, inst.b_row], inst.b_cdf.T)
+    if name == "rows-q8":
+        # entries of exactly 1.0 before the last, and distinct entries in
+        # one bucket
+        entries = table.cdf[:-1]
+        assert (entries == 1.0).any()
+        assert ((np.diff(entries, axis=0) > 0)
+                & (np.diff(entries * 2.0 ** bits // 1, axis=0) == 0)).any()
+    _check_table_draws(table)
+
+
+def test_table_draws_match_the_comparison_on_hand_made_cdfs():
+    # a running sum carried past 1.0 before the last entry and a NaN
+    # entry, which the comparison never counts; an entry less than 2**-53
+    # past a bucket's first uniform, which that first word does not reach,
+    # and one on a word's uniform
+    _check_table_draws(_bucket_table(np.array(
+        [[0.3, 0.2, 0.25 + 2.0 ** -54], [0.7, np.nan, 0.5],
+         [1.0000000000000002, 0.9, 0.5 + 2.0 ** -53], [1.0, 1.0, 1.0]])))
+
+
+def test_more_than_256_distinct_rows_build_no_table():
+    inst = MrfInstance(Graph(257, []), 4, np.ones((4, 4)),
+                       _activity_rows(4, 257))
+    assert inst.b_table is None and inst.b_row is None
+    # q > 256 builds none either
+    assert MrfInstance(path(2), 257, np.ones((257, 257)),
+                       np.ones(257)).b_table is None
+
+
 class _BoundaryTape(RandomTape):
     """Proposal uniforms that sit exactly on an entry of each scheduled
     pair's reference CDF, computed by naive_conditional_cdf from the pair's
@@ -89,24 +181,41 @@ class _BoundaryTape(RandomTape):
     entry is one ulp above the reference (on the entry) or below it (one
     ulp under); the entry and the side are chosen per (vertex, run, round)
     among the entries below 1, as a uniform is, and the entry is 0.0 when
-    there are none (only spin 0 has mass)."""
+    there are none (only spin 0 has mass).
+
+    Proposal words, which the tabulated draw reads, sit on the same entry
+    at word level: k << 11 with k = ceil(entry * 2**53), the first word
+    whose uniform reaches the entry, or (k << 11) - 1, the last word below
+    it. calls counts the proposal queries of each accessor."""
 
     def __init__(self, inst, x, runs):
         super().__init__(3)
         self.inst, self.x = inst, dict(zip(runs.tolist(), x.tolist()))
         self.A, self.b = inst.A.tolist(), inst.b.tolist()
+        self.calls = {"node_words": 0, "node_uniforms": 0}
 
-    def _entry(self, v, r, round_):
-        cdf = naive_conditional_cdf(self.inst.graph.edges, self.A, self.b,
-                                    self.inst.q, v, self.x[r])
-        below = [c for c in cdf if c < 1.0] or [0.0]
-        i = (v + r + round_) % (2 * len(below))
-        return below[i // 2] if i % 2 else np.nextafter(below[i // 2], 0.0)
+    def _entries(self, entities, runs, round_):
+        """(entry, on it) per (vertex, run) pair."""
+        for v, r in zip(np.asarray(entities).tolist(),
+                        np.asarray(runs).tolist()):
+            cdf = naive_conditional_cdf(self.inst.graph.edges, self.A,
+                                        self.b, self.inst.q, v, self.x[r])
+            below = [c for c in cdf if c < 1.0] or [0.0]
+            i = (v + r + round_) % (2 * len(below))
+            yield below[i // 2], i % 2 == 1
 
     def node_uniforms(self, kind, entities, round_, runs):
-        return np.array([self._entry(v, r, round_)
-                         for v, r in zip(np.asarray(entities).tolist(),
-                                         np.asarray(runs).tolist())])
+        self.calls["node_uniforms"] += 1
+        return np.array([c if on else np.nextafter(c, 0.0)
+                         for c, on in self._entries(entities, runs, round_)])
+
+    def node_words(self, kind, entities, round_, runs, out=None):
+        if kind != KIND_NODE_PROPOSAL:
+            return super().node_words(kind, entities, round_, runs, out=out)
+        self.calls["node_words"] += 1
+        words = [max((math.ceil(c * 2.0 ** 53) << 11) - (not on), 0)
+                 for c, on in self._entries(entities, runs, round_)]
+        return np.array(words, dtype=np.uint64)
 
 
 def _hub_and_tail_zero_one(q: int) -> MrfInstance:
@@ -139,29 +248,38 @@ def _hub_and_tail_mask_table(q: int) -> MrfInstance:
 def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
                                                        alone):
     inst = make(q)
-    assert (inst.mask_cdf is not None) == (make is _hub_and_tail_mask_table)
+    assert (inst.mask_table is not None) == (make is _hub_and_tail_mask_table)
     g, sched = inst.graph, SchedulerSpec(variant)
     A, b = inst.A.tolist(), inst.b.tolist()
     runs = np.arange(24, dtype=np.int64) + 5
     x = np.random.default_rng(q).integers(0, q, (len(runs), g.n))
     tape = _BoundaryTape(inst, x, runs)
+    # the tabulated draw reads words, the comparison uniforms
+    table = inst.mask_table is not None
+    read = "node_words" if table else "node_uniforms"
     for t in (1, 2):
+        tape.calls = dict.fromkeys(tape.calls, 0)
         if alone:
             # one single-site run per round: a single pair, whose
             # conditional is one (q, 1) column
             new_x = np.concatenate([
-                luby_glauber_round_batch(inst, x[i:i + 1], sched, t, tape,
-                                         runs[i:i + 1])[0]
+                luby_glauber_round_batch(inst, x[i:i + 1].T, sched, t, tape,
+                                         runs[i:i + 1])[0].T
                 for i in range(len(runs))])
         else:
-            new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+            new_x = luby_glauber_round_batch(inst, x.T, sched, t, tape,
+                                             runs)[0].T
+        # the boundary cases reached the draw
+        assert tape.calls == {**dict.fromkeys(tape.calls, 0),
+                              read: len(runs) if alone else 1}
         sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, runs))
         for i, r in enumerate(runs):
             # naive_resample reads u only at the selected vertices
             vs = np.flatnonzero(sel[i])
             u = np.zeros(g.n)
-            u[vs] = tape.node_uniforms(KIND_NODE_PROPOSAL, vs, t,
-                                       np.full(len(vs), r))
+            at = (KIND_NODE_PROPOSAL, vs, t, np.full(len(vs), r))
+            u[vs] = uniform_from_bits(tape.node_words(*at)) if table \
+                else tape.node_uniforms(*at)
             assert new_x[i].tolist() == naive_resample(
                 g.edges, A, b, q, x[i].tolist(), sel[i].tolist(), u.tolist())
 
@@ -266,11 +384,11 @@ def test_resampling_round_matches_loop_on_tiny_instances(case):
             if naive_marginal(g.edges, A, b, inst.q, v, x[row].tolist()) is None]
     if dead:
         with pytest.raises(ZeroMarginal) as err:
-            luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+            luby_glauber_round_batch(inst, x.T, sched, t, tape, runs)
         assert (err.value.run, err.value.vertex, err.value.round) \
             == (*min(dead), t)
         return
-    new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, runs)
+    new_x = luby_glauber_round_batch(inst, x.T, sched, t, tape, runs)[0].T
     u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
                            runs[:, None])
     for row in range(len(x)):
@@ -290,7 +408,7 @@ def test_metropolis_round_matches_loop_on_tiny_instances(case):
     # a filter factor decides a vertex only when its coin falls between
     # the right and a wrong product, so each example runs four rounds
     for t in range(t0, t0 + 4):
-        new_x, _ = local_metropolis_round_batch(inst, x, t, tape, runs)
+        new_x = local_metropolis_round_batch(inst, x.T, t, tape, runs)[0].T
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
                                runs[:, None])
         coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs[:, None])
@@ -349,7 +467,7 @@ def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
     x = np.random.default_rng(q).integers(0, q, (len(runs) * k, g.n))
     x[:, 0] = q - 1  # the widest spin is present
     for t in (1, 2, 3):
-        new_x, _ = local_metropolis_round_batch(inst, x, t, tape, runs)
+        new_x = local_metropolis_round_batch(inst, x.T, t, tape, runs)[0].T
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
                                runs[:, None])
         coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs[:, None])

@@ -294,6 +294,47 @@ def test_weight_and_feasible_batch_match_naive(inst):
     np.testing.assert_array_equal(feasible_batch(inst, sigmas), want > 0)
 
 
+def _power_of_two_tables(g, q):
+    # per-edge tables of 0.5, 1 and 2 that differ from edge to edge, so
+    # that a wrapped edge offset would read another edge's table; every
+    # third edge forbids (q - 1, q - 1). Products of these factors are
+    # exact in any order
+    i, j = np.indices((q, q))
+    edge = [np.where((e % 3 == 0) & (i == q - 1) & (j == q - 1), 0.0,
+                     2.0 ** ((i + j + e) % 3 - 1)) for e in range(g.m)]
+    vertex = [2.0 ** ((v + np.arange(q)) % 3 - 1) for v in range(g.n)]
+    return MrfInstance(g, q, edge, vertex)
+
+
+# m * q * q - 1 on each side of 255 and 65535, where the flat factor
+# positions switch dtype
+@pytest.mark.parametrize("n, dtype", [(16, np.uint8), (17, np.uint16),
+                                      (4096, np.uint16), (4097, np.uint32)])
+def test_weight_and_feasible_batch_match_a_loop_across_index_dtypes(n, dtype):
+    q = 4
+    inst = _power_of_two_tables(cycle(n), q)
+    g = inst.graph
+    assert np.min_scalar_type(g.m * q * q - 1) == dtype
+    A, b = inst.A.tolist(), inst.b.tolist()
+    edges = list(zip(g.eu.tolist(), g.ev.tolist()))
+    rng = np.random.default_rng(n)
+    # rows without spin q - 1 are feasible, most of the others are not
+    sigmas = np.concatenate([rng.integers(0, q - 1, (6, n)),
+                             rng.integers(0, q, (20, n))])
+    want = []
+    for s in sigmas.tolist():
+        w = 1.0
+        for v in range(n):
+            w *= b[v][s[v]]
+        for e, (u, v) in enumerate(edges):
+            w *= A[e][s[u]][s[v]]
+        want.append(w)
+    want = np.array(want)
+    assert 0 < np.count_nonzero(want) < len(want)
+    np.testing.assert_array_equal(weight_batch(inst, sigmas), want)
+    np.testing.assert_array_equal(feasible_batch(inst, sigmas), want > 0)
+
+
 @pytest.mark.parametrize("inst", [
     coloring(Graph(4, [(0, 1), (1, 2), (0, 1)]), 3), ising(Graph(2, []), 0.5),
     hardcore(cycle(5), 0.5), list_coloring(cycle(4), 3, [[0, 1], [1, 2]] * 2),

@@ -614,7 +614,7 @@ def _without_kernel_tables(inst):
     blind = copy.copy(inst)
     if inst.slot_table is not None:
         blind.slot_table = np.full_like(inst.slot_table, np.nan)
-    blind.slot_bits = blind.mask_cdf = blind.mask_dead = None
+    blind.slot_bits = blind.mask_table = blind.mask_dead = None
     return blind
 
 

@@ -89,7 +89,7 @@ def test_filter_and_matches_loop(inst):
         passed = (tape.edge_uniforms(g.eu, g.ev, g.emult, t, RUNS[:, None])
                   < _filter_probs(inst, sigma, x))
         assert passed.shape == (len(RUNS), g.m)
-        new_x, _ = local_metropolis_round_batch(inst, x, t, tape, RUNS)
+        new_x = local_metropolis_round_batch(inst, x.T, t, tape, RUNS)[0].T
         for row in range(len(RUNS)):
             accepted = naive_all_incident(g.edges, g.n, passed[row].tolist())
             expect = np.where(accepted, sigma[row], x[row])
@@ -105,7 +105,7 @@ def test_resampling_round_matches_loop(inst, variant):
     b = inst.b.tolist()
     for t in range(1, 4):
         x = _random_states(inst, t)
-        new_x, _ = luby_glauber_round_batch(inst, x, sched, t, tape, RUNS)
+        new_x = luby_glauber_round_batch(inst, x.T, sched, t, tape, RUNS)[0].T
         sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, RUNS))
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
                                RUNS[:, None])

@@ -1,13 +1,14 @@
-"""The round contract: k = len(x) // len(runs) rows per run, run-major.
+"""The round contract: an (n, rows) batch, vertex-major, with k = rows //
+len(runs) columns per run, run-major.
 
-Row i * k + s of a batch is run runs[i] from its s-th start, and all k rows
-of a run read the tape at runs[i]. A round computes the tape's variates
-once per run, so a k-start batch must equal k one-start batches row for
-row, must hash exactly what one start hashes, and must name the same
-ZeroMarginal failure. A Metropolis round hashes its edge coins only where
-the filter has a fractional factor, and a resampling round multiplies
-float edge factors only where some edge activity is not 0 or 1, and reads
-its CDFs from the per-mask table only where it applies.
+Column i * k + s of a batch is run runs[i] from its s-th start, and all k
+columns of a run read the tape at runs[i]. A round computes the tape's
+variates once per run, so a k-start batch must equal k one-start batches
+column for column, must hash exactly what one start hashes, and must name
+the same ZeroMarginal failure. A Metropolis round hashes its edge coins
+only where the filter has a fractional factor, and a resampling round
+multiplies float edge factors only where some edge activity is not 0 or 1,
+and reads its CDFs from the per-mask table only where it applies.
 """
 
 import copy
@@ -41,10 +42,11 @@ CHAINS = ("luby", "chromatic", "single-site", "metropolis")
 
 
 def _batch(inst, k, seed):
-    """k random starts per run of RUNS, run-major: (len(RUNS) * k, n)."""
+    """k random starts per run of RUNS, run-major, vertex-major: (n,
+    len(RUNS) * k)."""
     starts = [initial_config(inst, "random", RandomTape(seed + s), RUNS)
               for s in range(k)]
-    return np.stack(starts, axis=1).reshape(-1, inst.n)
+    return np.stack(starts, axis=1).reshape(-1, inst.n).T.copy()
 
 
 class _CountingTape(RandomTape):
@@ -82,8 +84,8 @@ def test_k_starts_equal_k_one_start_batches(name, k):
         got, _ = fn(inst, x, t, tape, RUNS)
         assert got.shape == x.shape
         for s in range(k):
-            want, _ = fn(inst, x[s::k], t, tape, RUNS)
-            np.testing.assert_array_equal(got[s::k], want)
+            want, _ = fn(inst, x[:, s::k], t, tape, RUNS)
+            np.testing.assert_array_equal(got[:, s::k], want)
 
 
 def _per_edge_rr40(zero_one: bool) -> MrfInstance:
@@ -197,6 +199,10 @@ def test_metropolis_hashes_coins_only_for_fractional_filters(name, k):
         local_metropolis_round_batch(inst, _batch(inst, k, t), t, tape, RUNS)
         assert tape.words["edge_uniforms"] \
             == (0 if zero_one else inst.graph.m * len(RUNS))
+        # the proposals are drawn from their words through the bucket table
+        assert inst.b_table is not None
+        assert (tape.words["node_words"], tape.words["node_uniforms"]) \
+            == (inst.n * len(RUNS), 0)
 
 
 def _outcome(fn, inst, x, t):
@@ -234,7 +240,7 @@ def test_resampling_packs_only_zero_one_tables(name, k):
     # the packed round against the float rows it replaces, on a copy that
     # keeps only those rows
     floats = copy.copy(inst)
-    floats.slot_bits = floats.mask_cdf = floats.mask_dead = None
+    floats.slot_bits = floats.mask_table = floats.mask_dead = None
     floats.slot_table = np.ascontiguousarray(
         inst.A[g.rank_edge].reshape(-1, q).T)
     fn = round_function(_chain("luby", g))
@@ -263,11 +269,11 @@ _MASK_TABLES = {
 def test_resampling_draws_from_mask_table_only_when_it_applies(name, k):
     make, table = _MASK_TABLES[name]
     inst = make()
-    assert (inst.mask_cdf is not None) == table
+    assert (inst.mask_table is not None) == table
     assert (inst.mask_dead is not None) == table
     if not table:
         return
-    assert inst.mask_cdf.shape == (inst.q - 1, 256)
+    assert inst.mask_table.cdf.shape == (inst.q, 256)
     # a round that built the conditionals would read the NaNs
     blind = copy.copy(inst)
     blind.b = np.full_like(inst.b, np.nan)
@@ -294,20 +300,20 @@ def test_zero_marginal_names_the_same_pair_with_extra_starts(name, k):
     # strands a vertex, since its own color stays available.
     g = random_regular(12, 3, seed=2)
     inst = coloring(g, 3)
-    proper = np.broadcast_to(initial_config(inst, "greedy"),
-                             (len(RUNS), inst.n))
+    proper = np.broadcast_to(initial_config(inst, "greedy")[:, None],
+                             (inst.n, len(RUNS)))
     fn = round_function(_chain(name, g))
     tape = RandomTape(4)
     raised = 0
     for t in range(1, 9):
         x = _batch(inst, k, 100 + t)
-        first = _failure(fn, inst, x[::k], t, tape)
+        first = _failure(fn, inst, x[:, ::k], t, tape)
         raised += first is not None
         # extra starts that never fail leave the named failure as it was
-        padded = np.stack([x[::k]] + [proper] * (k - 1), axis=1)
+        padded = np.stack([x[:, ::k]] + [proper] * (k - 1), axis=2)
         assert _failure(fn, inst, padded.reshape(x.shape), t, tape) == first
         # extra starts that fail too: the smallest (run, vertex) of all
-        alone = [f for f in (_failure(fn, inst, x[s::k], t, tape)
+        alone = [f for f in (_failure(fn, inst, x[:, s::k], t, tape)
                              for s in range(k)) if f is not None]
         assert _failure(fn, inst, x, t, tape) \
             == (min(alone) if alone else None)
