@@ -4,9 +4,10 @@ fields, with exact small-instance verification.
 The package splits into a mathematical substrate (graphs, instances,
 weights, conditionals), two parallel chains plus a sequential baseline
 driven by counter-based addressable randomness (each chain one batched
-round function over an (n_runs, n) array), an exhaustive oracle that
-verifies their one-round laws and stationarity on tiny instances, and
-diagnostics for influence, mixing, coupling decay, and correlation decay.
+round function on the vertex-major (n, rows) batch that run_batch
+carries), an exhaustive oracle that verifies their one-round laws and
+stationarity on tiny instances, and diagnostics for influence, mixing,
+coupling decay, and correlation decay.
 """
 
 from .chains import (ChainSpec, SchedulerSpec, chromatic_classes,

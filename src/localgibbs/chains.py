@@ -8,25 +8,27 @@ round computes it once per run):
 
 * independent-set resampling: a scheduler picks a non-adjacent vertex set
   each round and the selected vertices redraw their spins from their
-  single-site conditionals, simultaneously; conditionals are built for the
-  scheduled (run, vertex) pairs only; the sequential baseline is this chain
-  with the single-site scheduler (one uniformly random vertex per round);
-* parallel Metropolis: every vertex proposes from its activity vector's
-  CDF (MrfInstance.b_cdf, summed in spin order by mrf.spin_major_cdf like
-  the resampling conditionals), every edge tosses one shared coin against
-  a three-factor acceptance probability on normalized activities, and a
-  vertex commits its proposal only when all incident edges passed. Where
-  every edge activity is 0 or 1 (MrfInstance.A_pass), the probability is 0
-  or 1 and a coin in [0, 1) passes exactly when it is 1: the coin's outcome
-  is implied, so it is not hashed, and the outputs are bitwise those of the
-  coin-reading filter.
+  single-site conditionals, simultaneously; the sequential baseline is
+  this chain with the single-site scheduler (one uniformly random vertex
+  per round);
+* parallel Metropolis: every vertex proposes from its activity vector,
+  every edge tosses one shared coin against a three-factor acceptance
+  probability on normalized activities, and a vertex commits its proposal
+  only when all incident edges passed.
+
+The instance is the model alone (A and b); the tables a round reads are
+its chain's plan (plan()), built once per job and shared read-only by
+every chunk and thread. On 0/1 edge tables a Metropolis coin cannot
+change its edge's outcome and is not hashed, and a resampling
+conditional is the vertex activity times a byte mask of slot bits,
+bitwise a product of 1.0 and 0.0 factors.
 
 Every neighbourhood reduction (the local-maximum test, the product of a
 selected vertex's slot matrices, the AND of a vertex's edge passes) walks
 the graph's rank-major slot table: one gather and one elementwise step per
 adjacency rank, each over a prefix of the vertices sorted by degree. Rank
 r's slot of the vertex at by_degree position i is rank_ptr[r] + i, in the
-graph's rank tables and in the instance's slot tables alike.
+graph's rank tables and in the plan's slot tables alike.
 
 Each round states the layout of its tape variates in the shapes of the
 addresses it passes (RandomTape broadcasts them like randomness.fold):
@@ -45,31 +47,15 @@ Every layout is chosen so that each step is a contiguous row operation:
   (position, run) pairs in the by_degree order the conditional product
   needs; each pair then expands to its run's k rows;
 * spin-major conditionals: the per-pair conditionals are (q, pairs), one
-  contiguous row per spin, gathered from the rank-major
-  MrfInstance.slot_table; the denominator and running sum add whole rows
-  in spin order, and the draw compares whole rows. On 0/1 edge tables
-  (A_pass set, slot_table None) the slot product is a byte mask ANDed
-  from MrfInstance.slot_bits, one byte row per 8 spins, and b * bit is
-  bitwise b times a product of 1.0 and 0.0 factors;
+  contiguous row per spin; the denominator and running sum add whole rows
+  in spin order (mrf.spin_major_cdf, which also sums the Metropolis
+  proposal CDFs), and the draw compares whole rows;
 * edge-major filter: the Metropolis filter is (m, rows).
 
-CDFs known before the round are drawn through bucket tables
-(mrf.CdfTable): the top bits of the raw proposal word pick a bucket, and a
-uint8 table built once per instance holds the spin of every bucket that
-the comparison below gives one spin; the few words in the others are
-drawn by the comparison. These are the Metropolis proposals
-(MrfInstance.b_table, one column per distinct activity vector) and, when
-the resampling mask is a single byte (q <= 8) and every vertex has the
-same activity vector (colorings, hardcore), the per-mask conditionals
-(MrfInstance.mask_table, one column per mask, tabulated once by the same
-arithmetic, so the round builds no conditionals). Every other draw counts,
-spin by spin, the CDF entries at or below the proposal uniform.
-
-Every round function takes its batch in any integer dtype and returns the
-new batch in the same one: engine.run_batch carries it in the narrowest
-unsigned dtype for q (uint8 up to q = 256). The function that
-round_function binds keeps its per-round arrays of fixed shape (score
-words, local-maximum scratch, proposal words) in buffers for the batch.
+CDFs known before the round (the Metropolis proposals, and the per-mask
+conditionals where the plan has them) are drawn through bucket tables
+(CdfTable); every other draw counts, spin by spin, the CDF entries at or
+below the proposal uniform.
 
 All round functions are pure maps from the previous round's snapshot to the
 next; a vertex's update reads its own streams, its neighbors' previous
@@ -79,12 +65,12 @@ spins, and the shared coins of its incident edges, nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import Graph
-from .mrf import (SPLIT, CdfTable, MrfInstance, ZeroMarginal,
-                  _sample_from_cdf, spin_major_cdf)
+from .mrf import MrfInstance, ZeroMarginal, _sample_from_cdf, spin_major_cdf
 from .randomness import (KIND_NODE_BETA, KIND_NODE_PROPOSAL, RandomTape,
                          uniform_from_bits)
 
@@ -151,6 +137,147 @@ def chromatic_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
         color[v] = c
     return tuple(tuple(np.flatnonzero(color == c).tolist())
                  for c in range(int(color.max()) + 1))
+
+
+class CdfTable(NamedTuple):
+    """Spin-major CDFs with a bucket table ("indexed search", Chen and
+    Asau 1974) that draws from them by the top bits of a raw tape word.
+
+    cdf is (q, R), one CDF per column, last row 1.0. A word w's bucket is
+    w >> shift, its top 64 - shift bits, and spins[(r << (64 - shift)) +
+    bucket] is the spin that _sample_from_cdf(cdf[:, r],
+    uniform_from_bits(w)) gives for every word in that bucket, or SPLIT
+    when the bucket's first and last words give different spins. The count
+    is monotone in the word, so the two ends decide the bucket. SPLIT is
+    also spin 255, which only q = 256 can take: such buckets are drawn
+    through the comparison as well, so every uint8 spin stays exact.
+    """
+
+    cdf: np.ndarray
+    spins: np.ndarray
+    shift: int
+
+
+SPLIT = 0xFF
+# bytes of one bucket table: R rows of 2**bits buckets each
+_TABLE_BYTES = 1 << 16
+
+
+def _bucket_table(cdf: np.ndarray) -> CdfTable | None:
+    """The CdfTable of the (q, R) spin-major cdf, with the largest power of
+    two buckets per row that keeps it within _TABLE_BYTES; None when that
+    is fewer than 2**8 (more than 256 rows) or q > 256.
+
+    uniform_from_bits(w) is (w >> 11) * 2**-53, so cdf[c] <= it exactly
+    when k = ceil(cdf[c] * 2**53) <= w >> 11: the scaling is exact, and an
+    entry of 1.0 or above, or NaN, never counts. A bucket covers w >> 11
+    from j * D to (j + 1) * D - 1, D = 2**(53 - bits), so entry c counts
+    on all of bucket j from j = ceil(k / D) on, and on part of bucket
+    k // D when D does not divide k: that bucket is split.
+    """
+    rows = cdf.shape[1]
+    bits = (_TABLE_BYTES // rows).bit_length() - 1
+    if bits < 8 or len(cdf) > 256:
+        return None
+    k = np.fmin(np.ceil(cdf[:-1] * 2.0 ** 53), 2.0 ** 53).astype(np.int64)
+    head, part = np.divmod(k, 1 << (53 - bits))
+    # each entry counted from bucket k // D on, which is then marked SPLIT
+    # where the entry splits it
+    starts = np.zeros((rows, (1 << bits) + 1), np.uint8)
+    np.add.at(starts, (np.arange(rows), head), 1)
+    spins = np.cumsum(starts[:, :-1], axis=1, dtype=np.uint8)
+    split = part > 0
+    spins[np.nonzero(split)[1], head[split]] = SPLIT
+    return CdfTable(cdf, spins.reshape(-1), 64 - bits)
+
+
+class LubyPlan(NamedTuple):
+    """The tables a resampling round reads, under any scheduler.
+
+    slot_table: (q, F * q), the edge matrices at the F adjacency slots in
+        rank-major order (graph.rank_edge), spin-major: entry
+        [c, slot * q + j] is A_e(c, j) for the slot's edge e. None on 0/1
+        tables.
+    slot_bits: on 0/1 tables, A > 0 in that layout packed along the spins,
+        (ceil(q / 8), F * q) uint8 with spin c at bit c % 8 of byte row
+        c // 8; else None.
+    mask_table: when slot_bits is one byte row (q <= 8) and every row of b
+        is equal, the CdfTable whose column m is the CDF of b[0] times the
+        bits of AND mask m, bits q and up ignored; else None.
+    mask_dead: with mask_table, the (256,) masks whose conditional has no
+        mass; else None.
+    """
+
+    slot_table: np.ndarray | None
+    slot_bits: np.ndarray | None
+    mask_table: CdfTable | None
+    mask_dead: np.ndarray | None
+
+
+class MetropolisPlan(NamedTuple):
+    """The tables a parallel Metropolis round reads.
+
+    A_norm: A scaled to maximum entry 1 per edge (A itself where every
+        edge peaks at 1), the filter's pass probabilities.
+    A_pass: A > 0 on 0/1 tables, where an edge passes exactly when its
+        factors are all 1; else None.
+    b_cdf: (n, q), the proposal CDFs of the rows of b (spin_major_cdf).
+    b_table: the CdfTable of the distinct rows of b_cdf; None past 256 of
+        them or q > 256.
+    b_row: with b_table, each vertex's column in it, (n,) intp; else None.
+    """
+
+    A_norm: np.ndarray
+    A_pass: np.ndarray | None
+    b_cdf: np.ndarray
+    b_table: CdfTable | None
+    b_row: np.ndarray | None
+
+
+def _read_only(tables):
+    """tables, after marking every array in them read-only."""
+    for field in tables:
+        for a in field if isinstance(field, CdfTable) else (field,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+    return tables
+
+
+def plan(chain: ChainSpec, inst: MrfInstance) -> LubyPlan | MetropolisPlan:
+    """The read-only tables chain's round reads on inst, and no others.
+    engine.run_chunked builds one per job; every chunk and thread shares
+    it."""
+    q, A, b = inst.q, inst.A, inst.b
+    # exact: any fractional entry keeps the float slots and the coins
+    zero_one = np.all((A == 0) | (A == 1))
+    if chain.kind == "local_metropolis":
+        top = A.max(axis=(1, 2), keepdims=True)
+        # x / 1.0 == x: no copy where every edge already peaks at 1
+        a_norm = A if np.all(top == 1) else A / top
+        cdf = b.T.copy()  # no column is dead: no b row is all zero
+        spin_major_cdf(cdf)
+        b_cdf = cdf.T.copy()
+        # one table row per distinct CDF: each column's arithmetic is its own
+        rows, col = np.unique(b_cdf, axis=0, return_inverse=True)
+        b_table = _bucket_table(np.ascontiguousarray(rows.T))
+        return _read_only(MetropolisPlan(
+            a_norm, A > 0 if zero_one else None, b_cdf, b_table,
+            None if b_table is None else col.reshape(-1)))
+    # the matrices are symmetric, so the rows of A[rank_edge] stacked into
+    # columns are the matrices themselves
+    slots = (A > 0 if zero_one else A)[inst.graph.rank_edge].reshape(-1, q).T
+    if not zero_one:
+        return _read_only(LubyPlan(np.ascontiguousarray(slots), None, None,
+                                   None))
+    # one byte of bits and one activity vector: a conditional depends on
+    # its mask alone, so all 256 are tabulated once
+    mask_table = mask_dead = None
+    if q <= 8 and np.all(b == b[0]):
+        cdf = b[0][:, None] * ((np.arange(256) >> np.arange(q)[:, None]) & 1)
+        mask_dead = spin_major_cdf(cdf)
+        mask_table = _bucket_table(cdf)
+    bits = np.packbits(slots, axis=0, bitorder="little")
+    return _read_only(LubyPlan(None, bits, mask_table, mask_dead))
 
 
 def _draw_tabulated(table: CdfTable, cols: np.ndarray,
@@ -296,43 +423,27 @@ def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
 def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                              scheduler: SchedulerSpec, round_: int,
                              tape: RandomTape, runs: np.ndarray,
-                             work: dict | None = None):
-    """One independent-set resampling round.
+                             work: dict | None = None,
+                             tables: LubyPlan | None = None):
+    """One independent-set resampling round: x, work and tables as for
+    round_function's bound function (tables built here when None). The
+    selection and the proposal words read only the tape, so they are
+    computed once per run, the words for the scheduled (vertex, run) pairs
+    alone, and each pair is then expanded to the run's k rows.
 
-    x is the (n, rows) batch, vertex-major, with k = rows // len(runs)
-    columns per run, run-major, in any integer dtype; the new batch comes
-    back in x's layout and dtype. work holds the selection's buffers
-    between rounds (see round_function). The selection and the proposal
-    words read only the tape, so they are computed once per run and each
-    selected (vertex, run) pair is then expanded to the run's k rows.
+    The pairs come from the selection's flat indices, in by_degree order,
+    so the pairs whose vertex has a given adjacency rank form a prefix;
+    per rank, the slot product is one flat gather from each row of
+    tables.slot_table (slot_bits on 0/1 tables, ANDed) and one multiply.
+    A pair at by_degree position i reads rank r's slot rank_ptr[r] + i, at
+    offset slot * q plus the spin of its neighbour graph.rank_nbr[slot],
+    flat position nbr * rows + row of x. Each pair's arithmetic is that of
+    a loop over its spins, whatever the number of pairs in the round.
 
-    Conditionals are built for the scheduled (row, vertex) pairs only,
-    spin-major: a (q, pairs) array whose rows are contiguous. The pairs are
-    taken vertex-major over the vertices in by_degree order, so the pairs
-    whose vertex has a given adjacency rank form a prefix; the product over
-    slots is then, per rank, one flat gather from each row of the
-    rank-major inst.slot_table and one multiply (rank 0 gathers straight
-    into the product). A pair at by_degree position i reads rank r's slot
-    rank_ptr[r] + i, at offset slot * q plus the spin of its neighbour
-    graph.rank_nbr[slot], flat position nbr * rows + row of x, added into
-    one wide index array. On 0/1 tables inst.slot_table is None: the rows
-    are the byte rows of inst.slot_bits and the step is an AND; the
-    numerator is then each pair's vertex activities times the mask's bits.
-    The pairs come from the selection's flat indices, in np.nonzero's
-    order. The denominator and CDF add whole rows in spin order
-    (mrf.spin_major_cdf), so each pair's arithmetic is that of a loop over
-    its spins, whatever the number of pairs in the round; the draws are
-    committed with one flat assignment. Proposal words are hashed for the
-    scheduled pairs alone, one per (vertex, run) pair, from their 1-D
-    arrays.
-
-    When inst.mask_table is set (one byte row of slot bits, q <= 8, and
-    one activity vector shared by every vertex), the pair's byte mask is
-    the key, cast to intp once for all its gathers: inst.mask_dead[key]
-    marks the empty conditionals and the draw reads the mask's column of
-    the bucket table by the proposal word. Each column of the table is the
-    arithmetic above on that mask, so the draws are bitwise the same; no
-    numerator, denominator or CDF is built.
+    When tables.mask_table is set, the pair's byte mask is the key:
+    tables.mask_dead[key] marks the empty conditionals and the draw reads
+    the mask's column of the bucket table, whose columns are the arithmetic
+    above on each mask, so no numerator, denominator or CDF is built.
 
     Raises:
         ZeroMarginal: a scheduled vertex has a zero-mass conditional; the
@@ -343,6 +454,8 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     n_runs = len(runs)
     k = rows // n_runs
     work = {} if work is None else work
+    if tables is None:
+        tables = plan(luby_glauber(scheduler), inst)
     flat = np.flatnonzero(scheduled_set_batch(g, scheduler, round_, tape, runs,
                                               work=work))
     # pairs whose vertex has degree > rank: those at a by_degree position
@@ -360,8 +473,8 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
         pi = np.repeat(pos, k)
     xf = np.ravel(x)
     # 0/1 tables: AND one byte row per 8 spins instead of multiplying q rows
-    packed = inst.slot_bits is not None
-    table = inst.slot_bits if packed else inst.slot_table
+    packed = tables.slot_bits is not None
+    table = tables.slot_bits if packed else tables.slot_table
     fold = np.bitwise_and if packed else np.multiply
     prod = np.empty((len(table), len(vi)), table.dtype)
     # isolated vertices' pairs, past every rank's prefix: the empty product
@@ -380,10 +493,10 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                 fold(prod[c, :p], np.take(row, col), out=prod[c, :p])
             else:
                 np.take(row, col, out=prod[c, :p])
-    if inst.mask_table is not None:
+    if tables.mask_table is not None:
         # one byte row and one activity vector: the mask keys the tables
         key = prod[0].astype(np.intp)
-        dead = np.take(inst.mask_dead, key)
+        dead = np.take(tables.mask_dead, key)
     elif packed:
         # prod becomes the numerator, then, in place, the CDF; spin c's
         # factor is bit c % 8 of byte row c // 8, as 0 or 1
@@ -400,12 +513,12 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
         i = np.flatnonzero(dead)[np.lexsort((vi[dead], run[dead]))[0]]
         raise ZeroMarginal(int(vi[i]), run=int(run[i]), round=round_)
     # hashed last, so that the words are not held through the product
-    if inst.mask_table is None:
+    if tables.mask_table is None:
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, vu, round_, runs[ru])
         draw = _sample_from_cdf(prod, u if k == 1 else np.repeat(u, k))
     else:
         words = tape.node_words(KIND_NODE_PROPOSAL, vu, round_, runs[ru])
-        draw = _draw_tabulated(inst.mask_table, key,
+        draw = _draw_tabulated(tables.mask_table, key,
                                words if k == 1 else np.repeat(words, k))
     new_x = x.copy()
     vi *= rows
@@ -464,53 +577,49 @@ def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
     edge-major factors the round compares its coins against, each entry
     (f1 * f2) * f3."""
     spins = np.min_scalar_type(inst.q - 1)
-    return _filter_factors(inst, inst.A_norm.reshape(-1), sigma.T.astype(spins),
+    a_norm = plan(local_metropolis(), inst).A_norm
+    return _filter_factors(inst, a_norm.reshape(-1), sigma.T.astype(spins),
                            x.T.astype(spins)).T
 
 
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  round_: int, tape: RandomTape,
-                                 runs: np.ndarray, work: dict | None = None):
-    """One parallel Metropolis round on the (n, rows) batch, vertex-major,
-    with k = rows // len(runs) columns per run, run-major, in any integer
-    dtype; the new batch comes back in x's layout and dtype, and work holds
-    the proposal words between rounds (see round_function).
+                                 runs: np.ndarray, work: dict | None = None,
+                                 tables: MetropolisPlan | None = None):
+    """One parallel Metropolis round: x, work and tables as for
+    round_function's bound function (tables built here when None).
 
     Every endpoint gather and the acceptance AND move whole rows of spins
-    in the narrowest unsigned dtype for q (x is cast to it when it is
-    wider). The proposals and the edge coins read only the tape, so they
-    are drawn once per run: the proposal words are hashed as (n, runs),
-    drawn through inst.b_table where there is one (else by the comparison
-    on their uniforms), and each run's column is repeated over its k rows;
-    the coins are hashed for edge columns against the runs, (m, runs), and
-    compared against the (m, runs, k) filter probabilities.
-
-    When every A entry is 0 or 1 (inst.A_pass is set), each pass
-    probability is 0 or 1 and every coin lies in [0, 1), so coin < pe is
-    implied by pe alone: the edge passes exactly when its three factors
-    are 1. The coins are then not hashed and the edges are decided from
-    the boolean table, with the same outcome bit for bit.
+    in the narrowest unsigned dtype for q (x is cast to it when wider).
+    The proposals and the edge coins read only the tape, so they are drawn
+    once per run: the (n, runs) proposal words through tables.b_table where
+    there is one (else by the comparison on their uniforms), each run's
+    column repeated over its k rows, and the (m, runs) coins against the
+    (m, runs, k) filter probabilities. Where tables.A_pass is set, the edge
+    passes exactly when its three factors are 1 and no coin is hashed.
     """
     g = inst.graph
     n_runs = len(runs)
     k = x.shape[1] // n_runs
+    if tables is None:
+        tables = plan(local_metropolis(), inst)
     words = _buffer({} if work is None else work, "words", (inst.n, n_runs),
                     np.uint64)
     tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n)[:, None], round_,
                     runs, out=words)
-    if inst.b_table is None:
+    if tables.b_table is None:
         # u is a temporary: not held through the filter
-        sigma = _sample_from_cdf(inst.b_cdf.T[:, :, None],
+        sigma = _sample_from_cdf(tables.b_cdf.T[:, :, None],
                                  uniform_from_bits(words))
     else:
-        sigma = _draw_tabulated(inst.b_table, inst.b_row[:, None], words)
+        sigma = _draw_tabulated(tables.b_table, tables.b_row[:, None], words)
     if k > 1:
         sigma = np.repeat(sigma, k, 1)
     xs = x.astype(sigma.dtype, copy=False)
-    if inst.A_pass is not None:
-        passed = _filter_factors(inst, inst.A_pass.reshape(-1), sigma, xs)
+    if tables.A_pass is not None:
+        passed = _filter_factors(inst, tables.A_pass.reshape(-1), sigma, xs)
     else:
-        pe = _filter_factors(inst, inst.A_norm.reshape(-1), sigma, xs)
+        pe = _filter_factors(inst, tables.A_norm.reshape(-1), sigma, xs)
         coins = tape.edge_uniforms(g.eu[:, None], g.ev[:, None],
                                    g.emult[:, None], round_, runs)
         passed = (coins[:, :, None] < pe.reshape(g.m, n_runs, k)
@@ -530,24 +639,23 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     return new_x.astype(x.dtype, copy=False), None
 
 
-def round_function(chain: ChainSpec):
-    """Bind a chain spec to its batched round function, for one batch.
+def round_function(chain: ChainSpec,
+                   tables: LubyPlan | MetropolisPlan | None = None):
+    """Bind a chain spec and its plan to a round function for one batch.
 
     The bound function maps (inst, x, round, tape, runs) to (round-t batch,
     None). x is the round-(t-1) batch, vertex-major: (n, rows) with k =
     rows // len(runs) columns per run, run-major, so column i * k + s is
-    run runs[i] from its s-th start, and every column of a run reads the
-    tape at runs[i]. The tape's variates are computed once per run and
-    shared by its k columns, so they are hashed per run, not per row. x
-    may be of any integer dtype (run_batch passes the narrowest unsigned
-    one for q) and is only read, so it may be a read-only view; the result
-    is a fresh (n, rows) array in x's dtype.
+    run runs[i] from its s-th start and reads the tape at runs[i]. x may
+    be of any integer dtype and is only read, so it may be a read-only
+    view; the result is a fresh (n, rows) array in x's dtype.
 
     The bound function owns a work dict of buffers that keep their size
     from round to round: the score words and local-maximum scratch of the
     selection, and the Metropolis proposal words. Call round_function once
-    per batch and the function from one thread at a time; each chunk of
-    run_chunked binds its own.
+    per batch and the function from one thread at a time. tables is
+    plan(chain, inst), read-only, so every batch of a job may share it;
+    without it, each round builds its own.
     """
     work: dict = {}
     # every round function returns a pair: bench/spans.py reads out[0]; the
@@ -556,12 +664,12 @@ def round_function(chain: ChainSpec):
     if chain.kind == "local_metropolis":
         def fn(inst, x, round_, tape, runs):
             return local_metropolis_round_batch(inst, x, round_, tape, runs,
-                                                work=work)
+                                                work=work, tables=tables)
         return fn
     sched = chain.scheduler
 
     def fn(inst, x, round_, tape, runs):
         return luby_glauber_round_batch(inst, x, sched, round_, tape, runs,
-                                        work=work)
+                                        work=work, tables=tables)
     return fn
 

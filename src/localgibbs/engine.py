@@ -21,7 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .chains import ChainSpec, round_function
+from . import chains
+from .chains import ChainSpec
 from .mrf import MrfInstance, ZeroMarginal, validate_configuration
 from .randomness import KIND_INIT_CONFIG, RandomTape
 
@@ -102,7 +103,7 @@ def initial_config(inst: MrfInstance, initial, tape: RandomTape | None = None,
 
 def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
               tape: RandomTape, runs: np.ndarray, snapshot_rounds=None,
-              snapshot=lambda x: x) -> tuple[np.ndarray, dict]:
+              snapshot=lambda x: x, plan=None) -> tuple[np.ndarray, dict]:
     """Advance a batch T rounds; optionally snapshot named rounds.
 
     x0 is one (n,) configuration shared by every run, or a (rows, n) batch
@@ -111,7 +112,8 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     variates, which each round computes once per run. Between rounds the
     batch is carried vertex-major, (n, rows), in the narrowest unsigned
     dtype that holds q - 1 (uint8 up to q = 256), and one round function,
-    bound here, keeps its buffers for the whole batch. Returns the final
+    bound here, keeps its buffers for the whole batch and reads plan, the
+    chain's tables (chains.plan, built here when None). Returns the final
     batch and {t: snapshot(batch after round t)} for each requested t (0
     means the initial batch): the returned batch and every batch snapshot
     sees are fresh (rows, n) int64 arrays, so the default snapshot keeps it
@@ -131,7 +133,8 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
         raise ValueError(f"{len(x)} rows is not a positive multiple of "
                          f"{len(runs)} runs")
     x = np.ascontiguousarray(x.T, dtype=np.min_scalar_type(inst.q - 1))
-    fn = round_function(chain)
+    fn = chains.round_function(chain, chains.plan(chain, inst)
+                               if plan is None else plan)
     # glibc returns the free top of its heap to the OS once it exceeds
     # twice the largest mmap'd block freed so far, and every round's
     # temporaries are then faulted in again (13k minor faults per
@@ -208,14 +211,15 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     start, so a round hashes and selects once per run for all its starts.
     After each snapshot round t (default: the last) the worker keeps only
     observe(runs, batch). Yields one {t: observe result} dict per chunk, in
-    run order. Chunks run concurrently on min(threads, chunks,
-    usable cores) worker threads when that is more than one; a job of at
-    most half the sites budget is one chunk, so it runs on the calling
-    thread whatever threads is. At most twice the worker count of chunks
-    are in flight ahead of the consumer, so a slow consumer holds a bounded
-    number of results. n_runs and the start count are
-    checked and every start except "random" resolved before the iterator is
-    returned, so a bad start fails at the call.
+    run order. Every chunk reads one read-only plan of the chain's tables
+    (chains.plan), built for the job. Chunks run concurrently on
+    min(threads, chunks, usable cores) worker threads when that is more
+    than one; a job of at most half the sites budget is one chunk, so it
+    runs on the calling thread whatever threads is. At most twice the
+    worker count of chunks are in flight ahead of the consumer, so a slow
+    consumer holds a bounded number of results. n_runs and the start count
+    are checked and every start except "random" resolved before the
+    iterator is returned, so a bad start fails at the call.
 
     Raises:
         ZeroMarginal: some run hit a zero-mass conditional. Once a chunk
@@ -236,6 +240,7 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     size = chunk_runs(inst, n_runs, k, threads)
     spans = [(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size)]
     wanted = [rounds] if snapshot_rounds is None else snapshot_rounds
+    tables = chains.plan(chain, inst)
 
     def work(span):
         runs = np.arange(*span, dtype=np.int64)
@@ -245,7 +250,7 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
         x0 = x0[0] if k == 1 else np.stack(x0, axis=1).reshape(-1, inst.n)
         try:
             return run_batch(inst, chain, x0, rounds, tape, runs, wanted,
-                             lambda x: observe(runs, x))[1]
+                             lambda x: observe(runs, x), tables)[1]
         except ZeroMarginal as exc:
             return exc
 

@@ -14,8 +14,6 @@ instances are immutable after construction.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .graphs import Graph
@@ -75,38 +73,9 @@ class MrfInstance:
     Attributes:
         A: (m, q, q) stacked edge matrices.
         b: (n, q) stacked vertex activities.
-        b_cdf: (n, q) CDFs of the rows of b through spin_major_cdf, the
-            LocalMetropolis proposal laws.
-        b_table: the CdfTable of the distinct rows of b_cdf, or None when
-            there are more than 256 of them or q > 256.
-        b_row: with b_table, the (n,) intp column of each vertex's CDF in
-            b_table.cdf, else None.
-        A_norm: A scaled to maximum entry 1 per edge, the Metropolis filter's
-            acceptance probabilities; A itself when no edge needs scaling.
-        A_pass: A > 0 when every A entry is exactly 0.0 or 1.0 (colorings,
-            list colorings, hardcore), else None; every 0/1 table below
-            follows this one test. The filter then passes an edge exactly
-            when its factors are all 1, whatever its coin in [0, 1).
-        slot_table: (q, F * q) spin-major table of the edge matrices at
-            the F adjacency slots in rank-major order (aligned with
-            graph.rank_edge): entry [c, slot * q + j] is A_e(c, j) for the
-            slot's edge e, so the column block slot * q:(slot + 1) * q is
-            that edge's matrix.
-            Resampling gathers one column per (run, vertex) pair from each
-            row, so its conditionals come out spin-major. None on 0/1
-            instances, whose round reads slot_bits instead.
-        slot_bits: A_pass in the slot_table layout, packed along the spins,
-            (ceil(q / 8), F * q) uint8, spin c at bit c % 8 of byte row
-            c // 8; None with A_pass.
-        mask_table: when slot_bits is a single byte row (q <= 8) and every
-            row of b is equal (colorings, hardcore), the CdfTable whose
-            column m holds the CDF of a conditional with AND mask m: b[0]
-            times the mask's bits, put through spin_major_cdf. Bits q and
-            up are ignored (an isolated vertex's mask is 0xFF). Else None.
-        mask_dead: with mask_table, the (256,) boolean table of the masks
-            whose conditional has no mass, else None.
 
-    Every array attribute is read-only.
+    Both arrays are read-only. The instance is the model alone; each chain
+    builds the tables its round reads from them (chains.plan).
 
     Raises:
         ValueError: q < 2, misshapen activities, a negative entry or an
@@ -139,40 +108,8 @@ class MrfInstance:
             raise ValueError(f"expected {n} vertex activities of length {q}")
         self.b = np.array(vb)
         _check_activities(self.b, "vertex")
-
-        top = self.A.max(axis=(1, 2), keepdims=True)
-        # x / 1.0 == x: no copy where every edge already peaks at 1
-        self.A_norm = self.A if np.all(top == 1) else self.A / top
-        cdf = self.b.T.copy()  # no column is dead: no b row is all zero
-        spin_major_cdf(cdf)
-        self.b_cdf = cdf.T.copy()
-        # one table row per distinct CDF: each column's arithmetic is its own
-        rows, col = np.unique(self.b_cdf, axis=0, return_inverse=True)
-        self.b_table = _bucket_table(np.ascontiguousarray(rows.T))
-        self.b_row = None if self.b_table is None else col.reshape(-1)
-        # the one 0/1 test, on exact equality: any fractional entry keeps
-        # the float slot table and the filter's coins
-        zero_one = np.all((self.A == 0) | (self.A == 1))
-        self.A_pass = self.A > 0 if zero_one else None
-        # the matrices are symmetric, so the rows of A[rank_edge] stacked
-        # into columns are the matrices themselves
-        slots = (self.A_pass if zero_one else self.A)[graph.rank_edge]
-        slots = slots.reshape(-1, self.q).T
-        self.slot_table = None if zero_one else np.ascontiguousarray(slots)
-        self.slot_bits = np.packbits(slots, axis=0, bitorder="little") \
-            if zero_one else None
-        # one byte of bits and one activity vector: a conditional depends
-        # on its mask alone, so all 256 are tabulated once
-        self.mask_table = self.mask_dead = None
-        if zero_one and self.q <= 8 and np.all(self.b == self.b[0]):
-            cdf = self.b[0][:, None] * (
-                (np.arange(256) >> np.arange(self.q)[:, None]) & 1)
-            self.mask_dead = spin_major_cdf(cdf)
-            self.mask_table = _bucket_table(cdf)
-        for arr in vars(self).values():
-            for a in arr if isinstance(arr, CdfTable) else (arr,):
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
+        self.A.setflags(write=False)
+        self.b.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -198,58 +135,6 @@ def _sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     for c in range(len(cdf) - 1):
         count += cdf[c] <= u
     return count
-
-
-class CdfTable(NamedTuple):
-    """Spin-major CDFs with a bucket table ("indexed search", Chen and
-    Asau 1974) that draws from them by the top bits of a raw tape word.
-
-    cdf is (q, R), one CDF per column, last row 1.0. A word w's bucket is
-    w >> shift, its top 64 - shift bits, and spins[(r << (64 - shift)) +
-    bucket] is the spin that _sample_from_cdf(cdf[:, r],
-    uniform_from_bits(w)) gives for every word in that bucket, or SPLIT
-    when the bucket's first and last words give different spins. The count
-    is monotone in the word, so the two ends decide the bucket. SPLIT is
-    also spin 255, which only q = 256 can take: such buckets are drawn
-    through the comparison as well, so every uint8 spin stays exact.
-    """
-
-    cdf: np.ndarray
-    spins: np.ndarray
-    shift: int
-
-
-SPLIT = 0xFF
-# bytes of one bucket table: R rows of 2**bits buckets each
-_TABLE_BYTES = 1 << 16
-
-
-def _bucket_table(cdf: np.ndarray) -> CdfTable | None:
-    """The CdfTable of the (q, R) spin-major cdf, with the largest power of
-    two buckets per row that keeps it within _TABLE_BYTES; None when that
-    is fewer than 2**8 (more than 256 rows) or q > 256.
-
-    uniform_from_bits(w) is (w >> 11) * 2**-53, so cdf[c] <= it exactly
-    when k = ceil(cdf[c] * 2**53) <= w >> 11: the scaling is exact, and an
-    entry of 1.0 or above, or NaN, never counts. A bucket covers w >> 11
-    from j * D to (j + 1) * D - 1, D = 2**(53 - bits), so entry c counts
-    on all of bucket j from j = ceil(k / D) on, and on part of bucket
-    k // D when D does not divide k: that bucket is split.
-    """
-    rows = cdf.shape[1]
-    bits = (_TABLE_BYTES // rows).bit_length() - 1
-    if bits < 8 or len(cdf) > 256:
-        return None
-    k = np.fmin(np.ceil(cdf[:-1] * 2.0 ** 53), 2.0 ** 53).astype(np.int64)
-    head, part = np.divmod(k, 1 << (53 - bits))
-    # each entry counted from bucket k // D on, which is then marked SPLIT
-    # where the entry splits it
-    starts = np.zeros((rows, (1 << bits) + 1), np.uint8)
-    np.add.at(starts, (np.arange(rows), head), 1)
-    spins = np.cumsum(starts[:, :-1], axis=1, dtype=np.uint8)
-    split = part > 0
-    spins[np.nonzero(split)[1], head[split]] = SPLIT
-    return CdfTable(cdf, spins.reshape(-1), 64 - bits)
 
 
 def spin_major_cdf(p: np.ndarray) -> np.ndarray:

@@ -197,6 +197,7 @@ def _metropolis_matrix(inst: MrfInstance) -> np.ndarray:
     props = all_configs(n, q)
     b_prop = inst.b / inst.b.sum(axis=1, keepdims=True)
     prop_prob = np.prod(b_prop[np.arange(n), props], axis=1)
+    norm = inst.A / inst.A.max(axis=(1, 2), keepdims=True)  # from A alone
     P = np.zeros((K, K))
     for x_rank in range(K):
         x = config_of_rank(x_rank, n, q)
@@ -205,9 +206,9 @@ def _metropolis_matrix(inst: MrfInstance) -> np.ndarray:
             continue
         # per-edge pass probability for every proposal vector at once
         e_idx = np.arange(m)
-        pe = (inst.A_norm[e_idx, props[:, g.eu], props[:, g.ev]]
-              * inst.A_norm[e_idx, x[g.eu][None, :], props[:, g.ev]]
-              * inst.A_norm[e_idx, props[:, g.eu], x[g.ev][None, :]])
+        pe = (norm[e_idx, props[:, g.eu], props[:, g.ev]]
+              * norm[e_idx, x[g.eu][None, :], props[:, g.ev]]
+              * norm[e_idx, props[:, g.eu], x[g.ev][None, :]])
         for coin_bits in range(1 << m):
             bits = (coin_bits >> np.arange(m)) & 1
             pr_coins = np.prod(np.where(bits, pe, 1.0 - pe), axis=1)

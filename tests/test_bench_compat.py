@@ -101,7 +101,8 @@ def test_selected_frac_counts_the_resampled_pairs(variant):
         out = chains.scheduled_set_batch(g, sched, t, tape, runs)
         chains.luby_glauber_round_batch(inst, x.T, sched, t, tape, runs)
         # the 5-coloring draws its proposals through the mask table
-        assert inst.mask_table is not None
+        assert chains.plan(chains.luby_glauber(sched), inst).mask_table \
+            is not None
         assert tape.calls == {"node_words": 1, "node_uniforms": 0}
         assert out.dtype == bool
         assert out.size == g.n * len(runs)

@@ -8,7 +8,7 @@ from localgibbs.chains import (ChainSpec, SchedulerSpec, chromatic_classes,
                                local_max_select, local_metropolis,
                                local_metropolis_round_batch,
                                luby_glauber, luby_glauber_round_batch,
-                               luby_select_batch, round_function,
+                               luby_select_batch, plan, round_function,
                                scheduled_set_batch, sequential_glauber)
 from localgibbs.diagnostics import check_filter_positivity
 from localgibbs.engine import initial_config, run_batch
@@ -260,7 +260,7 @@ def test_metropolis_coloring_check_is_deterministic():
     out = [_step(local_metropolis(), inst, x, 3, RandomTape(21))
            for _ in range(2)]
     np.testing.assert_array_equal(out[0], out[1])
-    norm = inst.A_norm
+    norm = plan(local_metropolis(), inst).A_norm
     assert set(np.unique(norm)) <= {0.0, 1.0}
 
 

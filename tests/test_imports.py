@@ -1,5 +1,7 @@
-"""No module imports a name it never reads, and the package's own imports
-form no cycle.
+"""No module imports a name it never reads, the package's own imports form
+no cycle, and the kernel's tables stay the kernel's: the oracle imports
+only the chain specs from chains, and no module but chains reads a field
+of a chain's plan.
 
 Package __init__.py files are skipped by the unused-import check: their
 imports are the re-exported public API.
@@ -9,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from localgibbs.chains import LubyPlan, MetropolisPlan
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localgibbs"
@@ -111,3 +115,59 @@ def test_package_imports_are_acyclic():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in PACKAGE.glob("*.py")}
     assert _cycle(_package_imports(sources)) == []
+
+
+def _chains_imports(source: str) -> list[str]:
+    """The names a package module imports from chains; "chains" itself
+    when it imports the module."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0:
+                if path[0] != "localgibbs":
+                    continue
+                path = path[1:]
+            if path[:1] == ["chains"]:
+                names += [a.name for a in node.names]
+            elif not path or not path[0]:
+                names += [a.name for a in node.names if a.name == "chains"]
+        elif isinstance(node, ast.Import):
+            names += ["chains" for a in node.names
+                      if a.name.split(".")[:2] == ["localgibbs", "chains"]]
+    return names
+
+
+def _attribute_reads(source: str, attrs) -> list[str]:
+    """Each `x.attr` in source whose attr is one of attrs, as
+    "line N: attr"."""
+    return [f"line {node.lineno}: {node.attr}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in attrs]
+
+
+def test_checkers_find_chains_imports_and_plan_reads():
+    assert _chains_imports("from .chains import ChainSpec, plan\n"
+                           "from . import chains, mrf\n"
+                           "import localgibbs.chains\n"
+                           "from localgibbs.chains import SchedulerSpec\n"
+                           "from .mrf import b_cdf\n") \
+        == ["ChainSpec", "plan", "chains", "chains", "SchedulerSpec"]
+    assert _attribute_reads("t = p.b_table\nu = q.b\n", {"b_table", "b"}) \
+        == ["line 1: b_table", "line 2: b"]
+
+
+def test_oracle_imports_only_the_chain_specs():
+    # the oracle judges the kernel: it may name a chain, never build or
+    # read the tables the kernel's rounds read
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert set(_chains_imports(source)) <= {"ChainSpec", "SchedulerSpec"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "chains.py"],
+    ids=lambda p: p.name)
+def test_only_chains_reads_a_plan_field(path):
+    # a plan is the kernel's own: every other module sees the model alone
+    fields = {*LubyPlan._fields, *MetropolisPlan._fields}
+    assert _attribute_reads(path.read_text(encoding="utf-8"), fields) == []

@@ -19,14 +19,15 @@ from test_chains import selection_rows
 from test_digests import _hub_and_tail_wide, _multigraph_instance
 
 from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
-                               _draw_tabulated, _filter_probs,
+                               _bucket_table, _draw_tabulated, _filter_probs,
                                _sample_from_cdf, chromatic_classes,
-                               local_metropolis_round_batch,
-                               luby_glauber_round_batch, scheduled_set_batch)
+                               local_metropolis, local_metropolis_round_batch,
+                               luby_glauber, luby_glauber_round_batch, plan,
+                               scheduled_set_batch)
 from localgibbs.cli import _marginals_csv, _samples_jsonl, _write_csv
 from localgibbs.graphs import Graph, cycle, path
 from localgibbs.models import coloring, list_coloring, potts
-from localgibbs.mrf import MrfInstance, ZeroMarginal, _bucket_table
+from localgibbs.mrf import MrfInstance, ZeroMarginal
 from localgibbs.randomness import (KIND_NODE_BETA, KIND_NODE_PROPOSAL,
                                    RandomTape, uniform_from_bits)
 
@@ -138,13 +139,16 @@ _TABLES = {
 def test_table_draws_match_the_comparison(name):
     make, bits = _TABLES[name]
     inst = make()
-    table = inst.mask_table if name.startswith("masks") else inst.b_table
+    masks = name.startswith("masks")
+    tables = plan(luby_glauber() if masks else local_metropolis(), inst)
+    table = tables.mask_table if masks else tables.b_table
     assert 64 - table.shift == bits
     # within the byte budget, and no larger than it needs to be
     assert table.spins.shape == (table.cdf.shape[1] << bits,)
     assert table.spins.nbytes <= 1 << 16 < 2 * table.spins.nbytes
-    if table is inst.b_table:
-        np.testing.assert_array_equal(table.cdf[:, inst.b_row], inst.b_cdf.T)
+    if not masks:
+        np.testing.assert_array_equal(table.cdf[:, tables.b_row],
+                                      tables.b_cdf.T)
     if name == "rows-q8":
         # entries of exactly 1.0 before the last, and distinct entries in
         # one bucket
@@ -166,12 +170,12 @@ def test_table_draws_match_the_comparison_on_hand_made_cdfs():
 
 
 def test_more_than_256_distinct_rows_build_no_table():
-    inst = MrfInstance(Graph(257, []), 4, np.ones((4, 4)),
-                       _activity_rows(4, 257))
-    assert inst.b_table is None and inst.b_row is None
+    tables = plan(local_metropolis(), MrfInstance(
+        Graph(257, []), 4, np.ones((4, 4)), _activity_rows(4, 257)))
+    assert tables.b_table is None and tables.b_row is None
     # q > 256 builds none either
-    assert MrfInstance(path(2), 257, np.ones((257, 257)),
-                       np.ones(257)).b_table is None
+    assert plan(local_metropolis(), MrfInstance(
+        path(2), 257, np.ones((257, 257)), np.ones(257))).b_table is None
 
 
 class _BoundaryTape(RandomTape):
@@ -248,14 +252,14 @@ def _hub_and_tail_mask_table(q: int) -> MrfInstance:
 def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
                                                        alone):
     inst = make(q)
-    assert (inst.mask_table is not None) == (make is _hub_and_tail_mask_table)
+    table = plan(luby_glauber(), inst).mask_table is not None
+    assert table == (make is _hub_and_tail_mask_table)
     g, sched = inst.graph, SchedulerSpec(variant)
     A, b = inst.A.tolist(), inst.b.tolist()
     runs = np.arange(24, dtype=np.int64) + 5
     x = np.random.default_rng(q).integers(0, q, (len(runs), g.n))
     tape = _BoundaryTape(inst, x, runs)
     # the tabulated draw reads words, the comparison uniforms
-    table = inst.mask_table is not None
     read = "node_words" if table else "node_uniforms"
     for t in (1, 2):
         tape.calls = dict.fromkeys(tape.calls, 0)
@@ -460,8 +464,8 @@ def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
     assert np.min_scalar_type(q - 1) == spin_dtype
     inst = _FILTER_MODELS[model](g, q)
     # the fractional tables take the coin path wherever there is an edge
-    assert (inst.A_pass is None) == (model in ("potts", "fractional-per-edge")
-                                     and g.m > 0)
+    assert (plan(local_metropolis(), inst).A_pass is None) \
+        == (model in ("potts", "fractional-per-edge") and g.m > 0)
     A, b = inst.A.tolist(), inst.b.tolist()
     tape, runs = RandomTape(23), np.array([4, 9])
     x = np.random.default_rng(q).integers(0, q, (len(runs) * k, g.n))
@@ -480,7 +484,7 @@ def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
 
 def test_filter_probs_match_fancy_lookups():
     inst = _multigraph_instance()
-    g, A = inst.graph, inst.A_norm
+    g, A = inst.graph, plan(local_metropolis(), inst).A_norm
     rng = np.random.default_rng(5)
     sigma = rng.integers(0, inst.q, (64, inst.n))
     x = rng.integers(0, inst.q, (64, inst.n))

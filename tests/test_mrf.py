@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from _naive import naive_marginal, naive_proposal_cdf, naive_weight
 
+from localgibbs.chains import local_metropolis, luby_glauber, plan
 from localgibbs.graphs import Graph, complete, cycle, path
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
 from localgibbs.mrf import (DegenerateActivity, MrfInstance, ZeroMarginal,
@@ -139,13 +140,17 @@ def test_marginal_zero_denominator():
         marginal(inst, 1, [0, 0, 1])
 
 
+def _a_norm(inst):
+    return plan(local_metropolis(), inst).A_norm
+
+
 def test_normalized_coloring_unchanged():
     inst = coloring(path(2), 3)
-    np.testing.assert_array_equal(inst.A_norm, inst.A)
+    np.testing.assert_array_equal(_a_norm(inst), inst.A)
 
 
 def test_normalized_ising_halves_off_diagonal():
-    np.testing.assert_allclose(ising(path(2), 2.0).A_norm[0],
+    np.testing.assert_allclose(_a_norm(ising(path(2), 2.0))[0],
                                [[1.0, 0.5], [0.5, 1.0]])
 
 
@@ -158,8 +163,8 @@ def test_normalized_idempotent_preserves_argmax():
     rng = np.random.default_rng(5)
     a = rng.random((4, 4))
     a = a + a.T
-    norm = MrfInstance(path(2), 4, a, np.ones(4)).A_norm[0]
-    again = MrfInstance(path(2), 4, norm, np.ones(4)).A_norm[0]
+    norm = _a_norm(MrfInstance(path(2), 4, a, np.ones(4)))[0]
+    again = _a_norm(MrfInstance(path(2), 4, norm, np.ones(4)))[0]
     np.testing.assert_array_equal(again, norm)
     assert np.argmax(norm) == np.argmax(a)
     assert norm.max() == 1.0
@@ -172,7 +177,7 @@ def test_proposal_cdf_sums_in_spin_order(q):
     b = np.random.default_rng(0).random((3, q)) + 0.05
     inst = MrfInstance(path(3), q, np.ones((q, q)), b)
     want = np.array([naive_proposal_cdf(row) for row in b.tolist()])
-    assert inst.b_cdf.tobytes() == want.tobytes()
+    assert plan(local_metropolis(), inst).b_cdf.tobytes() == want.tobytes()
 
 
 def test_asymmetric_activity_rejected():
@@ -359,8 +364,9 @@ _STAR_LISTS = [[c for c in range(137) if c != v % 137] for v in range(251)]
                                                         _STAR_LISTS)],
                          ids=["coloring", "list-coloring"])
 def test_zero_one_instance_holds_about_one_copy_of_a(make):
-    # a 0/1 instance keeps A and its bit tables and no other float copy of
-    # A: A_norm is A, and a float slot table alone would be 2 x A.nbytes
+    # a 0/1 instance and both chains' plans keep A and the bit tables and
+    # no other float copy of A: A_norm is A, and a float slot table alone
+    # would be 2 x A.nbytes
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -368,6 +374,8 @@ def test_zero_one_instance_holds_about_one_copy_of_a(make):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         inst = make()
+        plans = [plan(chain, inst) for chain in (luby_glauber(),
+                                                 local_metropolis())]
         held, peak = (b - before for b in tracemalloc.get_traced_memory())
     finally:
         if not was_tracing:

@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -12,10 +11,9 @@ from test_kernels import _BITS, _PROPERTY, DEAD_CASE, _tiny_rounds
 
 from localgibbs.chains import (SchedulerSpec, local_metropolis, luby_glauber,
                                sequential_glauber)
-from localgibbs.diagnostics import check_filter_positivity
 from localgibbs.graphs import Graph, complete, cycle, path, random_regular
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
-from localgibbs.mrf import MrfInstance, ZeroMarginal, marginal
+from localgibbs.mrf import MrfInstance, ZeroMarginal
 from localgibbs.oracle import (ENUM_CAP, Distribution, StateSpaceTooLarge,
                                TransitionMatrix, UnsupportedScheduler,
                                ZeroPartitionFunction,
@@ -602,24 +600,8 @@ def test_forest_conditional_long_path_is_finite_and_uniform():
     np.testing.assert_allclose(got.probs, 1 / 3, rtol=0, atol=1e-12)
 
 
-def _marginal_bytes(inst, v, x):
-    try:
-        return marginal(inst, v, x).tobytes()
-    except ZeroMarginal:
-        return None
-
-
-def _without_kernel_tables(inst):
-    # the resampling round's tables, NaN where there is a float one
-    blind = copy.copy(inst)
-    if inst.slot_table is not None:
-        blind.slot_table = np.full_like(inst.slot_table, np.nan)
-    blind.slot_bits = blind.mask_table = blind.mask_dead = None
-    return blind
-
-
-# instance -> (an instance to read marginals and the filter check on, a
-# tiny one for the exact matrix): fractional tables, then 0/1 ones
+# instance -> (a wide instance, a tiny one): fractional tables, then 0/1
+# ones
 _ORACLE_INSTANCES = {
     "hub-tail-wide": (lambda: _hub_and_tail_wide(9),
                       lambda: potts(Graph(3, [(0, 1), (1, 2), (2, 1)]), 3,
@@ -635,18 +617,8 @@ _ORACLE_INSTANCES = {
 @pytest.mark.parametrize("name", list(_ORACLE_INSTANCES))
 def test_oracle_reads_no_kernel_table(name):
     # the oracle judges the kernel, so it must not share the kernel's
-    # slot tables: a copy without them gives the same answers
-    make, make_tiny = _ORACLE_INSTANCES[name]
-    for inst in (make(), make_tiny()):
-        blind = _without_kernel_tables(inst)
-        for x in np.random.default_rng(4).integers(0, inst.q, (6, inst.n)):
-            for v in range(inst.n):
-                assert _marginal_bytes(blind, v, x) \
-                    == _marginal_bytes(inst, v, x)
-        assert repr(check_filter_positivity(blind)) \
-            == repr(check_filter_positivity(inst))
-    inst = make_tiny()
-    np.testing.assert_array_equal(
-        exact_transition_matrix(luby_glauber(),
-                                _without_kernel_tables(inst)).rows,
-        exact_transition_matrix(luby_glauber(), inst).rows)
+    # tables: an instance holds the model alone, the tables live in the
+    # chains' plans, and the oracle may not import one
+    # (tests/test_imports.py)
+    for make in _ORACLE_INSTANCES[name]:
+        assert sorted(vars(make())) == ["A", "b", "graph", "q"]

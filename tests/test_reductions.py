@@ -15,8 +15,9 @@ from test_chains import selection_rows
 from test_digests import _hub_and_tail_instance, _multigraph_instance
 
 from localgibbs.chains import (SchedulerSpec, _filter_probs, local_max_select,
-                               local_metropolis_round_batch,
-                               luby_glauber_round_batch, scheduled_set_batch)
+                               local_metropolis, local_metropolis_round_batch,
+                               luby_glauber_round_batch, plan,
+                               scheduled_set_batch)
 from localgibbs.graphs import Graph
 from localgibbs.mrf import MrfInstance
 from localgibbs.randomness import KIND_NODE_PROPOSAL, RandomTape
@@ -82,10 +83,11 @@ def test_filter_and_matches_loop(inst):
     g = inst.graph
     tape = RandomTape(5)
     x = _random_states(inst, 2)
+    b_cdf = plan(local_metropolis(), inst).b_cdf
     for t in range(1, 6):
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
                                RUNS[:, None])
-        sigma = naive_draw(inst.b_cdf, u)
+        sigma = naive_draw(b_cdf, u)
         passed = (tape.edge_uniforms(g.eu, g.ev, g.emult, t, RUNS[:, None])
                   < _filter_probs(inst, sigma, x))
         assert passed.shape == (len(RUNS), g.m)

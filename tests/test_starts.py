@@ -19,7 +19,7 @@ from test_digests import _hub_and_tail_instance, _hub_and_tail_lists
 
 from localgibbs.chains import (SchedulerSpec, chromatic_classes,
                                local_metropolis, local_metropolis_round_batch,
-                               luby_glauber, round_function)
+                               luby_glauber, plan, round_function)
 from localgibbs.engine import initial_config, run_batch, run_chunked
 from localgibbs.graphs import path, random_regular
 from localgibbs.models import (coloring, hardcore, ising, list_coloring,
@@ -191,16 +191,17 @@ def test_metropolis_hashes_coins_only_for_fractional_filters(name, k):
     # a fractional filter sent down the coin-free path would change the law
     make, zero_one = _FILTERS[name]
     inst = make()
-    assert (inst.A_pass is not None) == zero_one
+    tables = plan(local_metropolis(), inst)
+    assert (tables.A_pass is not None) == zero_one
     if zero_one:
-        assert not inst.A_pass.flags.writeable
+        assert not tables.A_pass.flags.writeable
     for t in range(1, 4):
         tape = _CountingTape(3)
         local_metropolis_round_batch(inst, _batch(inst, k, t), t, tape, RUNS)
         assert tape.words["edge_uniforms"] \
             == (0 if zero_one else inst.graph.m * len(RUNS))
         # the proposals are drawn from their words through the bucket table
-        assert inst.b_table is not None
+        assert tables.b_table is not None
         assert (tape.words["node_words"], tape.words["node_uniforms"]) \
             == (inst.n * len(RUNS), 0)
 
@@ -226,27 +227,29 @@ def test_resampling_packs_only_zero_one_tables(name, k):
     make, zero_one = _TABLES[name]
     inst = make()
     g, q = inst.graph, inst.q
-    assert (inst.A_pass is not None) == zero_one
-    assert (inst.slot_bits is not None) == zero_one
-    assert (inst.slot_table is None) == zero_one
+    chain = _chain("luby", g)
+    tables = plan(chain, inst)
+    filters = plan(local_metropolis(), inst)
+    assert (filters.A_pass is not None) == zero_one
+    assert (tables.slot_bits is not None) == zero_one
+    assert (tables.slot_table is None) == zero_one
     if not zero_one:
         return
-    assert inst.A_norm is inst.A
-    assert not inst.slot_bits.flags.writeable
+    assert filters.A_norm is inst.A
+    assert not tables.slot_bits.flags.writeable
     support = (inst.A[g.rank_edge] > 0).reshape(-1, q).T
     np.testing.assert_array_equal(
-        np.unpackbits(inst.slot_bits, axis=0, count=q, bitorder="little"),
+        np.unpackbits(tables.slot_bits, axis=0, count=q, bitorder="little"),
         support)
-    # the packed round against the float rows it replaces, on a copy that
+    # the packed round against the float rows it replaces, on a plan that
     # keeps only those rows
-    floats = copy.copy(inst)
-    floats.slot_bits = floats.mask_table = floats.mask_dead = None
-    floats.slot_table = np.ascontiguousarray(
-        inst.A[g.rank_edge].reshape(-1, q).T)
-    fn = round_function(_chain("luby", g))
+    floats = tables._replace(
+        slot_table=np.ascontiguousarray(inst.A[g.rank_edge].reshape(-1, q).T),
+        slot_bits=None, mask_table=None, mask_dead=None)
     for t in range(1, 4):
         x = _batch(inst, k, t)
-        assert _outcome(fn, floats, x, t) == _outcome(fn, inst, x, t)
+        assert _outcome(round_function(chain, floats), inst, x, t) \
+            == _outcome(round_function(chain, tables), inst, x, t)
 
 
 # instance -> whether the resampling round draws from the per-mask CDF
@@ -269,15 +272,17 @@ _MASK_TABLES = {
 def test_resampling_draws_from_mask_table_only_when_it_applies(name, k):
     make, table = _MASK_TABLES[name]
     inst = make()
-    assert (inst.mask_table is not None) == table
-    assert (inst.mask_dead is not None) == table
+    chain = _chain("luby", inst.graph)
+    tables = plan(chain, inst)
+    assert (tables.mask_table is not None) == table
+    assert (tables.mask_dead is not None) == table
     if not table:
         return
-    assert inst.mask_table.cdf.shape == (inst.q, 256)
+    assert tables.mask_table.cdf.shape == (inst.q, 256)
     # a round that built the conditionals would read the NaNs
     blind = copy.copy(inst)
     blind.b = np.full_like(inst.b, np.nan)
-    fn = round_function(_chain("luby", inst.graph))
+    fn = round_function(chain, tables)
     outcomes = [_outcome(fn, inst, _batch(inst, k, t), t) for t in range(1, 9)]
     for t, want in enumerate(outcomes, 1):
         assert _outcome(fn, blind, _batch(inst, k, t), t) == want
