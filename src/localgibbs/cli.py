@@ -136,8 +136,11 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     offsets = q * np.arange(n)
 
     # each worker encodes its chunk's lines and counts its spins and
-    # feasible rows; only these reductions reach the writer
+    # feasible rows; only these reductions reach the writer. The lines are
+    # per run, so the carried (n, rows) batch is turned (rows, n) once, in
+    # its own narrow dtype.
     def reduce(runs, x):
+        x = np.ascontiguousarray(x.T)
         return (_samples_jsonl(runs, x, q),
                 np.bincount((x + offsets).ravel(), minlength=n * q),
                 int(feasible_batch(inst, x).sum()))
@@ -338,16 +341,18 @@ def _resolve_output(cfg: ExperimentConfig, flag: str | None) -> str:
 
 
 def _resolve_threads(flag: int | None) -> int:
+    source = "--threads"
     if flag is None:
         env = os.environ.get(ENV_THREADS)
         if env is None:
             return 1
+        source = ENV_THREADS
         try:
             flag = int(env)
         except ValueError:
-            raise ConfigError(ENV_THREADS, f"expected an integer, got {env!r}")
+            raise ConfigError(source, f"expected an integer, got {env!r}")
     if flag < 1:
-        raise ConfigError("threads", f"must be at least 1, got {flag}")
+        raise ConfigError(source, f"must be at least 1, got {flag}")
     return flag
 
 

@@ -202,9 +202,10 @@ def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
     pows = inst.q ** np.arange(inst.n, dtype=np.int64)
 
     # sparse (ranks, counts) per start: a chunk keeps at most min(rows,
-    # q**n) entries per grid round, however large the state space
+    # q**n) entries per grid round, however large the state space. x is
+    # the carried (n, rows) batch; each rank is an exact integer sum.
     def histogram(runs, x):
-        ranks = (x @ pows).reshape(-1, len(initials))  # column s: start s
+        ranks = (pows @ x).reshape(-1, len(initials))  # column s: start s
         return [np.unique(r, return_counts=True) for r in ranks.T]
 
     chunks = list(run_chunked(inst, chain, grid[-1], n_runs, tape, initials,
@@ -242,8 +243,10 @@ def coupling_decay(inst: MrfInstance, chain: ChainSpec, initial_pair,
         raise ValueError(f"need two starts, got {len(initial_pair)}")
     deg = inst.graph.degrees.astype(np.float64)
 
+    # x is the carried (n, rows) batch, the two starts of a run in
+    # adjacent columns; phi sums integer degrees, so it is exact
     def disagreement(runs, x):
-        return (x[0::2] != x[1::2]) @ deg
+        return deg @ (x[:, 0::2] != x[:, 1::2])
 
     chunks = list(run_chunked(inst, chain, rounds, n_runs, tape,
                               tuple(initial_pair), disagreement,

@@ -101,9 +101,14 @@ def initial_config(inst: MrfInstance, initial, tape: RandomTape | None = None,
     return validate_configuration(inst, np.asarray(initial))
 
 
+def _by_row(x: np.ndarray) -> np.ndarray:
+    """A carried (n, rows) batch as a fresh C-ordered (rows, n) int64 one."""
+    return np.ascontiguousarray(x.T, dtype=np.int64)
+
+
 def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
               tape: RandomTape, runs: np.ndarray, snapshot_rounds=None,
-              snapshot=lambda x: x, plan=None) -> tuple[np.ndarray, dict]:
+              snapshot=_by_row, plan=None) -> tuple:
     """Advance a batch T rounds; optionally snapshot named rounds.
 
     x0 is one (n,) configuration shared by every run, or a (rows, n) batch
@@ -113,11 +118,11 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     batch is carried vertex-major, (n, rows), in the narrowest unsigned
     dtype that holds q - 1 (uint8 up to q = 256), and one round function,
     bound here, keeps its buffers for the whole batch and reads plan, the
-    chain's tables (chains.plan, built here when None). Returns the final
-    batch and {t: snapshot(batch after round t)} for each requested t (0
-    means the initial batch): the returned batch and every batch snapshot
-    sees are fresh (rows, n) int64 arrays, so the default snapshot keeps it
-    as is.
+    chain's tables (chains.plan, built here when None). Returns
+    snapshot(final batch) and {t: snapshot(batch after round t)} for each
+    requested t (0 means the initial batch). snapshot sees the carried
+    (n, rows) batch itself, read-only, in its narrow dtype; the default,
+    _by_row, turns each into a fresh (rows, n) int64 array.
 
     Raises:
         ValueError: rounds < 0, or the row count is not a positive multiple
@@ -143,19 +148,17 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     # larger block kept more freed memory in the worker threads' heaps.
     np.empty(1 << 19)
     wanted = set() if snapshot_rounds is None else set(int(t) for t in snapshot_rounds)
-    snaps: dict[int, np.ndarray] = {}
-    if 0 in wanted:
-        snaps[0] = snapshot(_by_row(x))
-    for t in range(1, rounds + 1):
-        x, _ = fn(inst, x, t, tape, runs)
+    snaps = {}
+    for t in range(rounds + 1):
+        if t:
+            x, _ = fn(inst, x, t, tape, runs)
+        # snapshot shares the live batch, and a write to it would corrupt
+        # the later rounds: it raises instead. The rounds only read their
+        # input and return a fresh batch, and the first is a fresh copy.
+        x.flags.writeable = False
         if t in wanted:
-            snaps[t] = snapshot(_by_row(x))
-    return _by_row(x), snaps
-
-
-def _by_row(x: np.ndarray) -> np.ndarray:
-    """A carried (n, rows) batch as a fresh C-ordered (rows, n) int64 one."""
-    return np.ascontiguousarray(x.T, dtype=np.int64)
+            snaps[t] = snapshot(x)
+    return snapshot(x), snaps
 
 
 # Byte budget of one chunk. The row size below counts
@@ -209,9 +212,11 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     starts of a run share its randomness (starts=(x, y) is an identical-tape
     coupling). The chunk's run ids go to run_batch once each, not once per
     start, so a round hashes and selects once per run for all its starts.
-    After each snapshot round t (default: the last) the worker keeps only
-    observe(runs, batch). Yields one {t: observe result} dict per chunk, in
-    run order. Every chunk reads one read-only plan of the chain's tables
+    After each snapshot round t and after the last round, which is always
+    observed, the worker keeps only observe(runs, x): x is the carried
+    batch, read-only and in its narrow dtype, (n, rows) with the rows above
+    as its columns. Yields one {t: observe result} dict per chunk, in run
+    order. Every chunk reads one read-only plan of the chain's tables
     (chains.plan), built for the job. Chunks run concurrently on
     min(threads, chunks, usable cores) worker threads when that is more
     than one; a job of at most half the sites budget is one chunk, so it
@@ -239,7 +244,9 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     threads = min(threads, _usable_cores())
     size = chunk_runs(inst, n_runs, k, threads)
     spans = [(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size)]
-    wanted = [rounds] if snapshot_rounds is None else snapshot_rounds
+    # run_batch returns the last round's observation itself
+    earlier = [t for t in (() if snapshot_rounds is None else snapshot_rounds)
+               if int(t) != rounds]
     tables = chains.plan(chain, inst)
 
     def work(span):
@@ -249,10 +256,11 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
                               (len(runs), inst.n)) for s in starts]
         x0 = x0[0] if k == 1 else np.stack(x0, axis=1).reshape(-1, inst.n)
         try:
-            return run_batch(inst, chain, x0, rounds, tape, runs, wanted,
-                             lambda x: observe(runs, x), tables)[1]
+            last, seen = run_batch(inst, chain, x0, rounds, tape, runs,
+                                   earlier, lambda x: observe(runs, x), tables)
         except ZeroMarginal as exc:
             return exc
+        return {**seen, rounds: last}
 
     threads = min(threads, len(spans))
     results = map(work, spans) if threads <= 1 \

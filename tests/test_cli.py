@@ -385,14 +385,24 @@ def test_json_result_holds_the_csv_values(tmp_path, command):
 
 
 def test_bad_thread_settings_exit_2(tmp_path, monkeypatch, capsys):
+    # each error names where the bad value came from: the flag or the
+    # environment variable, whichever the user set
     cfg = write_cfg(tmp_path, "s.cfg", HARDCORE_SAMPLE)
     out = str(tmp_path / "o")
-    assert cli.main(["sample", "--config", cfg, "--output", out,
-                     "--threads", "0"]) == 2
-    monkeypatch.setenv(cli.ENV_THREADS, "many")
-    assert cli.main(["sample", "--config", cfg, "--output", out]) == 2
-    err = capsys.readouterr().err
-    assert "threads" in err.lower()
+    argv = ["sample", "--config", cfg, "--output", out]
+    assert cli.main(argv + ["--threads", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: --threads: must be at least 1, got 0\n"
+    for value, message in (("many", "expected an integer, got 'many'"),
+                           ("0", "must be at least 1, got 0")):
+        monkeypatch.setenv(cli.ENV_THREADS, value)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {cli.ENV_THREADS}: {message}\n"
+    # the flag overrides the variable, and so is the one named
+    assert cli.main(argv + ["--threads", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: --threads: must be at least 1, got -1\n"
 
 
 _HARDCORE_RUNS = dict(HARDCORE_SAMPLE, n_runs="200")

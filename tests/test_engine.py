@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_digests import _hub_and_tail_lists, _hub_and_tail_wide
 from test_kernels import _BITS, _PROPERTY, _tiny_rounds
 
-from localgibbs import cli
+from localgibbs import cli, engine
 from localgibbs.chains import local_metropolis, luby_glauber, sequential_glauber
 from localgibbs.engine import (greedy_feasible, initial_config, run_batch,
                                run_chunked)
@@ -20,10 +20,11 @@ from localgibbs.randomness import RandomTape
 
 
 def _finals(inst, chain, rounds, n_runs, tape, initial="random", threads=1):
-    """Final configurations of n_runs runs, (n_runs, n), from the executor."""
+    """Final configurations of n_runs runs, (n_runs, n), from the executor,
+    whose observers see each chunk's (n, rows) batch."""
     chunks = run_chunked(inst, chain, rounds, n_runs, tape, (initial,),
                          lambda runs, x: x.copy(), threads=threads)
-    return np.concatenate([c[rounds] for c in chunks])
+    return np.concatenate([c[rounds] for c in chunks], axis=1).T
 
 
 def test_zero_rounds_returns_initial():
@@ -130,24 +131,81 @@ def test_snapshots_first_and_last():
     assert not np.shares_memory(snaps[8], final)
 
 
-@pytest.mark.parametrize("q", [3, 257])
+@pytest.mark.parametrize("q,carried", [(3, np.uint8), (257, np.uint16)])
 @pytest.mark.parametrize("chain", [luby_glauber(), local_metropolis()],
                          ids=["luby", "metropolis"])
-def test_run_batch_hands_out_int64_batches(chain, q):
-    # the rounds carry the batch in uint8 or uint16; the returned batch and
-    # every batch a snapshot sees are (rows, n) int64
+def test_run_batch_hands_out_int64_batches(chain, q, carried):
+    # by default the returned batch and every snapshot are (rows, n) int64;
+    # a snapshot of the caller's own sees the carried (n, rows) batch in
+    # uint8 or uint16, and the first return is its value on the final batch
     inst = coloring(cycle(6), q)
+    x0, runs = np.array([0, 1, 0, 1, 0, 2]), np.arange(3)
+    final, snaps = run_batch(inst, chain, x0, 4, RandomTape(5), runs,
+                             [0, 2, 4])
+    assert (final.dtype, final.shape) == (np.int64, (3, 6))
+    assert all((snap.dtype, snap.shape) == (np.int64, (3, 6))
+               for snap in snaps.values())
+    np.testing.assert_array_equal(snaps[4], final)
     seen = []
 
     def snapshot(x):
         seen.append((x.dtype, x.shape))
-        return x
-    final, snaps = run_batch(inst, chain, np.array([0, 1, 0, 1, 0, 2]), 4,
-                             RandomTape(5), np.arange(3), [0, 2, 4], snapshot)
-    assert seen == [(np.int64, (3, 6))] * 3
-    assert final.dtype == np.int64
-    assert all(snap.dtype == np.int64 for snap in snaps.values())
-    np.testing.assert_array_equal(snaps[4], final)
+        return x.copy()
+    last, carried_snaps = run_batch(inst, chain, x0, 4, RandomTape(5), runs,
+                                    [0, 2, 4], snapshot)
+    # three requested rounds, then the final batch for the first return
+    assert seen == [(carried, (6, 3))] * 4
+    np.testing.assert_array_equal(last.T, final)
+    for t, snap in snaps.items():
+        np.testing.assert_array_equal(carried_snaps[t].T, snap)
+
+
+@pytest.mark.parametrize("wanted", [[0], [1], []], ids=["start", "round",
+                                                        "final"])
+def test_an_observer_cannot_write_the_carried_batch(wanted):
+    # observers share the live batch, so a write raises rather than
+    # corrupting the later rounds
+    inst = coloring(cycle(6), 3)
+
+    def scribble(x):
+        x[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        run_batch(inst, luby_glauber(), np.zeros(6, int), 2, RandomTape(5),
+                  np.arange(3), wanted, scribble)
+    with pytest.raises(ValueError, match="read-only"):
+        list(run_chunked(inst, luby_glauber(), 2, 3, RandomTape(5), ("zeros",),
+                         lambda runs, x: scribble(x), wanted))
+
+
+@pytest.mark.parametrize("wanted", [None, [0, 2], [0, 2, 4], range(5)],
+                         ids=["default", "without-last", "with-last", "all"])
+def test_run_chunked_observes_each_round_once_unconverted(monkeypatch, wanted):
+    # each chunk observes each requested round once and the last round
+    # exactly once, requested or not, on its carried batch: no chunk
+    # converts a batch to (rows, n) int64
+    inst, rounds, tape = coloring(cycle(6), 3), 4, RandomTape(5)
+    want = sorted({rounds, *(() if wanted is None else wanted)})
+    x0 = np.tile([[0] * 6, initial_config(inst, "greedy")], (3, 1))
+    _, direct = run_batch(inst, luby_glauber(), x0, rounds, tape,
+                          np.arange(3), want, lambda x: x.copy())
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)  # one run per chunk
+    converted = []
+    monkeypatch.setattr(engine, "_by_row", converted.append)
+    observed = []
+
+    def observe(runs, x):
+        observed.append(int(runs[0]))
+        assert (x.dtype, x.shape, x.flags.writeable) == (np.uint8, (6, 2),
+                                                         False)
+        return x.copy()
+    chunks = list(run_chunked(inst, luby_glauber(), rounds, 3, tape,
+                              ("zeros", "greedy"), observe, wanted))
+    assert converted == []
+    assert observed == [r for r in range(3) for _ in want]
+    assert [sorted(c) for c in chunks] == [want] * 3
+    for t in want:
+        np.testing.assert_array_equal(
+            np.concatenate([c[t] for c in chunks], axis=1), direct[t])
 
 
 def test_fixed_seed_reproducible():

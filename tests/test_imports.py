@@ -1,7 +1,10 @@
 """No module imports a name it never reads, the package's own imports form
 no cycle, and the kernel's tables stay the kernel's: the oracle imports
 only the chain specs from chains, and no module but chains reads a field
-of a chain's plan.
+of a chain's plan. Batches have one layout: the package names
+engine._by_row, the one conversion of a carried batch to (rows, n) int64,
+only where engine.py defines it and where run_batch takes it as its
+default snapshot.
 
 Package __init__.py files are skipped by the unused-import check: their
 imports are the re-exported public API.
@@ -146,6 +149,23 @@ def _attribute_reads(source: str, attrs) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr in attrs]
 
 
+def _references(source: str, name: str) -> list[str]:
+    """Each place source names name, in line order, as "line N: def"
+    (a function of that name), "line N: import", "line N: name" (a bare
+    name) or "line N: attr" (x.name)."""
+    refs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            refs.append((node.lineno, "def"))
+        elif isinstance(node, ast.alias) and node.name == name:
+            refs.append((node.lineno, "import"))
+        elif isinstance(node, ast.Name) and node.id == name:
+            refs.append((node.lineno, "name"))
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            refs.append((node.lineno, "attr"))
+    return [f"line {line}: {kind}" for line, kind in sorted(refs)]
+
+
 def test_checkers_find_chains_imports_and_plan_reads():
     assert _chains_imports("from .chains import ChainSpec, plan\n"
                            "from . import chains, mrf\n"
@@ -155,6 +175,19 @@ def test_checkers_find_chains_imports_and_plan_reads():
         == ["ChainSpec", "plan", "chains", "chains", "SchedulerSpec"]
     assert _attribute_reads("t = p.b_table\nu = q.b\n", {"b_table", "b"}) \
         == ["line 1: b_table", "line 2: b"]
+
+
+def test_checker_finds_every_reference_to_a_name():
+    source = ("from .engine import _by_row as convert\n"
+              "y = engine._by_row(x)\n"
+              "def run(x, snap=_by_row):\n"
+              "    return _by_row(x), '_by_row'\n"
+              "def _by_row(x):\n"
+              "    return x\n")
+    assert _references(source, "_by_row") == [
+        "line 1: import", "line 2: attr", "line 3: name", "line 4: name",
+        "line 5: def"]
+    assert _references("by_row = 1\n", "_by_row") == []
 
 
 def test_oracle_imports_only_the_chain_specs():
@@ -171,3 +204,27 @@ def test_only_chains_reads_a_plan_field(path):
     # a plan is the kernel's own: every other module sees the model alone
     fields = {*LubyPlan._fields, *MetropolisPlan._fields}
     assert _attribute_reads(path.read_text(encoding="utf-8"), fields) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_run_batch_converts_a_batch_by_row(path):
+    # observers read the carried (n, rows) batch; run_batch's default
+    # snapshot is the one place that turns it (rows, n) int64
+    source = path.read_text(encoding="utf-8")
+    refs = _references(source, "_by_row")
+    if path.name != "engine.py":
+        assert refs == []
+        return
+    tree = ast.parse(source)
+    define = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_by_row")
+    run_batch = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "run_batch")
+    default = [d for d in run_batch.args.defaults
+               if isinstance(d, ast.Name) and d.id == "_by_row"]
+    assert len(default) == 1
+    assert refs == [f"line {define.lineno}: def",
+                    f"line {default[0].lineno}: name"]

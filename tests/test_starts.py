@@ -163,7 +163,7 @@ def test_run_chunked_hashes_per_run_whatever_the_starts(name):
     for starts in (["zeros"], ["zeros", "max", "greedy", "random"]):
         tape = _CountingTape(3)
         list(run_chunked(inst, chain, 5, 40, tape, starts,
-                         lambda runs, x: len(x)))
+                         lambda runs, x: x.shape[1]))
         words.append(tape.words)
     # the random start's initial draw is the one variate per (vertex, run)
     # that the four starts add
