@@ -303,39 +303,27 @@ def _draw_tabulated(table: CdfTable, cols: np.ndarray,
     return spins
 
 
-def _buffer(work: dict, name: str, shape: tuple, dtype) -> np.ndarray:
-    """work[name] when it is an array of that shape and dtype, else a new
-    uninitialised one, kept there for the next round."""
-    buf = work.get(name)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = work[name] = np.empty(shape, dtype)
-    return buf
-
-
-def _local_max_rows(graph: Graph, keys: np.ndarray, work: dict) -> np.ndarray:
+def _local_max_rows(graph: Graph, keys: np.ndarray) -> np.ndarray:
     """The local-maximum rule in the vertex-major layout.
 
     keys is (n, R): row i holds the score words of vertex by_degree[i]. The
     result is the (n, R) indicator array in the same layout. Rank k's
-    neighbors are gathered as whole rows (rank 0 straight into the
-    running maximum, later ranks into a scratch block, both kept in work)
-    and folded into the prefix of rows of the vertices with a k-th slot;
-    rows past rank 0's prefix, isolated vertices, stay 0. The gathers read
-    internal, in-range positions in np.take's "clip" mode, since the
-    checked mode copies out before writing it.
+    neighbors are gathered as whole rows (rank 0 straight into the running
+    maximum) and folded into the prefix of rows of the vertices with a
+    k-th slot; rows past rank 0's prefix, isolated vertices, stay 0. Rank
+    0's gather reads internal, in-range positions in np.take's "clip"
+    mode, since the checked mode copies out before writing it.
     """
     g = graph
     ptr = g.rank_ptr.tolist()
     spans = list(zip(ptr[:-1], ptr[1:]))
     nbr_pos = np.take(g.degree_pos, g.rank_nbr)
-    nbr_max = _buffer(work, "nbr_max", keys.shape, keys.dtype)
-    rows = _buffer(work, "nbr_rows", keys.shape, keys.dtype)
+    nbr_max = np.empty_like(keys)
     nbr_max[ptr[1] if spans else 0:] = 0
     for rank, (lo, hi) in enumerate(spans):
         head = nbr_max[:hi - lo]
         if rank:
-            np.maximum(head, np.take(keys, nbr_pos[lo:hi], 0, rows[:hi - lo],
-                                     "clip"), out=head)
+            np.maximum(head, np.take(keys, nbr_pos[lo:hi], 0), out=head)
         else:
             np.take(keys, nbr_pos[lo:hi], 0, head, "clip")
     sel = keys > nbr_max
@@ -362,32 +350,26 @@ def local_max_select(graph: Graph, keys: np.ndarray) -> np.ndarray:
     selected.
     """
     g = graph
-    sel = _local_max_rows(g, np.take(keys, g.by_degree, 1).T.copy(), {})
+    sel = _local_max_rows(g, np.take(keys, g.by_degree, 1).T.copy())
     return np.take(sel, g.degree_pos, 0).T
 
 
 def _score_words(graph: Graph, round_: int, tape: RandomTape,
-                 runs: np.ndarray, work: dict) -> np.ndarray:
-    """The round's (n, len(runs)) score words, vertex-major, hashed into
-    work's key buffer."""
-    keys = _buffer(work, "keys", (graph.n, len(runs)), np.uint64)
+                 runs: np.ndarray) -> np.ndarray:
+    """The round's (n, len(runs)) score words, vertex-major."""
     return tape.node_words(KIND_NODE_BETA, graph.by_degree[:, None], round_,
-                           runs, out=keys)
+                           runs)
 
 
 def luby_select_batch(graph: Graph, round_: int, tape: RandomTape,
-                      runs: np.ndarray, work: dict | None = None) -> np.ndarray:
+                      runs: np.ndarray) -> np.ndarray:
     """Local-maximum selection for one round, vertex-major: shape
-    (n, len(runs)) boolean, row i for vertex by_degree[i]. work holds the
-    score words and scratch between rounds (see round_function)."""
-    work = {} if work is None else work
-    keys = _score_words(graph, round_, tape, runs, work)
-    return _local_max_rows(graph, keys, work)
+    (n, len(runs)) boolean, row i for vertex by_degree[i]."""
+    return _local_max_rows(graph, _score_words(graph, round_, tape, runs))
 
 
 def single_site_select_batch(graph: Graph, round_: int, tape: RandomTape,
-                             runs: np.ndarray,
-                             work: dict | None = None) -> np.ndarray:
+                             runs: np.ndarray) -> np.ndarray:
     """One uniformly random vertex per run, as a vertex-major one-hot
     (n, len(runs)) boolean array, row i for vertex by_degree[i].
 
@@ -395,7 +377,7 @@ def single_site_select_batch(graph: Graph, round_: int, tape: RandomTape,
     with i.i.d. scores the argmax is uniform, and reusing the stream keeps
     the scheduler family on one randomness footprint.
     """
-    keys = _score_words(graph, round_, tape, runs, {} if work is None else work)
+    keys = _score_words(graph, round_, tape, runs)
     is_top = keys == keys.max(axis=0)
     # highest vertex id among maxima, consistent with the local tie rule
     pick = np.where(is_top, graph.by_degree[:, None], -1).argmax(axis=0)
@@ -405,15 +387,13 @@ def single_site_select_batch(graph: Graph, round_: int, tape: RandomTape,
 
 
 def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
-                        tape: RandomTape, runs: np.ndarray,
-                        work: dict | None = None) -> np.ndarray:
+                        tape: RandomTape, runs: np.ndarray) -> np.ndarray:
     """The round's independent sets, vertex-major: (n, len(runs)) boolean,
-    row i for vertex by_degree[i], column j for run runs[j]. work is passed
-    to the score-word schedulers."""
+    row i for vertex by_degree[i], column j for run runs[j]."""
     if scheduler.variant == "luby":
-        return luby_select_batch(graph, round_, tape, runs, work=work)
+        return luby_select_batch(graph, round_, tape, runs)
     if scheduler.variant == "single-site":
-        return single_site_select_batch(graph, round_, tape, runs, work=work)
+        return single_site_select_batch(graph, round_, tape, runs)
     classes = scheduler.color_classes
     members = np.zeros(graph.n, dtype=bool)
     members[graph.degree_pos[list(classes[round_ % len(classes)])]] = True
@@ -423,9 +403,8 @@ def scheduled_set_batch(graph: Graph, scheduler: SchedulerSpec, round_: int,
 def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                              scheduler: SchedulerSpec, round_: int,
                              tape: RandomTape, runs: np.ndarray,
-                             work: dict | None = None,
                              tables: LubyPlan | None = None):
-    """One independent-set resampling round: x, work and tables as for
+    """One independent-set resampling round: x and tables as for
     round_function's bound function (tables built here when None). The
     selection and the proposal words read only the tape, so they are
     computed once per run, the words for the scheduled (vertex, run) pairs
@@ -453,11 +432,9 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
     rows = x.shape[1]
     n_runs = len(runs)
     k = rows // n_runs
-    work = {} if work is None else work
     if tables is None:
         tables = plan(luby_glauber(scheduler), inst)
-    flat = np.flatnonzero(scheduled_set_batch(g, scheduler, round_, tape, runs,
-                                              work=work))
+    flat = np.flatnonzero(scheduled_set_batch(g, scheduler, round_, tape, runs))
     # pairs whose vertex has degree > rank: those at a by_degree position
     # below that rank's vertex count c, i.e. at a flat index below
     # c * len(runs); k rows each
@@ -497,16 +474,13 @@ def luby_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
         # one byte row and one activity vector: the mask keys the tables
         key = prod[0].astype(np.intp)
         dead = np.take(tables.mask_dead, key)
-    elif packed:
-        # prod becomes the numerator, then, in place, the CDF; spin c's
-        # factor is bit c % 8 of byte row c // 8, as 0 or 1
-        mask, prod = prod, np.take(inst.b.T, vi, 1)
-        for c in range(q):
-            prod[c] *= (mask[c >> 3] >> (c & 7)) & 1
-        del mask  # freed before the draw: holding it raised peak RSS on C4
-        dead = spin_major_cdf(prod)
     else:
-        prod *= np.take(inst.b.T, vi, 1)
+        if packed:
+            # spin c's factor is bit c % 8 of byte row c // 8, as 0 or 1
+            prod = np.unpackbits(prod, axis=0, count=q, bitorder="little")
+        # prod becomes the numerator, then, in place, the CDF
+        num = np.take(inst.b.T, vi, 1)
+        prod = np.multiply(num, prod, out=num)
         dead = spin_major_cdf(prod)
     if dead.any():
         run = runs[ri // k]
@@ -584,9 +558,9 @@ def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
 
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
                                  round_: int, tape: RandomTape,
-                                 runs: np.ndarray, work: dict | None = None,
+                                 runs: np.ndarray,
                                  tables: MetropolisPlan | None = None):
-    """One parallel Metropolis round: x, work and tables as for
+    """One parallel Metropolis round: x and tables as for
     round_function's bound function (tables built here when None).
 
     Every endpoint gather and the acceptance AND move whole rows of spins
@@ -603,10 +577,8 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     k = x.shape[1] // n_runs
     if tables is None:
         tables = plan(local_metropolis(), inst)
-    words = _buffer({} if work is None else work, "words", (inst.n, n_runs),
-                    np.uint64)
-    tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n)[:, None], round_,
-                    runs, out=words)
+    words = tape.node_words(KIND_NODE_PROPOSAL, np.arange(inst.n)[:, None],
+                            round_, runs)
     if tables.b_table is None:
         # u is a temporary: not held through the filter
         sigma = _sample_from_cdf(tables.b_cdf.T[:, :, None],
@@ -650,26 +622,23 @@ def round_function(chain: ChainSpec,
     be of any integer dtype and is only read, so it may be a read-only
     view; the result is a fresh (n, rows) array in x's dtype.
 
-    The bound function owns a work dict of buffers that keep their size
-    from round to round: the score words and local-maximum scratch of the
-    selection, and the Metropolis proposal words. Call round_function once
-    per batch and the function from one thread at a time. tables is
-    plan(chain, inst), read-only, so every batch of a job may share it;
-    without it, each round builds its own.
+    The bound function keeps no state: every round allocates its arrays
+    afresh, so one function may serve any number of batches and threads.
+    tables is plan(chain, inst), read-only, so every batch of a job may
+    share it; without it, each round builds its own.
     """
-    work: dict = {}
     # every round function returns a pair: bench/spans.py reads out[0]; the
     # module-level round functions are looked up at each call, so a traced
     # round is one span
     if chain.kind == "local_metropolis":
         def fn(inst, x, round_, tape, runs):
             return local_metropolis_round_batch(inst, x, round_, tape, runs,
-                                                work=work, tables=tables)
+                                                tables=tables)
         return fn
     sched = chain.scheduler
 
     def fn(inst, x, round_, tape, runs):
         return luby_glauber_round_batch(inst, x, sched, round_, tape, runs,
-                                        work=work, tables=tables)
+                                        tables=tables)
     return fn
 

@@ -11,7 +11,6 @@ selection-rate scans for the local-maximum scheduler.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -24,9 +23,9 @@ from .chains import ChainSpec, local_max_select
 from .engine import PRESETS, run_chunked
 from .graphs import Graph
 from .mrf import MrfInstance, marginal
-from .oracle import (ENUM_CAP, Distribution, _check_query, all_configs,
-                     config_of_rank, elimination_conditional_marginal,
-                     enumerate_gibbs, exact_conditional_marginal, tv_distance)
+from .oracle import (Distribution, _check_query, all_configs, config_of_rank,
+                     elimination_conditional_marginal, enumerate_gibbs,
+                     exact_conditional_marginal, tv_distance)
 from .randomness import KIND_NODE_BETA, RandomTape
 
 
@@ -132,7 +131,7 @@ def check_filter_positivity(inst: MrfInstance, state_cap: int = 1 << 12,
     return SupportReport(True, mode, len(X), None)
 
 
-def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> InfluenceMatrix:
+def influence_matrix_numeric(inst: MrfInstance) -> InfluenceMatrix:
     """Influence matrix by enumeration of feasible single-vertex-differing pairs.
 
     For each vertex j, every pair of feasible configurations differing only
@@ -142,7 +141,7 @@ def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> Influenc
     feasible pair differs only there) leaves column j zero with a warning.
     """
     n, q, g = inst.n, inst.q, inst.graph
-    mu, _ = enumerate_gibbs(inst, cap)  # raises on oversize/empty models
+    mu, _ = enumerate_gibbs(inst)  # raises on oversize/empty models
     feas = np.flatnonzero(mu.probs > 0)
     configs = config_of_rank(feas[:, None], n, q)
     pows = q ** np.arange(n, dtype=np.int64)
@@ -183,8 +182,7 @@ def influence_matrix_numeric(inst: MrfInstance, cap: int = ENUM_CAP) -> Influenc
 
 def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
                 tape: RandomTape, initials=PRESETS,
-                epsilon: float = 0.05, cap: int = ENUM_CAP,
-                threads: int = 1) -> MixingCurve:
+                epsilon: float = 0.05, threads: int = 1) -> MixingCurve:
     """Empirical distance to the exact Gibbs distribution along a round grid.
 
     For each initial configuration in the panel, n_runs trajectories are
@@ -195,7 +193,7 @@ def mixing_scan(inst: MrfInstance, chain: ChainSpec, rounds_grid, n_runs: int,
     the first grid round at which that worst distance is <= epsilon (None if
     never).
     """
-    mu, _ = enumerate_gibbs(inst, cap)
+    mu, _ = enumerate_gibbs(inst)
     grid = sorted(set(int(t) for t in rounds_grid))
     if not grid:
         raise ValueError("rounds grid is empty")
@@ -291,8 +289,7 @@ def crossing_round(curve: DecayCurve, level: float) -> float:
 
 
 def correlation_length(inst: MrfInstance, u: int, v: int, pinnings=None,
-                       delta: float = 0.1, method: str = "transfer",
-                       cap: int = ENUM_CAP) -> float:
+                       delta: float = 0.1, method: str = "transfer") -> float:
     """Worst conditional shift at v between two pinned spins at u.
 
     Candidate pins are the spins of u whose exact marginal mass reaches
@@ -300,8 +297,8 @@ def correlation_length(inst: MrfInstance, u: int, v: int, pinnings=None,
     total variation distance between the conditionals at v over pin pairs.
     method "transfer" computes each conditional by the bucket elimination
     of elimination_conditional_marginal, on any graph whose tables fit
-    ENUM_CAP; "enumerate" by full enumeration within cap, the independent
-    judge of the elimination.
+    ENUM_CAP; "enumerate" by full enumeration of at most ENUM_CAP
+    configurations, the independent judge of the elimination.
 
     Raises:
         ValueError: u or v is out of range, or method is unknown.
@@ -310,8 +307,8 @@ def correlation_length(inst: MrfInstance, u: int, v: int, pinnings=None,
         raise ValueError(f"unknown method {method!r}")
     for w in (u, v):
         _check_query(inst, w, {})
-    cond = (functools.partial(exact_conditional_marginal, cap=cap)
-            if method == "enumerate" else elimination_conditional_marginal)
+    cond = (exact_conditional_marginal if method == "enumerate"
+            else elimination_conditional_marginal)
     if pinnings is None:
         mass = cond(inst, u, {}).probs
         pinnings = [s for s in range(inst.q) if mass[s] >= delta]

@@ -116,13 +116,13 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     runs[i] from its s-th start. The k rows of a run read the same tape
     variates, which each round computes once per run. Between rounds the
     batch is carried vertex-major, (n, rows), in the narrowest unsigned
-    dtype that holds q - 1 (uint8 up to q = 256), and one round function,
-    bound here, keeps its buffers for the whole batch and reads plan, the
-    chain's tables (chains.plan, built here when None). Returns
-    snapshot(final batch) and {t: snapshot(batch after round t)} for each
-    requested t (0 means the initial batch). snapshot sees the carried
-    (n, rows) batch itself, read-only, in its narrow dtype; the default,
-    _by_row, turns each into a fresh (rows, n) int64 array.
+    dtype that holds q - 1 (uint8 up to q = 256), and the round function
+    bound here reads plan, the chain's tables (chains.plan, built here
+    when None). Returns snapshot(final batch) and {t: snapshot(batch after
+    round t)} for each requested t (0 means the initial batch). snapshot
+    sees the carried (n, rows) batch itself, read-only, in its narrow
+    dtype; the default, _by_row, turns each into a fresh (rows, n) int64
+    array.
 
     Raises:
         ValueError: rounds < 0, or the row count is not a positive multiple
@@ -167,7 +167,7 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
 # Metropolis round holds less than that: narrow flat indices per edge, and
 # one boolean pass per edge on 0/1 tables (float64 factors only on the
 # coin path). Sites per chunk are capped as well: past about 2**17
-# sites a chunk's (rows, n) arrays fall out of cache and time per site
+# sites a chunk's (n, rows) arrays fall out of cache and time per site
 # grows. Below about half that cap a chunk's rounds are too short to pay
 # for sharing the GIL with a second worker. On a 2-core machine, two
 # threads ran Luby and Metropolis jobs on a 4-cycle and a 3-regular

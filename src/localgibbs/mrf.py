@@ -160,9 +160,10 @@ def spin_major_cdf(p: np.ndarray) -> np.ndarray:
 
 
 def validate_configuration(inst: MrfInstance, sigma) -> np.ndarray:
-    """sigma as an int64 array, after checking that its shape is (n,) or
-    (rows, n) and that every spin is a whole number in [0, q); a float
-    array of whole numbers passes."""
+    """sigma as an integer array, after checking that its shape is (n,) or
+    (rows, n) and that every spin is a whole number in [0, q). Integer
+    arrays keep their dtype; bool and float arrays of whole numbers become
+    int64, so that no spin indexes as a mask."""
     sigma = np.asarray(sigma)
     if sigma.ndim not in (1, 2) or sigma.shape[-1] != inst.n:
         raise ValueError(f"configuration shape {sigma.shape} is neither "
@@ -172,7 +173,7 @@ def validate_configuration(inst: MrfInstance, sigma) -> np.ndarray:
         raise ValueError("spins must be whole numbers")
     if sigma.size and (sigma.min() < 0 or sigma.max() >= inst.q):
         raise ValueError(f"spins must lie in [0, {inst.q})")
-    return sigma.astype(np.int64, copy=False)
+    return sigma if sigma.dtype.kind in "iu" else sigma.astype(np.int64)
 
 
 def _factor_index(inst: MrfInstance, x: np.ndarray):

@@ -272,17 +272,17 @@ def _check_query(inst: MrfInstance, v: int, pinned: dict[int, int]) -> None:
             raise ValueError(f"spin {s} pinned at vertex {u} out of range for q={inst.q}")
 
 
-def exact_conditional_marginal(inst: MrfInstance, v: int, pinned: dict[int, int],
-                               cap: int = ENUM_CAP) -> Distribution:
+def exact_conditional_marginal(inst: MrfInstance, v: int,
+                               pinned: dict[int, int]) -> Distribution:
     """Exact single-vertex marginal given pinned spins, by full enumeration.
 
     Raises:
         ValueError: v, a pinned vertex or a pinned spin is out of range.
-        StateSpaceTooLarge: q**n exceeds cap.
+        StateSpaceTooLarge: q**n exceeds ENUM_CAP.
         ZeroProbabilityCondition: the pinning has zero total weight.
     """
     _check_query(inst, v, pinned)
-    _check_cap(inst.n, inst.q, cap)
+    _check_cap(inst.n, inst.q, ENUM_CAP)
     configs = all_configs(inst.n, inst.q)
     w = weight_batch(inst, configs)
     mask = np.ones(len(w), dtype=bool)

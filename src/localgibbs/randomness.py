@@ -56,21 +56,21 @@ def _mix64(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def fold(h, w, out=None) -> np.ndarray:
-    """Absorb one word into a running hash. Broadcasts like a ufunc; the
-    result is written to out when given (uint64, the broadcast shape).
+def fold(h, w) -> np.ndarray:
+    """Absorb one word into a running hash. Broadcasts like a ufunc.
 
     Multiplication by an odd constant is a bijection on uint64, so distinct
     words map to distinct pre-mix states for a fixed running hash; the
     finalizer then decorrelates them. uint64 wraparound is intended. The
     operands are offset and scaled at their own size; the result is built
-    and finalized in place, so out must be C-contiguous.
+    and finalized in place.
     """
     # array arithmetic wraps silently; only numpy scalar arithmetic warns
     h = np.asarray(h, dtype=U64) + _GAMMA
     w = np.asarray(w, dtype=U64) * _MIX1
-    if out is None:
-        out = np.empty(np.broadcast(h, w).shape, U64)
+    # an array even for 0-d operands, whose xor is a numpy scalar that
+    # _mix64 could not finalize in place
+    out = np.empty(np.broadcast(h, w).shape, U64)
     return _mix64(np.bitwise_xor(h, w, out=out))
 
 
@@ -131,9 +131,9 @@ class RandomTape:
         salts[vertex] = U64(salt % (1 << 64))
         return RandomTape(self.master_seed, salts)
 
-    def _words(self, kind, entities, round_, runs, out=None) -> np.ndarray:
+    def _words(self, kind, entities, round_, runs) -> np.ndarray:
         """The node address path: the words of (kind, entities, round_,
-        runs), broadcast like fold, written into out when given."""
+        runs), broadcast like fold."""
         ids = np.asarray(entities, dtype=np.int64)
         need = int(ids.max(initial=-1)) + 1
         table = self._node_tables.get(int(kind))
@@ -149,16 +149,15 @@ class RandomTape:
             h = np.take(fold(table[:need], round_), ids)
         else:
             h = fold(np.take(table, ids), round_)
-        return fold(h, runs, out=out)
+        return fold(h, runs)
 
-    def node_words(self, kind, entities, round_, runs, out=None) -> np.ndarray:
-        """Raw uint64 hash words of the broadcast addresses, written into
-        out when given.
+    def node_words(self, kind, entities, round_, runs) -> np.ndarray:
+        """Raw uint64 hash words of the broadcast addresses.
 
         Full 64-bit words are what the local-maximum selection rule compares,
         so ties carry no float rounding ambiguity.
         """
-        return self._words(kind, entities, round_, runs, out)
+        return self._words(kind, entities, round_, runs)
 
     def node_uniforms(self, kind, entities, round_, runs) -> np.ndarray:
         """Uniforms in [0, 1) of the broadcast addresses: node_words mapped

@@ -79,11 +79,11 @@ class _PairCountingTape(RandomTape):
         self.calls["node_uniforms"] += 1
         return super().node_uniforms(kind, entities, round_, runs)
 
-    def node_words(self, kind, entities, round_, runs, out=None):
+    def node_words(self, kind, entities, round_, runs):
         if kind == KIND_NODE_PROPOSAL:
             self.pairs += len(entities)
             self.calls["node_words"] += 1
-        return super().node_words(kind, entities, round_, runs, out=out)
+        return super().node_words(kind, entities, round_, runs)
 
 
 @pytest.mark.parametrize("variant", chains.SCHEDULER_VARIANTS)

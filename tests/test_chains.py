@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -358,6 +360,53 @@ def test_round_functions_do_not_mutate_input(name):
     assert out.shape == (4, 5)
     assert out.flags.writeable
     assert not np.shares_memory(out, base)
+
+
+@pytest.mark.parametrize("name", ["luby", "single-site", "metropolis"])
+def test_one_bound_round_function_serves_two_threads(name):
+    # the bound function keeps no state between calls: two threads that
+    # call one function at once, each walking its own block of runs, must
+    # each get the block's sequential trajectory
+    chain = ROUND_CHAINS[name]
+    inst = coloring(random_regular(64, 3, seed=5), 5)
+    fn = round_function(chain, plan(chain, inst))
+    tape, rounds = RandomTape(17), 20
+    blocks = [np.arange(1024), np.arange(1024, 2048)]
+    start = np.broadcast_to(
+        initial_config(inst, "greedy").astype(np.uint8)[:, None],
+        (inst.n, 1024))
+
+    def walk(runs):
+        x, seen = start, []
+        for t in range(1, rounds + 1):
+            x, _ = fn(inst, x, t, tape, runs)
+            seen.append(x)
+        return seen
+
+    want = [walk(runs) for runs in blocks]
+    got = [None, None]
+
+    def worker(i):
+        try:
+            got[i] = walk(blocks[i])
+        except Exception as exc:  # reported by the assert below
+            got[i] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seen, ref in zip(got, want):
+        assert isinstance(seen, list), seen
+        for t, (a, b) in enumerate(zip(seen, ref), 1):
+            np.testing.assert_array_equal(a, b, err_msg=f"round {t}")
 
 
 _RR12 = random_regular(12, 3, seed=2)

@@ -213,9 +213,9 @@ class _BoundaryTape(RandomTape):
         return np.array([c if on else np.nextafter(c, 0.0)
                          for c, on in self._entries(entities, runs, round_)])
 
-    def node_words(self, kind, entities, round_, runs, out=None):
+    def node_words(self, kind, entities, round_, runs):
         if kind != KIND_NODE_PROPOSAL:
-            return super().node_words(kind, entities, round_, runs, out=out)
+            return super().node_words(kind, entities, round_, runs)
         self.calls["node_words"] += 1
         words = [max((math.ceil(c * 2.0 ** 53) << 11) - (not on), 0)
                  for c, on in self._entries(entities, runs, round_)]

@@ -299,6 +299,28 @@ def test_weight_and_feasible_batch_match_naive(inst):
     np.testing.assert_array_equal(feasible_batch(inst, sigmas), want > 0)
 
 
+def test_integer_batches_keep_their_dtype_and_their_results():
+    # an integer batch is checked, not widened: weight_batch and
+    # feasible_batch read a narrow batch as it is and agree with its int64
+    # copy. Bool and whole-number float input still becomes int64, since a
+    # bool spin would index as a mask
+    inst = _hub_tail_with_zeros()
+    sigmas = np.random.default_rng(5).integers(0, inst.q, (300, inst.n))
+    want_w, want_f = weight_batch(inst, sigmas), feasible_batch(inst, sigmas)
+    assert 0 < np.count_nonzero(want_f) < len(want_f)
+    for dtype in (np.uint8, np.uint16, np.int64):
+        batch = sigmas.astype(dtype)
+        assert validate_configuration(inst, batch).dtype == dtype
+        assert validate_configuration(inst, batch[0]).dtype == dtype
+        np.testing.assert_array_equal(weight_batch(inst, batch), want_w)
+        np.testing.assert_array_equal(feasible_batch(inst, batch), want_f)
+    for batch in (sigmas.astype(np.float64), sigmas.astype(np.float32),
+                  sigmas.tolist(), sigmas > 0):
+        got = validate_configuration(inst, batch)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.asarray(batch))
+
+
 def _power_of_two_tables(g, q):
     # per-edge tables of 0.5, 1 and 2 that differ from edge to edge, so
     # that a wrapped edge offset would read another edge's table; every
