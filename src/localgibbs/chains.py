@@ -50,7 +50,10 @@ Every layout is chosen so that each step is a contiguous row operation:
   contiguous row per spin; the denominator and running sum add whole rows
   in spin order (mrf.spin_major_cdf, which also sums the Metropolis
   proposal CDFs), and the draw compares whole rows;
-* edge-major filter: the Metropolis filter is (m, rows).
+* edge-major filter: the Metropolis filter is (m, rows). Where every edge
+  shares one table, each (proposal, spin) pair of the batch is first one
+  (n, rows) code, and an edge's decision is one lookup in the plan's joint
+  table at its endpoints' codes.
 
 CDFs known before the round (the Metropolis proposals, and the per-mask
 conditionals where the plan has them) are drawn through bucket tables
@@ -225,6 +228,11 @@ class MetropolisPlan(NamedTuple):
     b_table: the CdfTable of the distinct rows of b_cdf; None past 256 of
         them or q > 256.
     b_row: with b_table, each vertex's column in it, (n,) intp; else None.
+    joint: when every edge has the same table f (A_pass, else A_norm) and
+        q**4 entries of it fit _TABLE_BYTES, the (q**4,) table of whole
+        edge decisions over the endpoint codes c = sigma * q + x (proposal,
+        current spin): entry c_u * q**2 + c_v is (f[su, sv] * f[xu, sv]) *
+        f[su, xv], the AND of the three passes on A_pass; else None.
     """
 
     A_norm: np.ndarray
@@ -232,6 +240,7 @@ class MetropolisPlan(NamedTuple):
     b_cdf: np.ndarray
     b_table: CdfTable | None
     b_row: np.ndarray | None
+    joint: np.ndarray | None
 
 
 def _read_only(tables):
@@ -260,9 +269,18 @@ def plan(chain: ChainSpec, inst: MrfInstance) -> LubyPlan | MetropolisPlan:
         # one table row per distinct CDF: each column's arithmetic is its own
         rows, col = np.unique(b_cdf, axis=0, return_inverse=True)
         b_table = _bucket_table(np.ascontiguousarray(rows.T))
+        a_pass = A > 0 if zero_one else None
+        f = a_norm if a_pass is None else a_pass
+        joint = None
+        if len(f) and q ** 4 * f.itemsize <= _TABLE_BYTES \
+                and np.all(f == f[0]):
+            # axes (su, xu, sv, xv), multiplied in _filter_factors's order
+            e = f[0]
+            joint = ((e[:, None, :, None] * e[None, :, :, None])
+                     * e[:, None, None, :]).reshape(-1)
         return _read_only(MetropolisPlan(
-            a_norm, A > 0 if zero_one else None, b_cdf, b_table,
-            None if b_table is None else col.reshape(-1)))
+            a_norm, a_pass, b_cdf, b_table,
+            None if b_table is None else col.reshape(-1), joint))
     # the matrices are symmetric, so the rows of A[rank_edge] stacked into
     # columns are the matrices themselves
     slots = (A > 0 if zero_one else A)[inst.graph.rank_edge].reshape(-1, q).T
@@ -511,10 +529,27 @@ def sequential_glauber_round_batch(inst: MrfInstance, x: np.ndarray,
                                     round_, tape, runs)
 
 
+def _joint_factors(inst: MrfInstance, joint: np.ndarray, sigma: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """_filter_factors read from a plan's joint table: one code per vertex,
+    sigma * q + x in the narrowest unsigned dtype that holds q**4 - 1, then
+    per edge one gather per endpoint and one lookup at c_u * q**2 + c_v."""
+    g, q = inst.graph, inst.q
+    code = sigma.astype(np.min_scalar_type(q ** 4 - 1))
+    code *= q
+    code += x
+    cu = np.take(code, g.eu, 0)
+    cu *= q * q
+    cu += np.take(code, g.ev, 0)
+    return np.take(joint, cu)
+
+
 def _filter_factors(inst: MrfInstance, table: np.ndarray, sigma: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
     """Per-edge product of the Metropolis filter's three factors, edge-major:
     (m, rows) from the (n, rows) spins sigma (proposals) and x (current).
+    A round reads it where its plan has no joint table: per-edge tables, an
+    edgeless graph, or q too large for the joint table.
 
     The factors, gathered from table (A_norm or A_pass, flattened), are
     both proposals, then each proposal against the other endpoint's
@@ -569,8 +604,10 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     once per run: the (n, runs) proposal words through tables.b_table where
     there is one (else by the comparison on their uniforms), each run's
     column repeated over its k rows, and the (m, runs) coins against the
-    (m, runs, k) filter probabilities. Where tables.A_pass is set, the edge
-    passes exactly when its three factors are 1 and no coin is hashed.
+    (m, runs, k) filter probabilities: one lookup per edge in tables.joint
+    where there is one (_joint_factors), else three (_filter_factors).
+    Where tables.A_pass is set, the edge passes exactly when its three
+    factors are 1 and no coin is hashed.
     """
     g = inst.graph
     n_runs = len(runs)
@@ -588,10 +625,14 @@ def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,
     if k > 1:
         sigma = np.repeat(sigma, k, 1)
     xs = x.astype(sigma.dtype, copy=False)
-    if tables.A_pass is not None:
-        passed = _filter_factors(inst, tables.A_pass.reshape(-1), sigma, xs)
+    if tables.joint is not None:
+        pe = _joint_factors(inst, tables.joint, sigma, xs)
     else:
-        pe = _filter_factors(inst, tables.A_norm.reshape(-1), sigma, xs)
+        table = tables.A_norm if tables.A_pass is None else tables.A_pass
+        pe = _filter_factors(inst, table.reshape(-1), sigma, xs)
+    if tables.A_pass is not None:
+        passed = pe
+    else:
         coins = tape.edge_uniforms(g.eu[:, None], g.ev[:, None],
                                    g.emult[:, None], round_, runs)
         passed = (coins[:, :, None] < pe.reshape(g.m, n_runs, k)

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 from _naive import (naive_conditional_cdf, naive_draw, naive_local_max,
-                    naive_marginal, naive_metropolis, naive_resample)
+                    naive_marginal, naive_metropolis, naive_pass_probability,
+                    naive_proposal_cdf, naive_resample)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_chains import selection_rows
@@ -444,6 +445,14 @@ def _per_edge(g, q, level):
                        np.ones(q))
 
 
+def _shared(g, q):
+    # one table for every edge, with many distinct non-dyadic entries: the
+    # three-factor product's last bit depends on the order of its factors
+    i, j = np.indices((q, q))
+    edge = 0.13 + 0.71 * np.sin(i + j + 1) ** 2 / (1 + i * j)
+    return MrfInstance(g, q, edge, np.ones(q))
+
+
 _FILTER_MODELS = {
     "coloring": lambda g, q: coloring(g, q),
     "potts": lambda g, q: potts(g, q, 1.7),
@@ -451,7 +460,47 @@ _FILTER_MODELS = {
         g, q, lambda s, p: (s % 3 > 0) | (p == 0)),
     "fractional-per-edge": lambda g, q: _per_edge(
         g, q, lambda s, p: 0.5 + (s % 5) * 0.35),
+    "fractional-shared": _shared,
 }
+
+
+class _BoundaryCoins(RandomTape):
+    """Edge coins that sit exactly on the pass probability that
+    naive_pass_probability gives on the first row of each run's k rows
+    (rows, the batch row by row, set before each round), or one ulp below
+    it. The coin then decides the edge by the last bit of the kernel's
+    product: on it, a product one ulp above the reference passes where the
+    reference fails; below it, one ulp under fails where it passes. The
+    side is chosen per (edge, run, round); a probability of 1 takes the
+    largest uniform, below 1, on either side."""
+
+    def __init__(self, inst, runs, k):
+        super().__init__(23)
+        self.inst, self.runs, self.k = inst, runs.tolist(), k
+        self.A, self.b = inst.A.tolist(), inst.b.tolist()
+        self.edge = {(u, v, c): e for e, (u, v, c) in enumerate(zip(
+            inst.graph.eu.tolist(), inst.graph.ev.tolist(),
+            inst.graph.emult.tolist()))}
+
+    def _sigma(self, round_, run):
+        """The run's proposals, as naive_metropolis draws them."""
+        u = self.node_uniforms(KIND_NODE_PROPOSAL, np.arange(self.inst.n),
+                               round_, run).tolist()
+        return [sum(c <= u[v] for c in naive_proposal_cdf(b))
+                for v, b in enumerate(self.b)]
+
+    def edge_uniforms(self, eu, ev, emult, round_, runs):
+        g = self.inst.graph
+        sigma = {r: self._sigma(round_, r) for r in self.runs}
+        out = []
+        for u, v, c, r in np.broadcast(eu, ev, emult, runs):
+            e, run = self.edge[int(u), int(v), int(c)], int(r)
+            x = self.rows[self.runs.index(run) * self.k]
+            p = naive_pass_probability(*g.edges[e], self.A[e], x, sigma[run])
+            on = (e + run + round_) % 2
+            out.append(min(p, np.nextafter(1.0, 0.0)) if on
+                       else np.nextafter(p, 0.0))
+        return np.reshape(out, np.broadcast(eu, ev, emult, runs).shape)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -465,12 +514,14 @@ def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
     inst = _FILTER_MODELS[model](g, q)
     # the fractional tables take the coin path wherever there is an edge
     assert (plan(local_metropolis(), inst).A_pass is None) \
-        == (model in ("potts", "fractional-per-edge") and g.m > 0)
+        == (model.startswith(("potts", "fractional")) and g.m > 0)
     A, b = inst.A.tolist(), inst.b.tolist()
-    tape, runs = RandomTape(23), np.array([4, 9])
+    runs = np.array([4, 9])
+    tape = _BoundaryCoins(inst, runs, k)
     x = np.random.default_rng(q).integers(0, q, (len(runs) * k, g.n))
     x[:, 0] = q - 1  # the widest spin is present
     for t in (1, 2, 3):
+        tape.rows = x.tolist()
         new_x = local_metropolis_round_batch(inst, x.T, t, tape, runs)[0].T
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
                                runs[:, None])

@@ -10,14 +10,15 @@ import threading
 
 import numpy as np
 import pytest
+from test_kernels import _per_edge
 
 from localgibbs import chains, engine
 from localgibbs.chains import (CdfTable, LubyPlan, MetropolisPlan,
                                SchedulerSpec, chromatic_classes,
-                               local_metropolis, luby_glauber, plan,
-                               sequential_glauber)
-from localgibbs.engine import run_batch, run_chunked
-from localgibbs.graphs import random_regular
+                               local_metropolis, local_metropolis_round_batch,
+                               luby_glauber, plan, sequential_glauber)
+from localgibbs.engine import initial_config, run_batch, run_chunked
+from localgibbs.graphs import Graph, random_regular
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
 from localgibbs.randomness import RandomTape
 
@@ -137,3 +138,59 @@ def test_run_batch_builds_a_plan_only_when_given_none(builds, chain):
                          plan=chains.plan(spec, inst))
     assert len(builds["plans"]) == 2
     np.testing.assert_array_equal(given, built)
+
+
+_RR256 = random_regular(256, 3, seed=1702)
+# instance -> whether its Metropolis plan has a joint table: every edge
+# shares one table, and its q**4 entries fit _TABLE_BYTES (bool up to
+# q = 16, float64 up to q = 9)
+_JOINT = {
+    "coloring-16": (lambda: coloring(_RR, 16), True),
+    "coloring-17": (lambda: coloring(_RR, 17), False),
+    "potts-9": (lambda: potts(_RR, 9, 1.7), True),
+    "potts-10": (lambda: potts(_RR, 10, 1.7), False),
+    "zero-one-per-edge": (lambda: _per_edge(
+        _RR, 4, lambda s, p: (s % 3 > 0) | (p == 0)), False),
+    "fractional-per-edge": (lambda: _per_edge(
+        _RR, 4, lambda s, p: 0.5 + (s % 5) * 0.35), False),
+    "edgeless": (lambda: coloring(Graph(5, []), 4), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JOINT))
+def test_a_joint_table_exactly_where_edges_share_a_table_that_fits(name):
+    make, built = _JOINT[name]
+    inst = make()
+    tables = plan(local_metropolis(), inst)
+    assert (tables.joint is not None) == built
+    if built:
+        q = inst.q
+        table = tables.A_norm if tables.A_pass is None else tables.A_pass
+        assert tables.joint.shape == (q ** 4,)
+        assert tables.joint.dtype == table.dtype
+        assert tables.joint.nbytes <= chains._TABLE_BYTES
+        assert not tables.joint.flags.writeable
+    # a Metropolis table: no resampling plan holds one
+    assert not hasattr(plan(luby_glauber(), inst), "joint")
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: coloring(_RR256, 8), id="coloring"),
+    pytest.param(lambda: potts(_RR256, 8, 1.7), id="potts")])
+def test_a_round_reads_the_same_bytes_with_or_without_the_joint_table(make,
+                                                                      k):
+    inst = make()
+    tables = plan(local_metropolis(), inst)
+    assert tables.joint is not None
+    runs = np.arange(64, dtype=np.int64)
+    x = np.stack([initial_config(inst, "random", RandomTape(s), runs)
+                  for s in range(k)], axis=1).reshape(-1, inst.n).T.copy()
+    tape = RandomTape(11)
+    for t in range(1, 4):
+        joint = local_metropolis_round_batch(inst, x, t, tape, runs, tables)[0]
+        factors = local_metropolis_round_batch(
+            inst, x, t, tape, runs, tables._replace(joint=None))[0]
+        assert joint.dtype == factors.dtype == x.dtype
+        assert joint.tobytes() == factors.tobytes()
+        x = joint

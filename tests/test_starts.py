@@ -185,19 +185,27 @@ _FILTERS = {
 }
 
 
+@pytest.mark.parametrize("joint", [pytest.param(True, id="joint"),
+                                   pytest.param(False, id="factors")])
 @pytest.mark.parametrize("k", STARTS[:2])
 @pytest.mark.parametrize("name", sorted(_FILTERS))
-def test_metropolis_hashes_coins_only_for_fractional_filters(name, k):
-    # a fractional filter sent down the coin-free path would change the law
+def test_metropolis_hashes_coins_only_for_fractional_filters(name, k, joint):
+    # a fractional filter sent down the coin-free path would change the law,
+    # whether the round reads the joint table or the three factors
     make, zero_one = _FILTERS[name]
     inst = make()
     tables = plan(local_metropolis(), inst)
     assert (tables.A_pass is not None) == zero_one
     if zero_one:
         assert not tables.A_pass.flags.writeable
+    # hub-tail alone has a table per edge
+    assert (tables.joint is not None) == (name != "hub-tail")
+    if not joint:
+        tables = tables._replace(joint=None)
     for t in range(1, 4):
         tape = _CountingTape(3)
-        local_metropolis_round_batch(inst, _batch(inst, k, t), t, tape, RUNS)
+        local_metropolis_round_batch(inst, _batch(inst, k, t), t, tape, RUNS,
+                                     tables)
         assert tape.words["edge_uniforms"] \
             == (0 if zero_one else inst.graph.m * len(RUNS))
         # the proposals are drawn from their words through the bucket table
