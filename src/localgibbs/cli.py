@@ -31,7 +31,7 @@ from .config import (COMMAND_NAMES, ConfigError, ExperimentConfig,
 from .diagnostics import (correlation_length, coupling_decay,
                           luby_gamma_estimate, mixing_scan)
 from .engine import run_chunked
-from .mrf import feasible_batch
+from .mrf import _vertex_index, feasible_batch
 from .oracle import (check_detailed_balance, enumerate_gibbs,
                      exact_transition_matrix)
 from .randomness import RandomTape
@@ -94,27 +94,37 @@ def _experiment(cfg: ExperimentConfig):
     return graph, inst, chain, RandomTape(cfg["seed"])
 
 
-def _samples_jsonl(runs: np.ndarray, final: np.ndarray, q: int) -> bytes:
-    """One b'{"run":r,"spins":[...]}\\n' line per row of final, r the row's
-    entry of runs: the bytes of json.dumps({"run": r, "spins": row},
-    sort_keys=True, separators=(",", ":")).
+def _samples_jsonl(runs: np.ndarray, x: np.ndarray, q: int) -> bytes:
+    """One b'{"run":r,"spins":[...]}\\n' line per column of a vertex-major
+    (n, rows) batch x, r the column's entry of runs: the bytes of
+    json.dumps({"run": r, "spins": column}, sort_keys=True,
+    separators=(",", ":")).
 
-    Every spin's b"%d," token is gathered from a (q, width) byte table and
-    the padding masked out, so all rows are encoded in one numpy pass into
-    one buffer; each line then slices its row out, minus the last comma.
+    Every line is laid out at one length in a (rows, L) byte array: the run
+    id right-justified to the width of the largest, then each spin's
+    b"%d," token right-justified to the width of the widest, gathered from
+    x in its own layout. Such a line holds no space but that padding, so
+    one bytes.replace removes it from all lines at once.
     """
-    tokens = [b"%d," % s for s in range(q)]
-    width = max(map(len, tokens))
-    table = np.frombuffer(b"".join(t.ljust(width) for t in tokens),
-                          np.uint8).reshape(q, width)
-    lens = np.array([len(t) for t in tokens], np.uint8)
-    # np.take is several times faster than table[final] here
-    keep = np.take(np.arange(width) < lens[:, None], final, 0)
-    buf = np.take(table, final, 0)[keep].tobytes()
-    ends = np.cumsum(np.take(lens, final).sum(axis=1)).tolist()
-    starts = [0] + ends[:-1]
-    return b"".join(b'{"run":%d,"spins":[%s]}\n' % (r, buf[a:b - 1])
-                    for r, a, b in zip(runs.tolist(), starts, ends))
+    n, rows = x.shape
+    digits, width = len(b"%d" % runs.max()), len(b"%d," % (q - 1))
+    tokens = np.frombuffer(b"".join([(b"%d," % s).rjust(width)
+                                     for s in range(q)]),
+                           np.dtype((np.void, width)))
+    key = b'{"run":'
+    head = key + b" " * digits + b',"spins":['
+    out = np.empty((rows, len(head) + n * width + 2), np.uint8)
+    out[:, :len(head)] = np.frombuffer(head, np.uint8)
+    # the run id's slot: each place's digit, or a space above the id's
+    # highest place
+    place = 10 ** np.arange(digits - 1, -1, -1)
+    lead = runs[:, None] // place
+    out[:, len(key):len(key) + digits] = np.where(
+        (lead > 0) | (place == 1), ord("0") + lead % 10, ord(" "))
+    out[:, len(head):-2].view(tokens.dtype).T[...] = np.take(tokens, x)
+    # over the last token's comma
+    out[:, -3:] = np.frombuffer(b"]}\n", np.uint8)
+    return out.tobytes().replace(b" ", b"")
 
 
 def _marginals_csv(counts: np.ndarray, n_runs: int) -> str:
@@ -133,17 +143,16 @@ def _marginals_csv(counts: np.ndarray, n_runs: int) -> str:
 def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _, inst, chain, tape = _experiment(cfg)
     n, q, rounds, n_runs = inst.n, inst.q, cfg["rounds"], cfg["n_runs"]
-    offsets = q * np.arange(n)
 
     # each worker encodes its chunk's lines and counts its spins and
-    # feasible rows; only these reductions reach the writer. The lines are
-    # per run, so the carried (n, rows) batch is turned (rows, n) once, in
-    # its own narrow dtype.
+    # feasible rows, all read from the carried (n, rows) batch in its own
+    # layout; only these reductions reach the writer. One vertex index
+    # serves both the counts and the feasibility test.
     def reduce(runs, x):
-        x = np.ascontiguousarray(x.T)
+        vi = _vertex_index(inst, x)
         return (_samples_jsonl(runs, x, q),
-                np.bincount((x + offsets).ravel(), minlength=n * q),
-                int(feasible_batch(inst, x).sum()))
+                np.bincount(vi.ravel(), minlength=n * q),
+                int(feasible_batch(inst, x.T, vi).sum()))
 
     chunks = run_chunked(inst, chain, rounds, n_runs, tape, (cfg["initial"],),
                          reduce, threads=threads)

@@ -114,9 +114,11 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
     x0 is one (n,) configuration shared by every run, or a (rows, n) batch
     of k = rows // len(runs) rows per run, run-major: row i * k + s is run
     runs[i] from its s-th start. The k rows of a run read the same tape
-    variates, which each round computes once per run. Between rounds the
-    batch is carried vertex-major, (n, rows), in the narrowest unsigned
-    dtype that holds q - 1 (uint8 up to q = 256), and the round function
+    variates, which each round computes once per run. A shared start is
+    validated as its n spins and enters the batch as one narrow column,
+    repeated once per run. Between rounds the batch is carried
+    vertex-major, (n, rows), in the narrowest unsigned dtype that holds
+    q - 1 (uint8 up to q = 256), and the round function
     bound here reads plan, the chain's tables (chains.plan, built here
     when None). Returns snapshot(final batch) and {t: snapshot(batch after
     round t)} for each requested t (0 means the initial batch). snapshot
@@ -132,12 +134,14 @@ def run_batch(inst: MrfInstance, chain: ChainSpec, x0: np.ndarray, rounds: int,
         raise ValueError("round count must be >= 0")
     runs = np.asarray(runs, dtype=np.int64)
     x = validate_configuration(inst, x0)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (len(runs), inst.n))
-    if len(runs) == 0 or len(x) == 0 or len(x) % len(runs):
-        raise ValueError(f"{len(x)} rows is not a positive multiple of "
+    rows = len(runs) if x.ndim == 1 else len(x)
+    if len(runs) == 0 or rows == 0 or rows % len(runs):
+        raise ValueError(f"{rows} rows is not a positive multiple of "
                          f"{len(runs)} runs")
-    x = np.ascontiguousarray(x.T, dtype=np.min_scalar_type(inst.q - 1))
+    dtype = np.min_scalar_type(inst.q - 1)
+    # a shared start is one narrow column, repeated once per run
+    x = np.repeat(x.astype(dtype)[:, None], rows, axis=1) if x.ndim == 1 \
+        else np.ascontiguousarray(x.T, dtype=dtype)
     fn = chains.round_function(chain, chains.plan(chain, inst)
                                if plan is None else plan)
     # glibc returns the free top of its heap to the OS once it exceeds
@@ -224,7 +228,9 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
     worker count of chunks are in flight ahead of the consumer, so a slow
     consumer holds a bounded number of results. n_runs and the start count
     are checked and every start except "random" resolved before the
-    iterator is returned, so a bad start fails at the call.
+    iterator is returned, so a bad start fails at the call. A single
+    resolved start reaches each chunk's run_batch as its (n,) row, which
+    run_batch validates once, n spins, rather than as a (rows, n) batch.
 
     Raises:
         ZeroMarginal: some run hit a zero-mass conditional. Once a chunk
@@ -251,10 +257,13 @@ def run_chunked(inst: MrfInstance, chain: ChainSpec, rounds: int, n_runs: int,
 
     def work(span):
         runs = np.arange(*span, dtype=np.int64)
-        # a single start stays a read-only view; several are interleaved
-        x0 = [np.broadcast_to(initial_config(inst, s, tape, runs),
-                              (len(runs), inst.n)) for s in starts]
-        x0 = x0[0] if k == 1 else np.stack(x0, axis=1).reshape(-1, inst.n)
+        x0 = [initial_config(inst, s, tape, runs) if isinstance(s, str)
+              else s for s in starts]
+        # a single start goes as it is, a preset as its one (n,) row;
+        # several are interleaved
+        x0 = x0[0] if k == 1 else np.stack(
+            [np.broadcast_to(s, (len(runs), inst.n)) for s in x0],
+            axis=1).reshape(-1, inst.n)
         try:
             last, seen = run_batch(inst, chain, x0, rounds, tape, runs,
                                    earlier, lambda x: observe(runs, x), tables)

@@ -8,8 +8,10 @@ over all q^n configurations. A configuration is feasible when its weight
 is positive.
 
 Configurations are plain integer numpy arrays (single: shape (n,); batched:
-shape (n_runs, n)) with values in [0, q). Everything here is pure and
-instances are immutable after construction.
+shape (n_runs, n)) with values in [0, q). The batch functions read a batch
+vertex-major, through its transpose, so the transpose of a chain's carried
+(n, rows) batch costs no copy. Everything here is pure and instances are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -176,33 +178,60 @@ def validate_configuration(inst: MrfInstance, sigma) -> np.ndarray:
     return sigma if sigma.dtype.kind in "iu" else sigma.astype(np.int64)
 
 
-def _factor_index(inst: MrfInstance, x: np.ndarray):
-    """Flat positions of each row's vertex factors in b (shape (..., n)) and
-    edge factors in A (shape (..., m)): v*q + x_v and e*q*q + x_u*q + x_v.
+def _index_dtype(inst: MrfInstance) -> np.dtype:
+    """The narrowest unsigned dtype that holds every flat factor position
+    and q itself (as _filter_factors sizes its own), so that spins below q
+    cast to it exactly."""
+    q = inst.q
+    return np.min_scalar_type(max(inst.graph.m * q * q - 1, inst.n * q - 1, q))
+
+
+def _offsets(step: int, like: np.ndarray, axis: int) -> np.ndarray:
+    """step * i for each position i along axis (0 or -1) of like, in its
+    dtype, shaped to broadcast over its other axes."""
+    off = (np.arange(like.shape[axis]) * step).astype(like.dtype)
+    return off if axis == -1 else off.reshape((-1,) + (1,) * (like.ndim - 1))
+
+
+def _vertex_index(inst: MrfInstance, x: np.ndarray, axis: int = 0):
+    """v*q + x_v for each spin of a batch x whose vertices run along axis
+    (0 for a vertex-major batch, -1 for rows of configurations): the flat
+    position of each vertex factor in b, in _index_dtype.
 
     np.take on the flattened tables is several times faster than the
     equivalent fancy lookups b[arange(n), x] and A[arange(m), x_u, x_v].
     """
+    vi = x.astype(_index_dtype(inst))
+    vi += _offsets(inst.q, vi, axis)
+    return vi
+
+
+def _edge_index(inst: MrfInstance, x: np.ndarray, axis: int = 0):
+    """e*q*q + x_u*q + x_v for each edge of a batch x whose vertices run
+    along axis (as in _vertex_index), with the edges along that axis: the
+    flat position of each edge factor in A, in _index_dtype. Each end is
+    one gather of x along axis, whole rows of a vertex-major batch as in
+    the rounds."""
     g, q = inst.graph, inst.q
-    # the narrowest unsigned dtype that holds every position and q itself
-    # (as _filter_factors sizes its own); the spins below q cast exactly
-    idx = np.min_scalar_type(max(g.m * q * q - 1, inst.n * q - 1, q))
-    xs = x.astype(idx)
-    # in place, and before vi: one (..., m) temporary at a time
-    ei = np.take(xs, g.eu, -1)
+    # in place: one edge-sized temporary at a time
+    ei = np.take(x, g.eu, axis).astype(_index_dtype(inst))
     ei *= q
-    ei += np.take(xs, g.ev, -1)
-    ei += (np.arange(g.m) * (q * q)).astype(idx)
-    xs += (np.arange(inst.n) * q).astype(idx)
-    return xs, ei
+    ei += np.take(x, g.ev, axis).astype(ei.dtype, copy=False)
+    ei += _offsets(q * q, ei, axis)
+    return ei
 
 
 def weight_batch(inst: MrfInstance, sigmas: np.ndarray) -> np.ndarray:
-    """Weights of a (n_runs, n) batch of configurations, shape (n_runs,)."""
-    vi, ei = _factor_index(inst, validate_configuration(inst, sigmas))
-    # an edgeless graph's empty product is exactly 1.0
-    return np.prod(np.take(inst.b, vi), axis=-1) \
-        * np.prod(np.take(inst.A, ei), axis=-1)
+    """Weights of a (n_runs, n) batch of configurations, shape (n_runs,).
+
+    The batch is read row by row, as the oracle's enumerations are laid
+    out, and each row's product runs over its factors in vertex and edge
+    order. An edgeless graph's empty product is exactly 1.0.
+    """
+    # narrowed once: the gathers then move 1- or 2-byte spins
+    x = validate_configuration(inst, sigmas).astype(_index_dtype(inst))
+    return np.prod(np.take(inst.b, _vertex_index(inst, x, -1)), axis=-1) \
+        * np.prod(np.take(inst.A, _edge_index(inst, x, -1)), axis=-1)
 
 
 def weight(inst: MrfInstance, sigma) -> float:
@@ -210,11 +239,23 @@ def weight(inst: MrfInstance, sigma) -> float:
     return float(weight_batch(inst, np.asarray(sigma)[None, :])[0])
 
 
-def feasible_batch(inst: MrfInstance, sigmas: np.ndarray) -> np.ndarray:
-    """Boolean feasibility of each row; zero-factor test, no underflow risk."""
-    vi, ei = _factor_index(inst, validate_configuration(inst, sigmas))
-    ok = np.all(np.take(inst.b > 0, vi), axis=-1)
-    ok &= np.all(np.take(inst.A > 0, ei), axis=-1)
+def feasible_batch(inst: MrfInstance, sigmas: np.ndarray,
+                   vi=None) -> np.ndarray:
+    """Boolean feasibility of each row of a (rows, n) batch: a zero-factor
+    test, with no underflow risk.
+
+    The batch is read vertex-major, as C-ordered sigmas.T: the transpose of
+    a carried (n, rows) batch is read in place, one whole row per vertex
+    and edge end, and any other batch is copied to that layout first. vi,
+    when given, is _vertex_index(inst, sigmas.T), already built by the
+    caller (the sample command counts spins from it too).
+    """
+    x = np.ascontiguousarray(validate_configuration(inst, sigmas).T,
+                             np.min_scalar_type(inst.q - 1))
+    if vi is None:
+        vi = _vertex_index(inst, x)
+    ok = np.all(np.take(inst.b > 0, vi), axis=0)
+    ok &= np.all(np.take(inst.A > 0, _edge_index(inst, x)), axis=0)
     return ok
 
 

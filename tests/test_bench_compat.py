@@ -177,3 +177,8 @@ def test_tracer_patches_a_sample_call_and_restores_every_binding(tmp_path):
     assert moved == []
     names = {span[3] for span in tracer.spans}
     assert {"cli.main", "chains.luby_glauber_round_batch"} <= names
+    # summarize reads these spans by name for engine.busy_frac,
+    # mrf.feasible_s and config.load_s; a sample call that stopped making
+    # one would leave its metric at 0
+    assert {"engine.run_batch", "mrf.feasible_batch",
+            "config.load_config"} <= names

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from localgibbs import cli, engine
+from localgibbs.graphs import cycle
+from localgibbs.models import coloring
+from localgibbs.mrf import feasible_batch
 
 
 def write_cfg(tmp_path, name, mapping):
@@ -468,6 +471,30 @@ def test_large_job_splits_across_threads_at_the_default_budget(
     assert counting_pool == [2]
     for name in ("samples.jsonl", "marginals.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chain", ["luby_glauber", "local_metropolis"])
+def test_feasible_fraction_counts_infeasible_rows(tmp_path, monkeypatch,
+                                                 capsys, counting_pool,
+                                                 chain, threads):
+    # one round from the all-zeros 3-coloring of a 4-cycle leaves some
+    # runs improper; a 200-site budget cuts the 200 runs into 4 chunks
+    monkeypatch.setattr(engine, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(engine, "CHUNK_SITES", 200)
+    cfg = write_cfg(tmp_path, "s.cfg", {
+        "model": "coloring", "model.q": "3", "graph": "cycle", "graph.n": "4",
+        "chain": chain, "rounds": "1", "n_runs": "200", "seed": "4",
+        "initial": "zeros"})
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", cfg, "--output", str(out),
+                     "--threads", str(threads)]) == 0
+    assert counting_pool == ([2] if threads == 2 else [])
+    lines = (out / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = np.array([json.loads(line)["spins"] for line in lines], np.int64)
+    want = feasible_batch(coloring(cycle(4), 3), rows).mean()
+    assert 0 < want < 1
+    assert f"feasible fraction {want:.4f}" in capsys.readouterr().out
 
 
 class _Done:

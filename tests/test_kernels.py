@@ -545,21 +545,24 @@ def test_filter_probs_match_fancy_lookups():
     assert _filter_probs(inst, sigma, x).tobytes() == want.tobytes()
 
 
-def _json_reference(runs, final):
-    return "".join(json.dumps({"run": r, "spins": row.tolist()},
+def _json_reference(runs, x):
+    return "".join(json.dumps({"run": r, "spins": col.tolist()},
                               sort_keys=True, separators=(",", ":")) + "\n"
-                   for r, row in zip(runs.tolist(), final)).encode("utf-8")
+                   for r, col in zip(runs.tolist(), x.T)).encode("utf-8")
 
 
-@pytest.mark.parametrize("q", [2, 10, 11, 137])
-@pytest.mark.parametrize("shape", [(23, 9), (1, 9), (12, 1), (1, 1)])
-def test_samples_jsonl_matches_json_dumps(q, shape):
+@pytest.mark.parametrize("q", [2, 10, 11, 100, 101, 137, 257])
+@pytest.mark.parametrize("shape", [(9, 23), (9, 1), (1, 12), (1, 1)])
+@pytest.mark.parametrize("first_run", [0, 95, 9990])
+def test_samples_jsonl_matches_json_dumps(q, shape, first_run):
+    # the carried (n, rows) batch in its narrow dtype, uint16 for q = 257
     rng = np.random.default_rng(q)
-    final = rng.integers(0, q, shape)
-    final[0, 0] = q - 1  # the widest token is present
-    # a chunk's global run ids, not its row numbers
-    runs = np.arange(len(final)) + 995
-    assert _samples_jsonl(runs, final, q) == _json_reference(runs, final)
+    x = rng.integers(0, q, shape).astype(np.min_scalar_type(q - 1))
+    x[0, 0] = q - 1  # the widest token is present
+    # a chunk's global run ids, not its row numbers; 23 rows from 95 or
+    # 9990 cross a digit boundary (95..117, 9990..10012)
+    runs = np.arange(shape[1]) + first_run
+    assert _samples_jsonl(runs, x, q) == _json_reference(runs, x)
 
 
 @pytest.mark.parametrize("n_runs", [1, 7, 512])
