@@ -23,11 +23,11 @@ from .diagnostics import (DecayCurve, GammaReport, InfluenceMatrix,
 from .engine import initial_config, run_batch
 from .graphs import (EndpointOutOfRange, GenerationFailed, Graph, ParseError,
                      complete, cycle, grid, load_edge_list, path,
-                     random_regular, save_edge_list)
+                     random_regular)
 from .models import EmptyList, coloring, hardcore, ising, list_coloring, potts
 from .mrf import (DegenerateActivity, MrfInstance, ZeroMarginal,
-                  feasible_batch, is_feasible, marginal,
-                  validate_configuration, weight, weight_batch)
+                  feasible_batch, marginal, validate_configuration,
+                  weight_batch)
 from .oracle import (BalanceReport, Distribution, StateSpaceTooLarge,
                      TransitionMatrix, UnsupportedScheduler,
                      ZeroPartitionFunction, ZeroProbabilityCondition,

@@ -131,15 +131,19 @@ def sequential_glauber() -> ChainSpec:
 
 def chromatic_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Greedy proper-coloring classes in vertex order, for the chromatic scheduler."""
-    color = np.full(graph.n, -1, dtype=np.int64)
+    ptr, nbr = graph.nbr_ptr.tolist(), graph.nbr_flat.tolist()
+    color = [-1] * graph.n
+    classes: list[list[int]] = []
     for v in range(graph.n):
-        used = {color[u] for u in graph.adjacency[v] if color[u] >= 0}
+        used = {color[u] for u in nbr[ptr[v]:ptr[v + 1]]}
         c = 0
         while c in used:
             c += 1
         color[v] = c
-    return tuple(tuple(np.flatnonzero(color == c).tolist())
-                 for c in range(int(color.max()) + 1))
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(v)
+    return tuple(map(tuple, classes))
 
 
 class CdfTable(NamedTuple):
@@ -577,18 +581,6 @@ def _filter_factors(inst: MrfInstance, table: np.ndarray, sigma: np.ndarray,
     su += xv
     pe *= np.take(table, su)
     return pe
-
-
-def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """Per-edge pass probability of the Metropolis filter, (rows, m), from
-    (rows, n) proposals and current spins: a transposed view of the
-    edge-major factors the round compares its coins against, each entry
-    (f1 * f2) * f3."""
-    spins = np.min_scalar_type(inst.q - 1)
-    a_norm = plan(local_metropolis(), inst).A_norm
-    return _filter_factors(inst, a_norm.reshape(-1), sigma.T.astype(spins),
-                           x.T.astype(spins)).T
 
 
 def local_metropolis_round_batch(inst: MrfInstance, x: np.ndarray,

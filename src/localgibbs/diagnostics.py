@@ -161,7 +161,7 @@ def influence_matrix_numeric(inst: MrfInstance) -> InfluenceMatrix:
         grouped = configs[order]
         bounds = np.flatnonzero(np.diff(base[order])) + 1
         groups = np.split(grouped, bounds)
-        nbrs = sorted(set(g.adjacency[j]))
+        nbrs = np.unique(g.nbr_flat[g.nbr_ptr[j]:g.nbr_ptr[j + 1]]).tolist()
         any_pair = False
         for grp in groups:
             if len(grp) < 2:

@@ -2,9 +2,9 @@
 
 Graphs are immutable after construction. Parallel edges are permitted
 everywhere (they carry independent interaction factors and independent
-coins downstream); self-loops are rejected. Besides the plain neighbor
-lists, construction precomputes the flattened adjacency arrays and a
-rank-major slot table the vectorized round functions index into.
+coins downstream); self-loops are rejected. A graph is its index arrays
+alone, built by numpy: the canonical edge arrays, the flattened adjacency
+and a rank-major slot table the vectorized round functions index into.
 """
 
 from __future__ import annotations
@@ -31,67 +31,71 @@ class GenerationFailed(RuntimeError):
 
 
 class Graph:
-    """Undirected multigraph on vertices 0..n-1.
+    """Undirected multigraph on vertices 0..n-1, held as index arrays.
 
-    Attributes:
-        n: vertex count.
-        edges: tuple of (u, v) pairs as authored (orientation preserved).
-        degrees: per-vertex degree, parallel edges counted with multiplicity.
-        eu, ev, emult: canonical edge arrays with eu < ev; emult numbers
-            parallel copies of the same endpoint pair 0, 1, ... in edge order.
-        nbr_flat, nbr_ptr: concatenated neighbor lists; the neighbors of v
-            occupy nbr_flat[nbr_ptr[v]:nbr_ptr[v+1]], and nbr_edge gives the
-            edge index of each slot.
-        by_degree: vertices by descending degree, ties by ascending id;
-            degree_pos[v] is v's position in it.
-        rank_ptr, rank_nbr, rank_edge: the adjacency slots in rank-major
-            order. Rank k (0 <= k < max degree) holds entries
-            rank_ptr[k]:rank_ptr[k+1], one per vertex of degree > k; those
-            vertices are by_degree[:rank_ptr[k+1] - rank_ptr[k]], in that
-            order, and each entry gives the neighbor and the edge index at
-            that vertex's k-th slot nbr_ptr[v] + k. A neighborhood reduction
-            is then one elementwise step per rank over a prefix of the
-            by_degree order.
+    Edge index e is the position of the edge in the input, and the edge
+    joins eu[e] < ev[e]; emult[e] numbers the parallel copies of that pair
+    0, 1, ... in edge order. The neighbours of v occupy
+    nbr_flat[nbr_ptr[v]:nbr_ptr[v+1]] in edge order, nbr_edge giving each
+    slot's edge, and degrees counts parallel edges with multiplicity.
+    by_degree lists the vertices by descending degree, ties by ascending
+    id, and degree_pos[v] is v's position in it.
+
+    rank_ptr, rank_nbr and rank_edge hold the adjacency slots in rank-major
+    order. Rank k (0 <= k < max degree) holds entries
+    rank_ptr[k]:rank_ptr[k+1], one per vertex of degree > k; those
+    vertices are by_degree[:rank_ptr[k+1] - rank_ptr[k]], in that order,
+    and each entry gives the neighbor and the edge index at that vertex's
+    k-th slot nbr_ptr[v] + k. A neighborhood reduction is then one
+    elementwise step per rank over a prefix of the by_degree order.
+
+    Args:
+        n: vertex count, >= 1.
+        edges: an (m, 2) integer array or a sequence of (u, v) pairs.
+
+    Raises:
+        EndpointOutOfRange, ValueError: the first edge in edge order with
+            an endpoint outside [0, n), or else a self-loop, is named.
     """
 
     def __init__(self, n: int, edges):
         if n < 1:
             raise ValueError("vertex count must be >= 1")
         self.n = int(n)
-        pairs = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
+        e = np.asarray(edges, dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        self.m = len(e)
+        outside = ((e < 0) | (e >= n)).any(axis=1)
+        bad = outside | (e[:, 0] == e[:, 1])
+        if bad.any():
+            i = int(bad.argmax())
+            u, v = e[i].tolist()
+            if outside[i]:
                 raise EndpointOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            pairs.append((u, v))
-        self.edges = tuple(pairs)
-        self.m = len(pairs)
+            raise ValueError(f"self-loop at vertex {u}")
 
-        adj = [[] for _ in range(self.n)]
-        inc = [[] for _ in range(self.n)]
-        mult_count: dict[tuple[int, int], int] = {}
-        eu = np.empty(self.m, dtype=np.int64)
-        ev = np.empty(self.m, dtype=np.int64)
-        emult = np.empty(self.m, dtype=np.int64)
-        for e, (u, v) in enumerate(pairs):
-            adj[u].append(v)
-            adj[v].append(u)
-            inc[u].append(e)
-            inc[v].append(e)
-            a, b = (u, v) if u < v else (v, u)
-            k = mult_count.get((a, b), 0)
-            mult_count[(a, b)] = k + 1
-            eu[e], ev[e], emult[e] = a, b, k
-        self.eu, self.ev, self.emult = eu, ev, emult
-        self.adjacency = tuple(tuple(a) for a in adj)
-        self.degrees = np.array([len(a) for a in adj], dtype=np.int64)
-
-        self.nbr_flat = np.array([u for a in adj for u in a], dtype=np.int64)
+        self.eu, self.ev = e.min(axis=1), e.max(axis=1)
+        # parallel copies of a pair are adjacent in the stable pair order
+        order = np.lexsort((self.ev, self.eu))
+        su, sv = self.eu[order], self.ev[order]
+        first = np.ones(self.m, dtype=bool)
+        first[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+        idx = np.arange(self.m)
+        self.emult = np.empty(self.m, dtype=np.int64)
+        self.emult[order] = idx - np.maximum.accumulate(
+            np.where(first, idx, 0))
+        # slot 2e + j is edge e's end j; a stable sort by owner keeps each
+        # vertex's slots in edge order
+        ends = e.reshape(-1)
+        slot_order = np.argsort(ends, kind="stable")
+        self.nbr_flat = e[:, ::-1].reshape(-1)[slot_order]
+        self.nbr_edge = slot_order >> 1
+        self.degrees = np.bincount(ends, minlength=self.n)
         self.nbr_ptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.nbr_ptr[1:])
-        self.nbr_edge = np.array([e for i in inc for e in i], dtype=np.int64)
 
         self.by_degree = np.argsort(-self.degrees, kind="stable")
         self.degree_pos = np.empty(self.n, dtype=np.int64)
@@ -120,24 +124,18 @@ class Graph:
         """BFS hop distances from source; -1 marks unreachable vertices."""
         dist = np.full(self.n, -1, dtype=np.int64)
         dist[source] = 0
-        frontier = [source]
+        frontier = np.array([source])
         d = 0
-        while frontier:
+        while frontier.size:
             d += 1
-            nxt = []
-            for v in frontier:
-                for u in self.adjacency[v]:
-                    if dist[u] < 0:
-                        dist[u] = d
-                        nxt.append(u)
-            frontier = nxt
+            # every neighbour slot of the frontier, vertex by vertex
+            deg = self.degrees[frontier]
+            first = np.repeat(self.nbr_ptr[frontier] - np.cumsum(deg) + deg,
+                              deg)
+            nbrs = self.nbr_flat[first + np.arange(len(first))]
+            frontier = np.unique(nbrs[dist[nbrs] < 0])
+            dist[frontier] = d
         return dist
-
-    def dist(self, u: int, v: int) -> int:
-        return int(self.distances(u)[v])
-
-    def edge_multiset(self):
-        return sorted((min(u, v), max(u, v)) for u, v in self.edges)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -206,21 +204,15 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         canon = lo * n + hi
         if len(np.unique(canon)) != len(canon):
             continue
-        return Graph(n, list(zip(lo.tolist(), hi.tolist())))
+        return Graph(n, np.stack([lo, hi], 1))
     raise GenerationFailed(
         f"no simple {d}-regular graph on {n} vertices in {_PAIRING_RETRY_CAP} attempts")
 
 
-def save_edge_list(graph: Graph, path_: str) -> None:
-    """Write "n m" then one "u v" line per edge, LF endings, UTF-8."""
-    with open(path_, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{graph.n} {graph.m}\n")
-        for u, v in graph.edges:
-            f.write(f"{u} {v}\n")
-
-
 def load_edge_list(path_: str) -> Graph:
-    """Read the format written by save_edge_list; '#' starts a comment line."""
+    """Read a header line "n m" and then one "u v" line per edge; '#'
+    starts a comment line. Errors name the 1-based line (0: the whole file).
+    """
     header = None
     edges = []
     with open(path_, "r", encoding="utf-8") as f:
@@ -238,6 +230,9 @@ def load_edge_list(path_: str) -> Graph:
             if header is None:
                 header = (a, b)
                 continue
+            n = header[0]
+            if not (0 <= a < n and 0 <= b < n):
+                raise ParseError(line_no, f"edge ({a}, {b}) outside [0, {n})")
             if a == b:
                 raise ParseError(line_no, f"self-loop ({a}, {b})")
             edges.append((a, b))

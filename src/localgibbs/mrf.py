@@ -68,7 +68,7 @@ class MrfInstance:
             interaction factors.
         q: spin-state count, >= 2. Spins are 0-based.
         edge_activities: a single (q, q) matrix shared by every edge, or a
-            sequence with one matrix per edge in graph.edges order.
+            sequence with one matrix per edge in edge index order.
         vertex_activities: a single length-q vector shared by every vertex,
             or a sequence with one vector per vertex.
 
@@ -234,11 +234,6 @@ def weight_batch(inst: MrfInstance, sigmas: np.ndarray) -> np.ndarray:
         * np.prod(np.take(inst.A, _edge_index(inst, x, -1)), axis=-1)
 
 
-def weight(inst: MrfInstance, sigma) -> float:
-    """Product of one interaction entry per edge and one activity per vertex."""
-    return float(weight_batch(inst, np.asarray(sigma)[None, :])[0])
-
-
 def feasible_batch(inst: MrfInstance, sigmas: np.ndarray,
                    vi=None) -> np.ndarray:
     """Boolean feasibility of each row of a (rows, n) batch: a zero-factor
@@ -257,10 +252,6 @@ def feasible_batch(inst: MrfInstance, sigmas: np.ndarray,
     ok = np.all(np.take(inst.b > 0, vi), axis=0)
     ok &= np.all(np.take(inst.A > 0, _edge_index(inst, x)), axis=0)
     return ok
-
-
-def is_feasible(inst: MrfInstance, sigma) -> bool:
-    return bool(feasible_batch(inst, np.asarray(sigma)[None, :])[0])
 
 
 def marginal(inst: MrfInstance, v: int, x) -> np.ndarray:

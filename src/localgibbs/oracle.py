@@ -92,11 +92,6 @@ class TransitionMatrix:
         return self.rows.shape[0]
 
 
-def rank_of_config(sigma, q: int) -> int:
-    sigma = np.asarray(sigma, dtype=np.int64)
-    return int((sigma * q ** np.arange(len(sigma), dtype=np.int64)).sum())
-
-
 def config_of_rank(rank: int, n: int, q: int) -> np.ndarray:
     return (rank // q ** np.arange(n, dtype=np.int64)) % q
 
@@ -147,13 +142,15 @@ def luby_set_distribution(graph) -> dict[frozenset, float]:
     n = graph.n
     if n > LUBY_PERMUTATION_CAP:
         raise StateSpaceTooLarge(f"permutation enumeration capped at n = {LUBY_PERMUTATION_CAP}")
+    edges = list(zip(graph.eu.tolist(), graph.ev.tolist()))
     counts: dict[frozenset, int] = {}
     for perm in itertools.permutations(range(n)):
         pos = [0] * n
         for p, v in enumerate(perm):
             pos[v] = p  # perm lists vertices by descending score
-        sel = frozenset(v for v in range(n)
-                        if all(pos[v] < pos[u] for u in graph.adjacency[v]))
+        # each edge's later end in the order is not a local maximum
+        sel = frozenset(range(n)) - {u if pos[u] > pos[v] else v
+                                     for u, v in edges}
         counts[sel] = counts.get(sel, 0) + 1
     total = math.factorial(n)
     return {s: c / total for s, c in counts.items()}
@@ -317,8 +314,9 @@ def elimination_conditional_marginal(inst: MrfInstance, v: int,
             vertex whose bucket has no weight is named.
     """
     _check_query(inst, v, pinned)
-    n, q, edges = inst.n, inst.q, inst.graph.edges
-    nbrs = [set(a) for a in inst.graph.adjacency]
+    n, q, g = inst.n, inst.q, inst.graph
+    ptr, nbr = g.nbr_ptr.tolist(), g.nbr_flat.tolist()
+    nbrs = [set(nbr[ptr[u]:ptr[u + 1]]) for u in range(n)]
     heap = sorted((len(s), u) for u, s in enumerate(nbrs) if u != v)  # sorted, so a heap
     pos: dict[int, int] = {}  # vertex -> step at which it leaves
     while heap:
@@ -340,7 +338,8 @@ def elimination_conditional_marginal(inst: MrfInstance, v: int,
         log_b, log_a = np.log(inst.b), np.log(inst.A)
         bucket = [[(np.log(inst.b[u] * (np.arange(q) == pinned[u]))
                     if u in pinned else log_b[u], [u])] for u in range(n)]
-        for e, ab in enumerate(edges):  # symmetric: no transpose needed
+        for e, ab in enumerate(zip(g.eu.tolist(), g.ev.tolist())):
+            # symmetric: no transpose needed
             bucket[min(ab, key=pos.get)].append((log_a[e],
                                                  sorted(ab, key=pos.get)))
         for x in pos:

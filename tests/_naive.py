@@ -1,7 +1,8 @@
 """Slow reference implementations used as independent oracles in tests.
 
 Everything here recomputes quantities from first principles with plain
-Python loops, deliberately sharing no code path with the package.
+Python loops, deliberately sharing no code path with the package;
+edge_pairs only reads a graph's edge arrays, as the loops take them.
 """
 
 import itertools
@@ -263,3 +264,73 @@ def naive_greedy(edges, A_per_edge, b_per_vertex, q):
         else:
             return v
     return x
+
+
+def edge_pairs(graph):
+    """A graph's edges as (u, v) pairs with u < v, in edge index order."""
+    return list(zip(graph.eu.tolist(), graph.ev.tolist()))
+
+
+def naive_rank(sigma, q):
+    """Little-endian rank of a configuration: sum of sigma[v] * q**v."""
+    return sum(int(s) * q ** v for v, s in enumerate(sigma))
+
+
+def naive_graph_arrays(n, edges):
+    """Every index array of a Graph, edge by edge and vertex by vertex.
+
+    Returns a dict keyed by the Graph attribute names. A vertex's slots
+    list its edges in edge order; emult counts the earlier copies of the
+    same unordered pair; by_degree sorts by (-degree, id), and rank k lists
+    the k-th slot of every vertex of degree > k in by_degree order.
+    """
+    adj = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    seen = {}
+    eu, ev, emult = [], [], []
+    for e, (u, v) in enumerate(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+        inc[u].append(e)
+        inc[v].append(e)
+        a, b = min(u, v), max(u, v)
+        eu.append(a)
+        ev.append(b)
+        emult.append(seen.get((a, b), 0))
+        seen[a, b] = emult[-1] + 1
+    degrees = [len(a) for a in adj]
+    nbr_ptr = [0]
+    for d in degrees:
+        nbr_ptr.append(nbr_ptr[-1] + d)
+    by_degree = sorted(range(n), key=lambda v: (-degrees[v], v))
+    degree_pos = [0] * n
+    for p, v in enumerate(by_degree):
+        degree_pos[v] = p
+    rank_ptr, rank_nbr, rank_edge = [0], [], []
+    for k in range(max(degrees)):
+        for v in by_degree:
+            if degrees[v] > k:
+                rank_nbr.append(adj[v][k])
+                rank_edge.append(inc[v][k])
+        rank_ptr.append(len(rank_nbr))
+    return {"eu": eu, "ev": ev, "emult": emult, "degrees": degrees,
+            "nbr_flat": [u for a in adj for u in a], "nbr_ptr": nbr_ptr,
+            "nbr_edge": [e for i in inc for e in i], "by_degree": by_degree,
+            "degree_pos": degree_pos, "rank_ptr": rank_ptr,
+            "rank_nbr": rank_nbr, "rank_edge": rank_edge}
+
+
+def naive_distances(n, edges, source):
+    """BFS hop distances from source over an edge list; -1 where
+    unreachable."""
+    dist = [-1] * n
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
+        for a, b in edges:
+            if v in (a, b):
+                u = b if a == v else a
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+    return dist

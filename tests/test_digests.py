@@ -16,15 +16,27 @@ import numpy as np
 import pytest
 
 from localgibbs import cli
-from localgibbs.chains import (SchedulerSpec, _filter_probs,
+from localgibbs.chains import (SchedulerSpec, _filter_factors,
                                chromatic_classes, local_metropolis,
-                               luby_glauber, sequential_glauber)
+                               luby_glauber, plan, sequential_glauber)
 from localgibbs.diagnostics import coupling_decay, mixing_scan
 from localgibbs.engine import PRESETS, initial_config, run_batch
 from localgibbs.graphs import Graph, cycle, random_regular
 from localgibbs.models import coloring, hardcore, list_coloring
 from localgibbs.mrf import MrfInstance, marginal
 from localgibbs.randomness import RandomTape
+
+
+def _filter_probs(inst: MrfInstance, sigma: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Per-edge pass probability of the Metropolis filter, (rows, m), from
+    (rows, n) proposals and current spins: a transposed view of the
+    edge-major factors (f1 * f2) * f3 that _filter_factors gives on the
+    plan's A_norm and the round compares its coins against."""
+    spins = np.min_scalar_type(inst.q - 1)
+    a_norm = plan(local_metropolis(), inst).A_norm
+    return _filter_factors(inst, a_norm.reshape(-1), sigma.T.astype(spins),
+                           x.T.astype(spins)).T
 
 
 def _multigraph_instance() -> MrfInstance:

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from _naive import naive_greedy
+from _naive import edge_pairs, naive_greedy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_digests import _hub_and_tail_lists, _hub_and_tail_wide
@@ -15,7 +15,7 @@ from localgibbs.engine import (greedy_feasible, initial_config, run_batch,
                                run_chunked)
 from localgibbs.graphs import Graph, complete, cycle, path
 from localgibbs.models import coloring, hardcore, ising
-from localgibbs.mrf import is_feasible
+from localgibbs.mrf import feasible_batch
 from localgibbs.randomness import RandomTape
 
 
@@ -49,7 +49,7 @@ def test_initial_presets():
     np.testing.assert_array_equal(initial_config(inst, "zeros"), 0)
     np.testing.assert_array_equal(initial_config(inst, "max"), 1)
     g = initial_config(inst, "greedy")
-    assert is_feasible(inst, g)
+    assert feasible_batch(inst, [g])[0]
     explicit = initial_config(inst, [1, 0, 1, 0])
     np.testing.assert_array_equal(explicit, [1, 0, 1, 0])
     with pytest.raises(ValueError):
@@ -73,8 +73,8 @@ def test_starts_must_be_one_configuration_or_a_batch(x0):
 
 
 def _check_greedy(inst):
-    want = naive_greedy(inst.graph.edges, inst.A.tolist(), inst.b.tolist(),
-                        inst.q)
+    want = naive_greedy(edge_pairs(inst.graph), inst.A.tolist(),
+                        inst.b.tolist(), inst.q)
     if isinstance(want, int):
         with pytest.raises(ValueError, match=f"dead-ends at vertex {want}$"):
             greedy_feasible(inst)
@@ -100,7 +100,7 @@ def test_greedy_start_matches_loop_on_wide_spin_sets(q):
 
 def test_greedy_feasible_on_colorings():
     inst = coloring(cycle(5), 3)
-    assert is_feasible(inst, greedy_feasible(inst))
+    assert feasible_batch(inst, [greedy_feasible(inst)])[0]
     with pytest.raises(ValueError):
         greedy_feasible(coloring(complete(3), 2))
 
@@ -249,7 +249,7 @@ def test_far_edge_change_invisible_within_horizon():
     # add an edge between vertices 6 and 8; vertex 0 sits farther than the
     # round horizon away, so its samples cannot tell the graphs apart
     base = path(9)
-    edges = base.edge_multiset() + [(6, 8)]
+    edges = edge_pairs(base) + [(6, 8)]
     patched = Graph(9, edges)
     rounds = 3
     for chain in (luby_glauber(), local_metropolis()):

@@ -1,10 +1,13 @@
 """No module imports a name it never reads, the package's own imports form
 no cycle, and the kernel's tables stay the kernel's: the oracle imports
-only the chain specs from chains, and no module but chains reads a field
-of a chain's plan. Batches have one layout: the package names
-engine._by_row, the one conversion of a carried batch to (rows, n) int64,
-only where engine.py defines it and where run_batch takes it as its
-default snapshot.
+only the chain specs from chains, reads none of the graph's rank-major
+tables, and no module but chains reads a field of a chain's plan. Batches
+have one layout: the package names engine._by_row, the one conversion of a
+carried batch to (rows, n) int64, only where engine.py defines it and
+where run_batch takes it as its default snapshot. No code is there for the
+tests alone: every function, class and method of the package is named by
+the package itself, by bench/ or by the acceptance tests, or is listed in
+TEST_ONLY with its reason.
 
 Package __init__.py files are skipped by the unused-import check: their
 imports are the re-exported public API.
@@ -21,6 +24,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localgibbs"
 MODULES = sorted(p for d in ("src/localgibbs", "tests")
                  for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
+# the graph's rank-major slot tables, which only the rounds read
+RANK_TABLES = {"rank_ptr", "rank_nbr", "rank_edge", "by_degree", "degree_pos"}
+# package definitions that only tests name, each with its reason
+TEST_ONLY = {
+    "diagnostics.check_filter_positivity":
+        "the regime pre-flight (ROADMAP item 1a) is to call it",
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -228,3 +238,87 @@ def test_only_run_batch_converts_a_batch_by_row(path):
     assert len(default) == 1
     assert refs == [f"line {define.lineno}: def",
                     f"line {default[0].lineno}: name"]
+
+
+def _definitions(source: str) -> list[tuple[str, ast.AST]]:
+    """Each module-level function and class of source and each method of
+    those classes, as (name, node), a method as "Class.method". Dunder
+    methods are left out: Python calls them."""
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef)
+                         and not (f.name.startswith("__")
+                                  and f.name.endswith("__"))]
+    return defs
+
+
+def _named(tree: ast.AST, module: str, name: str) -> int:
+    """How often tree names module's definition name: a method as x.method;
+    a function or class also as a read bare name or an imported one; either
+    as the string "module.name" (bench/spans.py names spans so)."""
+    attr = name.rsplit(".", 1)[-1]
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            count += node.attr == attr
+        elif isinstance(node, ast.Constant):
+            count += node.value == f"{module}.{name}"
+        elif "." not in name:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                count += node.id == name
+            elif isinstance(node, ast.alias):
+                count += node.name.rsplit(".", 1)[-1] == name
+    return count
+
+
+def _unreferenced(module: str, source: str, readers: list[str]) -> list[str]:
+    """The definitions of module (its source) that neither the rest of its
+    own source nor any reader source names, as "module.name"."""
+    trees = [ast.parse(r) for r in readers]
+    own = ast.parse(source)
+    return [f"{module}.{name}" for name, node in _definitions(source)
+            if _named(own, module, name) == _named(node, module, name)
+            and not any(_named(t, module, name) for t in trees)]
+
+
+def test_checker_finds_unreferenced_definitions():
+    source = ("class Plan:\n"
+              "    def __repr__(self):\n        return 'p'\n"
+              "    def used(self):\n        return self.used()\n"
+              "    def spare(self):\n        return used\n"
+              "def used():\n    return Plan\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def traced():\n    pass\n"
+              "def shadowed():\n    pass\n")
+    readers = ["from .m import used\nx = y.used()\n",
+               "SPANS = {'m.traced'}\nshadowed = 1\n"]
+    assert _unreferenced("m", source, readers) == [
+        "m.Plan.spare", "m.recursive", "m.shadowed"]
+    assert _unreferenced("m", source, readers + ["spare = z.spare\n"
+                                                  "shadowed()\n"]) \
+        == ["m.recursive"]
+
+
+def test_no_definition_is_there_for_the_tests_alone():
+    # an __init__ re-export is no use: the package, bench/ or the
+    # acceptance tests must name it
+    modules = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    others = [*sorted((ROOT / "bench").glob("*.py")),
+              ROOT / "tests" / "test_acceptance.py"]
+    text = {p: p.read_text(encoding="utf-8") for p in modules + others}
+    unreferenced = [name for p in modules for name in _unreferenced(
+        p.stem, text[p], [text[r] for r in modules + others if r != p])]
+    assert unreferenced == sorted(TEST_ONLY)
+    assert all(TEST_ONLY.values())
+
+
+def test_oracle_reads_no_rank_table():
+    # the oracle reads the graph as edges and neighbour lists, never in the
+    # order the rounds' reductions walk it
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert _attribute_reads(source, RANK_TABLES) == []

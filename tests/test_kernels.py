@@ -11,16 +11,18 @@ import math
 
 import numpy as np
 import pytest
-from _naive import (naive_conditional_cdf, naive_draw, naive_local_max,
+from _naive import (edge_pairs, naive_conditional_cdf, naive_draw,
+                    naive_local_max,
                     naive_marginal, naive_metropolis, naive_pass_probability,
                     naive_proposal_cdf, naive_resample)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_chains import selection_rows
-from test_digests import _hub_and_tail_wide, _multigraph_instance
+from test_digests import (_filter_probs, _hub_and_tail_wide,
+                          _multigraph_instance)
 
 from localgibbs.chains import (SCHEDULER_VARIANTS, SchedulerSpec,
-                               _bucket_table, _draw_tabulated, _filter_probs,
+                               _bucket_table, _draw_tabulated,
                                _sample_from_cdf, chromatic_classes,
                                local_metropolis, local_metropolis_round_batch,
                                luby_glauber, luby_glauber_round_batch, plan,
@@ -196,15 +198,16 @@ class _BoundaryTape(RandomTape):
     def __init__(self, inst, x, runs):
         super().__init__(3)
         self.inst, self.x = inst, dict(zip(runs.tolist(), x.tolist()))
-        self.A, self.b = inst.A.tolist(), inst.b.tolist()
+        self.edges, self.A, self.b = (edge_pairs(inst.graph), inst.A.tolist(),
+                                      inst.b.tolist())
         self.calls = {"node_words": 0, "node_uniforms": 0}
 
     def _entries(self, entities, runs, round_):
         """(entry, on it) per (vertex, run) pair."""
         for v, r in zip(np.asarray(entities).tolist(),
                         np.asarray(runs).tolist()):
-            cdf = naive_conditional_cdf(self.inst.graph.edges, self.A,
-                                        self.b, self.inst.q, v, self.x[r])
+            cdf = naive_conditional_cdf(self.edges, self.A, self.b,
+                                        self.inst.q, v, self.x[r])
             below = [c for c in cdf if c < 1.0] or [0.0]
             i = (v + r + round_) % (2 * len(below))
             yield below[i // 2], i % 2 == 1
@@ -256,7 +259,7 @@ def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
     table = plan(luby_glauber(), inst).mask_table is not None
     assert table == (make is _hub_and_tail_mask_table)
     g, sched = inst.graph, SchedulerSpec(variant)
-    A, b = inst.A.tolist(), inst.b.tolist()
+    edges, A, b = edge_pairs(g), inst.A.tolist(), inst.b.tolist()
     runs = np.arange(24, dtype=np.int64) + 5
     x = np.random.default_rng(q).integers(0, q, (len(runs), g.n))
     tape = _BoundaryTape(inst, x, runs)
@@ -286,7 +289,7 @@ def test_resampling_draws_on_cdf_boundaries_match_loop(make, q, variant,
             u[vs] = uniform_from_bits(tape.node_words(*at)) if table \
                 else tape.node_uniforms(*at)
             assert new_x[i].tolist() == naive_resample(
-                g.edges, A, b, q, x[i].tolist(), sel[i].tolist(), u.tolist())
+                edges, A, b, q, x[i].tolist(), sel[i].tolist(), u.tolist())
 
 
 _LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
@@ -374,19 +377,19 @@ _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
 def test_resampling_round_matches_loop_on_tiny_instances(case):
     inst, x, sched, t, runs = case
     g, tape = inst.graph, RandomTape(17)
-    k = len(x) // len(runs)
+    edges, k = edge_pairs(g), len(x) // len(runs)
     sel = selection_rows(g, scheduled_set_batch(g, sched, t, tape, runs))
     if sched.variant == "luby":
         keys = tape.node_words(KIND_NODE_BETA, np.arange(g.n)[:, None], t,
                                runs)
         for i in range(len(runs)):
             assert sel[i].tolist() == naive_local_max(
-                g.edges, g.n, [int(w) for w in keys[:, i]])
+                edges, g.n, [int(w) for w in keys[:, i]])
     A, b = inst.A.tolist(), inst.b.tolist()
     # scheduled pairs whose conditional has no mass, in any start
     dead = [(int(runs[row // k]), int(v)) for row in range(len(x))
             for v in np.flatnonzero(sel[row // k])
-            if naive_marginal(g.edges, A, b, inst.q, v, x[row].tolist()) is None]
+            if naive_marginal(edges, A, b, inst.q, v, x[row].tolist()) is None]
     if dead:
         with pytest.raises(ZeroMarginal) as err:
             luby_glauber_round_batch(inst, x.T, sched, t, tape, runs)
@@ -398,7 +401,7 @@ def test_resampling_round_matches_loop_on_tiny_instances(case):
                            runs[:, None])
     for row in range(len(x)):
         assert new_x[row].tolist() == naive_resample(
-            g.edges, A, b, inst.q, x[row].tolist(), sel[row // k].tolist(),
+            edges, A, b, inst.q, x[row].tolist(), sel[row // k].tolist(),
             u[row // k].tolist())
 
 
@@ -409,7 +412,7 @@ def test_metropolis_round_matches_loop_on_tiny_instances(case):
     inst, x, _, t0, runs = case
     g, tape = inst.graph, RandomTape(17)
     k = len(x) // len(runs)
-    A, b = inst.A.tolist(), inst.b.tolist()
+    edges, A, b = edge_pairs(g), inst.A.tolist(), inst.b.tolist()
     # a filter factor decides a vertex only when its coin falls between
     # the right and a wrong product, so each example runs four rounds
     for t in range(t0, t0 + 4):
@@ -419,7 +422,7 @@ def test_metropolis_round_matches_loop_on_tiny_instances(case):
         coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs[:, None])
         for row in range(len(x)):
             assert new_x[row].tolist() == naive_metropolis(
-                g.edges, A, b, inst.q, x[row].tolist(), u[row // k].tolist(),
+                edges, A, b, inst.q, x[row].tolist(), u[row // k].tolist(),
                 coins[row // k].tolist())
 
 
@@ -477,6 +480,7 @@ class _BoundaryCoins(RandomTape):
     def __init__(self, inst, runs, k):
         super().__init__(23)
         self.inst, self.runs, self.k = inst, runs.tolist(), k
+        self.pairs = edge_pairs(inst.graph)
         self.A, self.b = inst.A.tolist(), inst.b.tolist()
         self.edge = {(u, v, c): e for e, (u, v, c) in enumerate(zip(
             inst.graph.eu.tolist(), inst.graph.ev.tolist(),
@@ -490,13 +494,12 @@ class _BoundaryCoins(RandomTape):
                 for v, b in enumerate(self.b)]
 
     def edge_uniforms(self, eu, ev, emult, round_, runs):
-        g = self.inst.graph
         sigma = {r: self._sigma(round_, r) for r in self.runs}
         out = []
         for u, v, c, r in np.broadcast(eu, ev, emult, runs):
             e, run = self.edge[int(u), int(v), int(c)], int(r)
             x = self.rows[self.runs.index(run) * self.k]
-            p = naive_pass_probability(*g.edges[e], self.A[e], x, sigma[run])
+            p = naive_pass_probability(*self.pairs[e], self.A[e], x, sigma[run])
             on = (e + run + round_) % 2
             out.append(min(p, np.nextafter(1.0, 0.0)) if on
                        else np.nextafter(p, 0.0))
@@ -515,7 +518,7 @@ def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
     # the fractional tables take the coin path wherever there is an edge
     assert (plan(local_metropolis(), inst).A_pass is None) \
         == (model.startswith(("potts", "fractional")) and g.m > 0)
-    A, b = inst.A.tolist(), inst.b.tolist()
+    edges, A, b = edge_pairs(g), inst.A.tolist(), inst.b.tolist()
     runs = np.array([4, 9])
     tape = _BoundaryCoins(inst, runs, k)
     x = np.random.default_rng(q).integers(0, q, (len(runs) * k, g.n))
@@ -528,7 +531,7 @@ def test_metropolis_round_matches_loop_across_index_dtypes(name, model, k):
         coins = tape.edge_uniforms(g.eu, g.ev, g.emult, t, runs[:, None])
         for row in range(len(x)):
             assert new_x[row].tolist() == naive_metropolis(
-                g.edges, A, b, q, x[row].tolist(), u[row // k].tolist(),
+                edges, A, b, q, x[row].tolist(), u[row // k].tolist(),
                 coins[row // k].tolist())
         x = new_x
 

@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _naive import naive_marginal, naive_proposal_cdf, naive_weight
+from _naive import edge_pairs, naive_marginal, naive_proposal_cdf, naive_weight
 
 from localgibbs.chains import local_metropolis, luby_glauber, plan
 from localgibbs.graphs import Graph, complete, cycle, path
 from localgibbs.models import coloring, hardcore, ising, list_coloring, potts
 from localgibbs.mrf import (DegenerateActivity, MrfInstance, ZeroMarginal,
-                            feasible_batch, is_feasible, marginal,
-                            validate_configuration, weight, weight_batch)
+                            feasible_batch, marginal, validate_configuration,
+                            weight_batch)
 
 
 def _random_instance(rng, graph, q):
@@ -22,17 +22,17 @@ def _random_instance(rng, graph, q):
 
 def test_weight_hardcore_empty_set_is_one():
     inst = hardcore(cycle(5), 1.0)
-    assert weight(inst, np.zeros(5, dtype=np.int64)) == 1.0
+    assert weight_batch(inst, [np.zeros(5, dtype=np.int64)])[0] == 1.0
 
 
 def test_weight_monochromatic_edge_is_zero():
     inst = coloring(path(2), 3)
-    assert weight(inst, [0, 0]) == 0.0
+    assert weight_batch(inst, [[0, 0]])[0] == 0.0
 
 
 def test_weight_hardcore_lambda2():
     inst = hardcore(path(3), 2.0)
-    assert weight(inst, [1, 0, 1]) == 4.0
+    assert weight_batch(inst, [[1, 0, 1]])[0] == 4.0
 
 
 def test_weight_matches_naive_on_random_instances():
@@ -42,11 +42,11 @@ def test_weight_matches_naive_on_random_instances():
         inst = _random_instance(rng, graph, q)
         A_list = [inst.A[i].tolist() for i in range(graph.m)]
         b_list = inst.b.tolist()
-        edges = list(zip(graph.eu.tolist(), graph.ev.tolist()))
+        edges = edge_pairs(graph)
         for _ in range(20):
             sigma = rng.integers(0, q, graph.n)
             expect = naive_weight(edges, A_list, b_list, sigma.tolist())
-            assert weight(inst, sigma) == pytest.approx(expect, rel=1e-12)
+            assert weight_batch(inst, [sigma])[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_weight_batch_matches_scalar():
@@ -55,30 +55,30 @@ def test_weight_batch_matches_scalar():
     sigmas = rng.integers(0, 3, (50, 4))
     batch = weight_batch(inst, sigmas)
     for i in range(50):
-        assert batch[i] == pytest.approx(weight(inst, sigmas[i]), rel=1e-12)
+        assert batch[i] == pytest.approx(weight_batch(inst, [sigmas[i]])[0], rel=1e-12)
 
 
 def test_weight_dimension_mismatch():
     inst = coloring(path(3), 3)
     with pytest.raises(ValueError):
-        weight(inst, [0, 1])
+        weight_batch(inst, [[0, 1]])
     with pytest.raises(ValueError):
-        weight(inst, [0, 1, 3])
+        weight_batch(inst, [[0, 1, 3]])
 
 
 def test_feasible_triangle_proper():
     inst = coloring(complete(3), 3)
-    assert is_feasible(inst, [0, 1, 2])
+    assert feasible_batch(inst, [[0, 1, 2]])[0]
 
 
 def test_feasible_hardcore_edge_conflict():
     inst = hardcore(path(2), 1.0)
-    assert not is_feasible(inst, [1, 1])
+    assert not feasible_batch(inst, [[1, 1]])[0]
 
 
 def test_feasible_c4_alternating():
     inst = coloring(cycle(4), 3)
-    assert is_feasible(inst, [0, 1, 0, 1])
+    assert feasible_batch(inst, [[0, 1, 0, 1]])[0]
 
 
 def test_feasible_batch_matches_scalar():
@@ -109,7 +109,7 @@ def test_marginal_hardcore_free_neighbor():
 def test_marginal_matches_naive():
     rng = np.random.default_rng(3)
     inst = _random_instance(rng, cycle(5), 3)
-    edges = list(zip(inst.graph.eu.tolist(), inst.graph.ev.tolist()))
+    edges = edge_pairs(inst.graph)
     A_list = [inst.A[i].tolist() for i in range(inst.graph.m)]
     for _ in range(20):
         x = rng.integers(0, 3, 5)
@@ -259,7 +259,7 @@ def test_validate_configuration_rejects_fractional_spins():
         with pytest.raises(ValueError, match="whole numbers"):
             validate_configuration(inst, sigma)
     with pytest.raises(ValueError, match="whole numbers"):
-        is_feasible(inst, [0.2, 1.9, 0.4])
+        feasible_batch(inst, [[0.2, 1.9, 0.4]])
     # whole-valued floats still pass, as int64
     got = validate_configuration(inst, np.array([0.0, 1.0, 2.0]))
     assert got.dtype == np.int64
@@ -287,7 +287,7 @@ def _hub_tail_with_zeros():
 ], ids=["hub-tail", "edgeless"])
 def test_weight_and_feasible_batch_match_naive(inst):
     g = inst.graph
-    edges = list(zip(g.eu.tolist(), g.ev.tolist()))
+    edges = edge_pairs(g)
     A_list, b_list = inst.A.tolist(), inst.b.tolist()
     rng = np.random.default_rng(11)
     sigmas = rng.integers(0, inst.q, (400, inst.n))
@@ -343,7 +343,7 @@ def test_weight_and_feasible_batch_match_a_loop_across_index_dtypes(n, dtype):
     g = inst.graph
     assert np.min_scalar_type(g.m * q * q - 1) == dtype
     A, b = inst.A.tolist(), inst.b.tolist()
-    edges = list(zip(g.eu.tolist(), g.ev.tolist()))
+    edges = edge_pairs(g)
     rng = np.random.default_rng(n)
     # rows without spin q - 1 are feasible, most of the others are not
     sigmas = np.concatenate([rng.integers(0, q - 1, (6, n)),

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _naive import all_sigmas, naive_gibbs, naive_transition_matrix, naive_tv
+from _naive import (all_sigmas, edge_pairs, naive_gibbs, naive_rank,
+                    naive_transition_matrix, naive_tv)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_digests import _hub_and_tail_lists, _hub_and_tail_wide
@@ -22,16 +23,12 @@ from localgibbs.oracle import (ENUM_CAP, Distribution, StateSpaceTooLarge,
                                elimination_conditional_marginal,
                                enumerate_gibbs, exact_conditional_marginal,
                                exact_transition_matrix,
-                               luby_set_distribution, rank_of_config,
+                               luby_set_distribution,
                                tv_distance)
 
 
-def _edges(graph):
-    return list(zip(graph.eu.tolist(), graph.ev.tolist()))
-
-
 def _naive_dist(inst):
-    probs, z = naive_gibbs(_edges(inst.graph),
+    probs, z = naive_gibbs(edge_pairs(inst.graph),
                            [inst.A[i].tolist() for i in range(inst.graph.m)],
                            inst.b.tolist(), inst.graph.n, inst.q)
     return probs, z
@@ -40,7 +37,7 @@ def _naive_dist(inst):
 def test_rank_round_trip():
     for rank in range(3 ** 4):
         cfg = config_of_rank(rank, 4, 3)
-        assert rank_of_config(cfg, 3) == rank
+        assert naive_rank(cfg, 3) == rank
     cfgs = all_configs(3, 3)
     assert cfgs.shape == (27, 3)
     np.testing.assert_array_equal(cfgs[5], config_of_rank(5, 3, 3))
@@ -171,7 +168,7 @@ def test_transition_rows_are_stochastic():
 def test_metropolis_k2_coloring_block_structure():
     inst = coloring(path(2), 3)
     P = exact_transition_matrix(local_metropolis(), inst)
-    feas = [rank_of_config(np.array(s), 3) for s in all_sigmas(2, 3)
+    feas = [naive_rank(s, 3) for s in all_sigmas(2, 3)
             if s[0] != s[1]]
     block = P.rows[np.ix_(feas, feas)]
     np.testing.assert_allclose(block, block.T, atol=1e-12)
@@ -196,7 +193,7 @@ def test_metropolis_matrix_against_naive_enumeration():
     Anorm = inst.A[0] / inst.A[0].max()
     expect = np.zeros((q ** n, q ** n))
     for x0 in all_sigmas(n, q):
-        r0 = rank_of_config(np.array(x0), q)
+        r0 = naive_rank(x0, q)
         for prop in all_sigmas(n, q):
             p_prop = bprop[0][prop[0]] * bprop[1][prop[1]]
             pe = (Anorm[prop[0], prop[1]] * Anorm[x0[0], prop[1]]
@@ -206,7 +203,7 @@ def test_metropolis_matrix_against_naive_enumeration():
                 if p_coin == 0.0:
                     continue
                 y = prop if passed else x0
-                r1 = rank_of_config(np.array(y), q)
+                r1 = naive_rank(y, q)
                 expect[r0, r1] += p_prop * p_coin
     P = exact_transition_matrix(local_metropolis(), inst)
     np.testing.assert_allclose(P.rows, expect, atol=1e-12)
@@ -218,7 +215,7 @@ def test_luby_matrix_against_naive_enumeration():
     law = {frozenset([0]): 0.5, frozenset([1]): 0.5}
     expect = np.zeros((9, 9))
     for x0 in all_sigmas(2, 3):
-        r0 = rank_of_config(np.array(x0), 3)
+        r0 = naive_rank(x0, 3)
         for sel, p_sel in law.items():
             (v,) = tuple(sel)
             u = 1 - v
@@ -231,7 +228,7 @@ def test_luby_matrix_against_naive_enumeration():
                     continue
                 y = list(x0)
                 y[v] = c
-                expect[r0, rank_of_config(np.array(y), 3)] += p_sel * cond[c]
+                expect[r0, naive_rank(y, 3)] += p_sel * cond[c]
     P = exact_transition_matrix(luby_glauber(), inst)
     np.testing.assert_allclose(P.rows, expect, atol=1e-12)
 
@@ -324,7 +321,7 @@ def test_exact_matrices_match_naive_loops_on_random_tiny_instances(case):
     for chain, kind in ((luby_glauber(), "luby"),
                         (sequential_glauber(), "single-site"),
                         (local_metropolis(), "metropolis")):
-        want = naive_transition_matrix(g.edges, A, b, g.n, inst.q, kind)
+        want = naive_transition_matrix(edge_pairs(g), A, b, g.n, inst.q, kind)
         if want is None:
             with pytest.raises(ZeroMarginal):
                 exact_transition_matrix(chain, inst)

@@ -9,12 +9,13 @@ vertex range, and on graphs without edges.
 
 import numpy as np
 import pytest
-from _naive import (naive_all_incident, naive_draw, naive_local_max,
-                    naive_resample)
+from _naive import (edge_pairs, naive_all_incident, naive_draw,
+                    naive_local_max, naive_resample)
 from test_chains import selection_rows
-from test_digests import _hub_and_tail_instance, _multigraph_instance
+from test_digests import (_filter_probs, _hub_and_tail_instance,
+                          _multigraph_instance)
 
-from localgibbs.chains import (SchedulerSpec, _filter_probs, local_max_select,
+from localgibbs.chains import (SchedulerSpec, local_max_select,
                                local_metropolis, local_metropolis_round_batch,
                                luby_glauber_round_batch, plan,
                                scheduled_set_batch)
@@ -73,14 +74,15 @@ def test_local_max_select_matches_loop(inst, spread):
         # scores from {0, 1, 2}: exact ties everywhere, including score 0
         # at vertices without neighbours
         keys = rng.integers(0, spread, size=(len(RUNS), g.n)).astype(np.uint64)
-    sel = local_max_select(g, keys)
+    sel, edges = local_max_select(g, keys), edge_pairs(g)
     for row in range(len(keys)):
-        expect = naive_local_max(g.edges, g.n, [int(k) for k in keys[row]])
+        expect = naive_local_max(edges, g.n, [int(k) for k in keys[row]])
         assert sel[row].tolist() == expect
 
 
 def test_filter_and_matches_loop(inst):
     g = inst.graph
+    edges = edge_pairs(g)
     tape = RandomTape(5)
     x = _random_states(inst, 2)
     b_cdf = plan(local_metropolis(), inst).b_cdf
@@ -93,7 +95,7 @@ def test_filter_and_matches_loop(inst):
         assert passed.shape == (len(RUNS), g.m)
         new_x = local_metropolis_round_batch(inst, x.T, t, tape, RUNS)[0].T
         for row in range(len(RUNS)):
-            accepted = naive_all_incident(g.edges, g.n, passed[row].tolist())
+            accepted = naive_all_incident(edges, g.n, passed[row].tolist())
             expect = np.where(accepted, sigma[row], x[row])
             assert new_x[row].tolist() == expect.tolist()
 
@@ -103,8 +105,7 @@ def test_resampling_round_matches_loop(inst, variant):
     g = inst.graph
     sched = SchedulerSpec(variant)
     tape = RandomTape(8)
-    A = inst.A.tolist()
-    b = inst.b.tolist()
+    edges, A, b = edge_pairs(g), inst.A.tolist(), inst.b.tolist()
     for t in range(1, 4):
         x = _random_states(inst, t)
         new_x = luby_glauber_round_batch(inst, x.T, sched, t, tape, RUNS)[0].T
@@ -112,6 +113,6 @@ def test_resampling_round_matches_loop(inst, variant):
         u = tape.node_uniforms(KIND_NODE_PROPOSAL, np.arange(g.n), t,
                                RUNS[:, None])
         for row in range(len(RUNS)):
-            expect = naive_resample(g.edges, A, b, inst.q, x[row].tolist(),
+            expect = naive_resample(edges, A, b, inst.q, x[row].tolist(),
                                     sel[row].tolist(), u[row].tolist())
             assert new_x[row].tolist() == expect
